@@ -19,13 +19,11 @@ for a fixed config and seed; set STARWALK_LOG=debug|info|... for verbosity.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -40,6 +38,9 @@ EXIT_NUMERICS = 3
 EXIT_ORACLE = 4
 
 ORACLE_TOL = 1e-8
+
+SEARCH_COLUMNS = ["N", "M", "lambda0_re", "lambda0_im", "phi", "c", "m",
+                  "p_marked", "p_null", "p_unmarked", "overlap_r0"]
 
 
 def _fmt(x) -> str:
@@ -113,6 +114,12 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _search_row(plan, result) -> list:
+    return [plan.N, plan.M, plan.lambda0.real, plan.lambda0.imag, plan.phi,
+            plan.c, plan.m, result.p_marked, result.p_null, result.p_unmarked,
+            result.overlap_r0]
+
+
 def cmd_search(args) -> int:
     spec = graph.load_spec(args.spec)
     N, hi = _parse_n_range(args.n)
@@ -122,9 +129,6 @@ def cmd_search(args) -> int:
     result = search_mod.run_search(plan, spec)
     counts = (search_mod.sample_measurement(result, args.seed, args.shots)
               if args.shots else None)
-    row = [plan.N, plan.M, plan.lambda0.real, plan.lambda0.imag, plan.phi,
-           plan.c, plan.m, result.p_marked, result.p_null, result.p_unmarked,
-           result.overlap_r0]
     payload = {
         "plan": {"N": plan.N, "M": plan.M,
                  "lambda0": [plan.lambda0.real, plan.lambda0.imag],
@@ -135,21 +139,9 @@ def cmd_search(args) -> int:
                    "overlap_r0": result.overlap_r0},
         "counts": counts,
     }
-    _emit(args, ["N", "M", "lambda0_re", "lambda0_im", "phi", "c", "m",
-                 "p_marked", "p_null", "p_unmarked", "overlap_r0"],
-          [row], payload)
+    _emit(args, SEARCH_COLUMNS, [_search_row(plan, result)], payload)
     print(f"m = {plan.m}, p_marked = {result.p_marked:.6f}")
     return EXIT_OK
-
-
-def _sweep_point(task):
-    spec_dict, N, M, lam_sel = task
-    spec = graph.SubgraphSpec.from_dict(spec_dict)
-    plan = search_mod.plan_search(spec, N, M=M, lambda0=lam_sel)
-    result = search_mod.run_search(plan, spec)
-    return [plan.N, plan.M, plan.lambda0.real, plan.lambda0.imag, plan.phi,
-            plan.c, plan.m, result.p_marked, result.p_null,
-            result.p_unmarked, result.overlap_r0]
 
 
 def cmd_sweep(args) -> int:
@@ -162,19 +154,12 @@ def cmd_sweep(args) -> int:
                      np.logspace(math.log10(lo), math.log10(hi), args.points)})
     else:
         ns = sorted({int(round(v)) for v in np.linspace(lo, hi, args.points)})
-    tasks = [(spec.to_dict(), N, args.m_copies, args.lam) for N in ns]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_point, tasks))
-    else:
-        rows = [_sweep_point(t) for t in tasks]
-    payload = {"points": [
-        dict(zip(["N", "M", "lambda0_re", "lambda0_im", "phi", "c", "m",
-                  "p_marked", "p_null", "p_unmarked", "overlap_r0"], row))
-        for row in rows]}
-    _emit(args, ["N", "M", "lambda0_re", "lambda0_im", "phi", "c", "m",
-                 "p_marked", "p_null", "p_unmarked", "overlap_r0"],
-          rows, payload)
+    rows = []
+    for N in ns:
+        plan = search_mod.plan_search(spec, N, M=args.m_copies, lambda0=args.lam)
+        rows.append(_search_row(plan, search_mod.run_search(plan, spec)))
+    payload = {"points": [dict(zip(SEARCH_COLUMNS, row)) for row in rows]}
+    _emit(args, SEARCH_COLUMNS, rows, payload)
     return EXIT_OK
 
 
@@ -308,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar='auto|"re,im"')
     p.add_argument("--points", type=int, default=10)
     p.add_argument("--log", action="store_true", help="log-spaced N grid")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("tolerance", help="detuning sweep")

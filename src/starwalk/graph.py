@@ -97,7 +97,7 @@ class SubgraphSpec:
             if m.shape != (len(v.ports_out), len(v.ports_in)) or m.shape[0] != m.shape[1]:
                 raise SpecError(f"vertex {v.id}: matrix shape {m.shape} does not match ports")
             res = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))
-            if res > VERTEX_UNITARITY_TOL:
+            if not res <= VERTEX_UNITARITY_TOL:     # NaN entries fail here too
                 raise SpecError(f"vertex {v.id}: scattering matrix not unitary (residual {res:.2e})")
             for lab in v.ports_in:
                 if lab in consumed:
@@ -171,16 +171,19 @@ class SubgraphSpec:
 
 def _matrix_from_json(rows) -> np.ndarray:
     out = []
-    for row in rows:
-        r = []
-        for entry in row:
-            if isinstance(entry, (int, float)):
-                r.append(complex(entry))
-            else:
-                re, im = entry
-                r.append(complex(re, im))
-        out.append(r)
-    return np.array(out, dtype=complex)
+    try:
+        for row in rows:
+            r = []
+            for entry in row:
+                if isinstance(entry, (int, float)):
+                    r.append(complex(entry))
+                else:
+                    re, im = entry
+                    r.append(complex(re, im))
+            out.append(r)
+        return np.array(out, dtype=complex)
+    except ValueError as exc:
+        raise SpecError(f"malformed matrix entry: {exc}") from exc
 
 
 def _matrix_to_json(m: np.ndarray) -> list:
@@ -255,6 +258,8 @@ def hub_coefficients(N: int, M: int = 1, x: float = math.pi, y: float = 0.0) -> 
         raise SpecError(f"N must be an integer >= 2, got {N!r}")
     if not (isinstance(M, (int, np.integer)) and 1 <= M < N):
         raise SpecError(f"need 1 <= M < N, got M={M!r}, N={N!r}")
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise SpecError(f"hub phases must be finite (x={x}, y={y})")
     if math.cos(x - y) >= 1.0 - 1e-15:
         raise SpecError(f"hub family undefined: cos(x-y) must be < 1 (x={x}, y={y})")
 
@@ -288,7 +293,7 @@ def _check_hub_invariants(hub: HubModel, tol: float = 1e-12) -> None:
     c4 = abs(abs(hub.R_L) ** 2 + abs(hub.T) ** 2 - 1.0)
     c5 = abs(hub.T ** 2 - hub.R_R * hub.R_L - cmath.exp(2j * hub.phase_y))
     worst = max(c1, c2, c3, c4, c5)
-    if worst > tol:
+    if not worst <= tol:
         raise NumericsError(f"hub coefficient invariants violated (worst residual {worst:.2e})")
 
 

@@ -24,8 +24,8 @@ from .graph import (
 )
 from .spectral import (
     best_target,
+    classify_right,
     embed_right,
-    left_active,
     matched_phi,
     right_classifications,
 )
@@ -79,16 +79,12 @@ def initial_state(spec: SubgraphSpec, N: int, M: int, branch: int, phi: float) -
 
 def plan_search(spec: SubgraphSpec, N: int, M: int = 1, lambda0="auto") -> SearchPlan:
     """Build a SearchPlan for the given star size, choosing lambda0 if "auto"."""
-    classifications = right_classifications(spec)
     if isinstance(lambda0, str) and lambda0 == "auto":
+        classifications = right_classifications(spec)
         lam, c, _ = best_target(classifications)
         chosen = next(cl for cl in classifications if cl.lambda0 == lam)
     else:
-        lam_req = complex(lambda0)
-        dists = [abs(cl.lambda0 - lam_req) for cl in classifications]
-        chosen = classifications[int(np.argmin(dists))]
-        if min(dists) > 1e-6:
-            raise ValueError(f"{lam_req} is not an eigenvalue of the right block")
+        chosen = classify_right(spec, complex(lambda0))
         if chosen.c is None:
             raise ValueError(
                 f"lambda0={chosen.lambda0} has no active right eigenvector "

@@ -2,7 +2,7 @@
 Spectral analysis of the collapsed walk operator.
 =================================================
 
-* eigendecomposition with a fixed phase gauge and degeneracy-safe residuals;
+* eigendecomposition from one complex Schur form, with a fixed phase gauge;
 * clustering of unit-circle eigenvalues into lambda0 families;
 * classification of right-block eigenspaces into bound (hub-blind) and active
   (hub-contacting) parts with the coupling constant c;
@@ -22,16 +22,12 @@ import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from .graph import (
-    IN,
-    MARKED_IN,
-    MARKED_OUT,
-    OUT,
     NumericsError,
     SubgraphSpec,
     UnitaryOperator,
+    collapsed_basis,
     collapsed_coefficients,
     collapsed_matrix,
-    _vertex_columns,
 )
 
 logger = logging.getLogger(__name__)
@@ -39,6 +35,8 @@ logger = logging.getLogger(__name__)
 CLUSTER_TOL = 1e-7       # eigenvalue clustering tolerance
 RANK_TOL = 1e-8          # singular-value threshold for the bound-subspace rank
 RESIDUAL_TOL = 1e-9
+LOOKUP_TOL = 1e-6        # max distance of a requested lambda0 from its group
+ROUNDOFF = 1e-12         # parts of a unit-modulus lambda0 below this are round-off
 
 
 # ---------------------------------------------------------------------------
@@ -69,45 +67,22 @@ def _as_matrix(U) -> np.ndarray:
 
 
 def eigendecompose(U, residual_tol: float = RESIDUAL_TOL) -> EigenSystem:
-    """Dense eigendecomposition with a Schur fallback for stubborn degeneracies.
+    """Eigenvalues and an orthonormal eigenbasis from one complex Schur form.
 
-    Within numerically degenerate clusters the eigenvectors are re-orthonormalized
-    so that downstream subspace work (SVD rank decisions) is well conditioned.
+    For a normal (here: unitary) matrix the triangular factor is diagonal, so
+    the Schur vectors are an orthonormal eigenbasis, degenerate clusters
+    included.  A residual above ``residual_tol`` means the input is not normal.
     """
     A = _as_matrix(U)
-    vals, vecs = np.linalg.eig(A)
-    vecs = _orthonormalize_clusters(vals, vecs)
-    res = _max_residual(A, vals, vecs)
+    T, Z = scipy.linalg.schur(A, output="complex")
+    vals = np.diag(T).copy()
+    res = _max_residual(A, vals, Z)
     if res > residual_tol:
-        # Schur form of a normal matrix is diagonal; its Q is a clean eigenbasis.
-        T, Z = scipy.linalg.schur(A, output="complex")
-        vals = np.diag(T).copy()
-        vecs = _orthonormalize_clusters(vals, Z.copy())
-        res = _max_residual(A, vals, vecs)
-        if res > residual_tol:
-            cond = np.linalg.cond(A)
-            raise NumericsError(
-                f"eigendecomposition residual {res:.2e} exceeds {residual_tol:.1e} "
-                f"(matrix condition number {cond:.2e})")
-    return EigenSystem(eigenvalues=vals, eigenvectors=_gauge(vecs))
-
-
-def _orthonormalize_clusters(vals: np.ndarray, vecs: np.ndarray,
-                             tol: float = 1e-8) -> np.ndarray:
-    used = np.zeros(len(vals), dtype=bool)
-    out = vecs.astype(complex).copy()
-    for i in range(len(vals)):
-        if used[i]:
-            continue
-        cluster = [j for j in range(len(vals)) if not used[j] and abs(vals[j] - vals[i]) < tol]
-        for j in cluster:
-            used[j] = True
-        if len(cluster) > 1:
-            q, _ = np.linalg.qr(out[:, cluster])
-            out[:, cluster] = q
-        else:
-            out[:, cluster[0]] /= np.linalg.norm(out[:, cluster[0]])
-    return out
+        cond = np.linalg.cond(A)
+        raise NumericsError(
+            f"eigendecomposition residual {res:.2e} exceeds {residual_tol:.1e} "
+            f"(matrix condition number {cond:.2e})")
+    return EigenSystem(eigenvalues=vals, eigenvectors=_gauge(Z))
 
 
 def _max_residual(A: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> float:
@@ -125,6 +100,13 @@ class EigenvalueGroup:
     lambda0: complex
     multiplicity: int
     members: tuple[int, ...]
+
+
+def _snap(z: complex) -> complex:
+    """z with its round-off-level real and imaginary parts set to +0."""
+    z = complex(z)
+    return complex(0.0 if abs(z.real) < ROUNDOFF else z.real,
+                   0.0 if abs(z.imag) < ROUNDOFF else z.imag)
 
 
 def group_eigenvalues(sys: EigenSystem, tol: float = CLUSTER_TOL) -> list[EigenvalueGroup]:
@@ -160,7 +142,8 @@ def group_eigenvalues(sys: EigenSystem, tol: float = CLUSTER_TOL) -> list[Eigenv
                 raise NumericsError(
                     f"ambiguous eigenvalue clustering: groups at {groups[a].lambda0:.9f} "
                     f"and {groups[b].lambda0:.9f} are {gap:.2e} apart (< 2*tol)")
-    return sorted(groups, key=lambda g: (round(float(np.angle(g.lambda0)), 12)))
+    # -1 sorts last whatever the sign of its round-off imaginary part
+    return sorted(groups, key=lambda g: round(float(np.angle(_snap(g.lambda0))), 12))
 
 
 # ---------------------------------------------------------------------------
@@ -170,16 +153,11 @@ def group_eigenvalues(sys: EigenSystem, tol: float = CLUSTER_TOL) -> list[Eigenv
 def right_block(spec: SubgraphSpec, x: float = math.pi) -> tuple[np.ndarray, tuple[str, ...]]:
     """The eps=0 operator restricted to the right side.
 
-    Basis order [|0,1>, |1,0>, interior...].  At eps=0 the hub returns |1,0>
-    to |0,1> with amplitude R_R(0) (-1 for the standard hub, e^{ix} otherwise).
+    Basis order [|0,1>, |1,0>, interior...].  At eps=0 the hub does not couple
+    the two sides and returns |1,0> to |0,1> with amplitude R_R(0) (-1 for the
+    standard hub, e^{ix} otherwise).
     """
-    labels = (MARKED_OUT, MARKED_IN) + spec.interior
-    index = {lab: i for i, lab in enumerate(labels)}
-    d = len(labels)
-    A = np.zeros((d, d), dtype=complex)
-    A[index[MARKED_OUT], index[MARKED_IN]] = cmath.exp(1j * x)
-    _vertex_columns(spec, A, index)
-    return A, labels
+    return collapsed_matrix(spec, 0.0, 0.0, x=x)[2:, 2:], collapsed_basis(spec).labels[2:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,32 +173,28 @@ class RightClassification:
         return self.bound_basis.shape[1]
 
 
-def classify_right(spec: SubgraphSpec, lambda0: complex, x: float = math.pi,
-                   cluster_tol: float = CLUSTER_TOL,
-                   rank_tol: float = RANK_TOL) -> RightClassification:
-    """Split the lambda0 eigenspace of the right block into bound and active parts.
+def _nearest(items, lambda0: complex, where: str):
+    """The item (group or classification) whose lambda0 is closest to ``lambda0``."""
+    dists = [abs(it.lambda0 - lambda0) for it in items]
+    k = int(np.argmin(dists))
+    if dists[k] > LOOKUP_TOL:
+        raise ValueError(f"{lambda0} is not an eigenvalue of {where} "
+                         f"(closest group at distance {dists[k]:.2e})")
+    return items[k]
+
+
+def _classify_group(sys: EigenSystem, g: EigenvalueGroup) -> RightClassification:
+    """Split one eigenspace of the right block into bound and active parts.
 
     Bound vectors have (numerically) zero amplitude on the hub-adjacent states
     |0,1> and |1,0>; the rank of the hub-contact map is decided by its singular
-    values against ``rank_tol``.  A contact rank above 1 would contradict the
+    values against ``RANK_TOL``.  A contact rank above 1 would contradict the
     one-active-vector-per-side structure and raises a diagnostic.
     """
-    A, _ = right_block(spec, x=x)
-    sys = eigendecompose(A)
-    groups = group_eigenvalues(sys)
-    dists = [abs(g.lambda0 - lambda0) for g in groups]
-    k = int(np.argmin(dists))
-    if dists[k] > max(10 * cluster_tol, 1e-6):
-        raise ValueError(f"{lambda0} is not an eigenvalue of the right block "
-                         f"(closest group at distance {dists[k]:.2e})")
-    g = groups[k]
-    basis = sys.eigenvectors[:, list(g.members)]
-    q, _ = np.linalg.qr(basis)
-    basis = q
-
+    basis = sys.eigenvectors[:, list(g.members)]   # orthonormal (Schur vectors)
     contact = basis[:2, :]                      # amplitudes on |0,1>, |1,0>
     _, svals, vh = np.linalg.svd(contact)
-    rank = int(np.sum(svals > rank_tol))
+    rank = int(np.sum(svals > RANK_TOL))
     if rank > 1:
         raise NumericsError(
             f"eigenspace at lambda0={g.lambda0:.6f} touches the hub with rank "
@@ -241,8 +215,14 @@ def classify_right(spec: SubgraphSpec, lambda0: complex, x: float = math.pi,
 def right_classifications(spec: SubgraphSpec, x: float = math.pi) -> list[RightClassification]:
     """Classification of every eigenvalue group of the right block."""
     A, _ = right_block(spec, x=x)
-    groups = group_eigenvalues(eigendecompose(A))
-    return [classify_right(spec, g.lambda0, x=x) for g in groups]
+    sys = eigendecompose(A)
+    return [_classify_group(sys, g) for g in group_eigenvalues(sys)]
+
+
+def classify_right(spec: SubgraphSpec, lambda0: complex,
+                   x: float = math.pi) -> RightClassification:
+    """The classification of the right-block eigenspace nearest to ``lambda0``."""
+    return _nearest(right_classifications(spec, x=x), lambda0, "the right block")
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +276,11 @@ def coupling_c(l0: np.ndarray, r0: np.ndarray, U1: np.ndarray) -> float:
 def matched_phi(lambda0: complex) -> tuple[float, int]:
     """Reflector phase and left branch that put a left eigenvalue exactly at lambda0.
 
-    Returns (phi, branch) with branch*e^{i phi/2} = lambda0 and phi in [0, 2pi).
+    Returns (phi, branch) with branch*e^{i phi/2} = lambda0 and phi in [0, 2pi);
+    round-off-level parts of lambda0 are dropped first, so lambda0 = 1 +- 1e-17i
+    both give phi = 0.
     """
-    phi = (2.0 * cmath.phase(lambda0)) % (2.0 * math.pi)
+    phi = (2.0 * cmath.phase(_snap(lambda0))) % (2.0 * math.pi)
     lam = cmath.exp(0.5j * phi)
     branch = +1 if abs(lam - lambda0) < abs(-lam - lambda0) else -1
     return phi, branch
@@ -436,6 +418,13 @@ def default_eps_grid() -> tuple[float, ...]:
     return tuple(np.logspace(-6, -2, 9))
 
 
+def _family(spec: SubgraphSpec, phi: float, lambda0: complex,
+            x: float, y: float) -> EigenvalueGroup:
+    """The eigenvalue group of U(0) nearest to ``lambda0``."""
+    U0 = collapsed_matrix(spec, 0.0, phi, x=x, y=y)
+    return _nearest(group_eigenvalues(eigendecompose(U0)), lambda0, "U(0)")
+
+
 def pairing_fit(spec: SubgraphSpec, phi: float, lambda0: complex,
                 eps_grid=None, x: float = math.pi, y: float = 0.0) -> PairingFit:
     """Fit the lambda0 family of U(eps) to one of the three structure cases.
@@ -446,13 +435,7 @@ def pairing_fit(spec: SubgraphSpec, phi: float, lambda0: complex,
     genuine O(eps) remainder.
     """
     grid = tuple(sorted(eps_grid)) if eps_grid is not None else default_eps_grid()
-    U0 = collapsed_matrix(spec, 0.0, phi, x=x, y=y)
-    groups = group_eigenvalues(eigendecompose(U0))
-    dists = [abs(g.lambda0 - lambda0) for g in groups]
-    k = int(np.argmin(dists))
-    if dists[k] > 1e-6:
-        raise ValueError(f"{lambda0} is not an eigenvalue of U(0)")
-    g = groups[k]
+    g = _family(spec, phi, lambda0, x, y)
     lam0 = g.lambda0
     s = g.multiplicity
 
@@ -519,12 +502,7 @@ def paired_vectors(spec: SubgraphSpec, phi: float, lambda0: complex, eps: float,
     the largest deviation.  Returns (lam_plus, v_plus, lam_minus, v_minus)
     ordered by the sign of the phase offset from lambda0.
     """
-    U0 = collapsed_matrix(spec, 0.0, phi, x=x, y=y)
-    groups = group_eigenvalues(eigendecompose(U0))
-    dists = [abs(g.lambda0 - lambda0) for g in groups]
-    g = groups[int(np.argmin(dists))]
-    if min(dists) > 1e-6:
-        raise ValueError(f"{lambda0} is not an eigenvalue of U(0)")
+    g = _family(spec, phi, lambda0, x, y)
     if g.multiplicity < 2:
         raise ValueError(f"lambda0={g.lambda0} is a singleton family: nothing pairs")
     sys = eigendecompose(collapsed_matrix(spec, eps, phi, x=x, y=y))
@@ -573,8 +551,6 @@ def best_target(classifications: list[RightClassification],
 def spectral_report(spec: SubgraphSpec, phi: float | None = None,
                     rho: float = 1e-4, eps_grid=None) -> dict:
     """Full spectral report: groups, classifications, c table, pairing, monodromy."""
-    A, labels = right_block(spec)
-    groups = group_eigenvalues(eigendecompose(A))
     classifications = right_classifications(spec)
     lam_best, c_best, d = best_target(classifications)
     phi_used, branch = (matched_phi(lam_best) if phi is None
@@ -587,10 +563,11 @@ def spectral_report(spec: SubgraphSpec, phi: float | None = None,
         fits.append(pairing_fit(spec, p, cl.lambda0, eps_grid=eps_grid))
     mono = monodromy(spec, phi_used, rho=rho)
     return {
-        "right_basis": list(labels),
+        "right_basis": list(collapsed_basis(spec).labels[2:]),
         "groups": [
-            {"lambda0": _c2j(g.lambda0), "multiplicity": g.multiplicity}
-            for g in groups
+            {"lambda0": _c2j(cl.lambda0),
+             "multiplicity": cl.n_bound + (cl.active_vector is not None)}
+            for cl in classifications
         ],
         "classifications": [
             {
@@ -602,7 +579,7 @@ def spectral_report(spec: SubgraphSpec, phi: float | None = None,
             for cl in classifications
         ],
         "c_table": {  # keyed by "re,im" of lambda0
-            f"{cl.lambda0.real:.12g},{cl.lambda0.imag:.12g}": cl.c
+            "{0.real:.12g},{0.imag:.12g}".format(_snap(cl.lambda0)): cl.c
             for cl in classifications if cl.c is not None
         },
         "pairing_fits": [

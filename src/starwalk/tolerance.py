@@ -25,13 +25,16 @@ import numpy as np
 
 from .graph import (
     NumericsError,
+    StateVector,
     SubgraphSpec,
     build_collapsed,
     collapsed_matrix,
+    evolve,
     hub_coefficients,
 )
 from .spectral import (
     classify_right,
+    eigendecompose,
     embed_left,
     embed_right,
     left_active,
@@ -207,22 +210,16 @@ def tolerance_sweep(spec: SubgraphSpec, N: int, M: int, lambda0: complex,
         t = tuning_t(delta, c, N, M)
         m_naive = math.floor(math.pi / (2.0 * c * math.sqrt(eps)))
         m_comp = math.floor(math.pi / (2.0 * c * math.sqrt((1.0 + t) * eps)))
-        U = build_collapsed(spec, hub_coefficients(N, M=M), phi).matrix
-        l0 = embed_left(left_active(phi, branch), dim)
-        psi = l0
-        overlap = {}
-        for step in range(1, max(m_naive, m_comp) + 1):
-            psi = U @ psi
-            if step == m_naive:
-                overlap["naive"] = float(abs(np.vdot(r0, psi)) ** 2)
-            if step == m_comp:
-                overlap["comp"] = float(abs(np.vdot(r0, psi)) ** 2)
+        U = build_collapsed(spec, hub_coefficients(N, M=M), phi)
+        l0 = StateVector(embed_left(left_active(phi, branch), dim), U.basis)
+        psi_comp = evolve(U, l0, m_comp)             # t >= 0, so m_comp <= m_naive
+        psi_naive = evolve(U, psi_comp, m_naive - m_comp)
         eps0 = locate_double_root(spec, phi) if locate_eps0 else complex("nan")
         profiles.append(ToleranceProfile(
             N=int(N), M=int(M), delta=delta, t=t, epsilon0=eps0,
             m_naive=m_naive, m_compensated=m_comp,
-            P_measured_naive=overlap.get("naive", 1.0 if m_naive == 0 else 0.0),
-            P_measured_comp=overlap.get("comp", 1.0 if m_comp == 0 else 0.0),
+            P_measured_naive=float(abs(np.vdot(r0, psi_naive.amplitudes)) ** 2),
+            P_measured_comp=float(abs(np.vdot(r0, psi_comp.amplitudes)) ** 2),
             P_predicted_naive=predicted_success_naive(t),
             P_predicted_comp=predicted_success_compensated(t),
             extrapolated=extrapolated,
@@ -238,8 +235,6 @@ def paired_mix_angle(spec: SubgraphSpec, N: int, M: int, lambda0: complex,
     and right active directions; the tuning theory predicts
     sin^2(2*omega) = 1/(1+t).
     """
-    from .spectral import eigendecompose  # local import to keep module load light
-
     cl = classify_right(spec, lambda0)
     if cl.c is None:
         raise ValueError("lambda0 has no active right eigenvector")

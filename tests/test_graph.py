@@ -62,6 +62,8 @@ class TestHubCoefficients:
             sw.hub_coefficients(10, M=11)
         with pytest.raises(sw.SpecError):
             sw.hub_coefficients(10, x=1.0, y=1.0)  # cos(x-y) = 1
+        with pytest.raises(sw.SpecError):
+            sw.hub_coefficients(10, x=math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +345,20 @@ class TestSpecSerialization:
             sw.SubgraphSpec(
                 (sw.Vertex("1", ("0->1",), ("1->0",), np.array([[-1.0]])),),
                 "1", ("ghost",))
+
+    def test_nan_matrix_rejected(self):
+        with pytest.raises(sw.SpecError, match="not unitary"):
+            sw.SubgraphSpec(
+                (sw.Vertex("1", ("0->1",), ("1->0",), np.array([[math.nan]])),),
+                "1", ())
+
+    @pytest.mark.parametrize("entry", ["a", [1, 0, 0]])
+    def test_malformed_matrix_entry_rejected(self, entry):
+        data = {"vertices": [{"id": "1", "ports_in": ["0->1"], "ports_out": ["1->0"],
+                              "matrix": [[entry]]}],
+                "attachment": "1", "interior": []}
+        with pytest.raises(sw.SpecError, match="malformed"):
+            sw.SubgraphSpec.from_dict(data)
 
     def test_doubly_consumed_state_rejected(self):
         with pytest.raises(sw.SpecError):

@@ -67,6 +67,11 @@ class TestEigendecompose:
         G = sys.eigenvectors.conj().T @ sys.eigenvectors
         assert np.max(np.abs(G - np.eye(5))) < 1e-9
 
+    def test_non_normal_input_raises(self):
+        # a Jordan block has no eigenbasis: the Schur vectors fail the residual
+        with pytest.raises(sw.NumericsError, match="residual"):
+            sw.eigendecompose(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
+
     def test_accepts_operator_wrapper(self, bolo_spec):
         U = sw.build_collapsed(bolo_spec, sw.hub_coefficients(100), 0.0)
         sys = sw.eigendecompose(U)
@@ -245,6 +250,13 @@ class TestLeftSide:
         phi, branch = sw.matched_phi(lam)
         assert 0.0 <= phi < 2.0 * math.pi
         assert abs(branch * cmath.exp(0.5j * phi) - lam) < 1e-12
+
+    @pytest.mark.parametrize("lam", [1.0, -1.0])
+    def test_matched_phi_ignores_roundoff(self, lam):
+        # the sign of a round-off imaginary part must not move phi by 2pi
+        above = sw.matched_phi(lam + 1e-17j)
+        assert above == sw.matched_phi(lam - 1e-17j)
+        assert above[0] == 0.0
 
     def test_matched_phi_lands_in_collapsed_spectrum(self, bolo_spec):
         lam = -1.0 + 0j
@@ -426,6 +438,9 @@ class TestSpectralReport:
         assert abs(rep["best"]["c"] - math.sqrt(3.0 / 4.0)) < 1e-9
         assert rep["best"]["d"] == 4
         assert len(rep["c_table"]) == 4
+        # round-off imaginary parts of lambda0 = +-1 print as 0
+        assert {"1,0", "-1,0"} <= set(rep["c_table"])
+        assert sorted(g["multiplicity"] for g in rep["groups"]) == [1, 1, 1, 2]
         assert sorted(rep["monodromy"]["cycle_lengths"]) == [1, 1, 1, 2, 2]
         cases = {f["case"] for f in rep["pairing_fits"]}
         assert CASE_PAIRED in cases

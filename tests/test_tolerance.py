@@ -134,6 +134,13 @@ class TestToleranceSweep:
         assert r.P_measured_naive < 0.02
         assert r.P_measured_comp < 0.02
 
+    def test_zero_step_schedule_measures_start_state(self, grover_spec):
+        # t ~ 9.3 at N=4 leaves the compensated schedule at 0 steps: the walk
+        # is still in |l0>, which has no overlap with |r0>
+        r = sw.tolerance_sweep(grover_spec, 4, 1, 1.0 + 0j, [3.05])[0]
+        assert r.m_compensated == 0 and r.m_naive == 3
+        assert r.P_measured_comp == 0.0
+
     def test_rejects_inactive_lambda(self):
         # decoupled arm: bound-only eigenvalue cannot drive a sweep
         from test_spectral import _decoupled_spec
