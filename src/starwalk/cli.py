@@ -38,17 +38,19 @@ EXIT_NUMERICS = 3
 EXIT_ORACLE = 4
 
 ORACLE_TOL = 1e-8
+# The oracle holds a few amplitude arrays of 16 bytes per full-graph state
+# (2N + M*n states); 4M states keep each array at 64 MB.
+ORACLE_MAX_STATES = 4_000_000
 
 SEARCH_COLUMNS = ["N", "M", "lambda0_re", "lambda0_im", "phi", "c", "m",
                   "p_marked", "p_null", "p_unmarked", "overlap_r0"]
+TOLERANCE_COLUMNS = ["N", "M", "delta", "t", "epsilon0_re", "epsilon0_im",
+                     "m_naive", "m_comp", "P_measured_naive", "P_measured_comp",
+                     "P_predicted_naive", "P_predicted_comp"]
 
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, float):
-        return format(x, ".12g")
-    return str(x)
+    return format(x, ".12g") if isinstance(x, float) else str(x)
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -90,10 +92,20 @@ def _parse_lambda(text: str):
 
 
 def _parse_n_range(text: str) -> tuple[int, int | None]:
-    if ".." in text:
-        a, b = text.split("..")
-        return int(a), int(b)
-    return int(text), None
+    a, dots, b = text.partition("..")
+    try:
+        return int(a), int(b) if dots else None
+    except ValueError:
+        raise SpecError(f"--n must be an integer N or a range A..B, got {text!r}") from None
+
+
+def _single_n(args) -> int:
+    """The one --n of a non-sweep command, checked against --m-copies."""
+    N, hi = _parse_n_range(args.n)
+    if hi is not None:
+        raise SpecError(f"{args.command} takes a single --n; use sweep for ranges")
+    graph.check_star(N, args.m_copies)
+    return N
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +134,7 @@ def _search_row(plan, result) -> list:
 
 def cmd_search(args) -> int:
     spec = graph.load_spec(args.spec)
-    N, hi = _parse_n_range(args.n)
-    if hi is not None:
-        raise SpecError("search takes a single --n; use sweep for ranges")
+    N = _single_n(args)
     plan = search_mod.plan_search(spec, N, M=args.m_copies, lambda0=args.lam)
     result = search_mod.run_search(plan, spec)
     counts = (search_mod.sample_measurement(result, args.seed, args.shots)
@@ -147,6 +157,10 @@ def cmd_search(args) -> int:
 def cmd_sweep(args) -> int:
     spec = graph.load_spec(args.spec)
     lo, hi = _parse_n_range(args.n)
+    for N in (lo, hi or lo):
+        graph.check_star(N, args.m_copies)
+    if args.points < 1:
+        raise SpecError(f"--points must be >= 1, got {args.points}")
     if hi is None:
         ns = [lo]
     elif args.log:
@@ -165,59 +179,49 @@ def cmd_sweep(args) -> int:
 
 def cmd_tolerance(args) -> int:
     spec = graph.load_spec(args.spec)
-    N, hi = _parse_n_range(args.n)
-    if hi is not None:
-        raise SpecError("tolerance takes a single --n")
+    N = _single_n(args)
     M = args.m_copies
-    if args.lam == "auto":
-        lam, c, _ = spectral.best_target(spectral.right_classifications(spec))
-    else:
-        lam = args.lam
-        c = spectral.classify_right(spec, lam).c
-        if c is None:
-            raise SpecError(f"lambda0={lam} has no active right eigenvector")
+    plan = search_mod.plan_search(spec, N, M=M, lambda0=args.lam)
+    lam, c = plan.lambda0, plan.c
     if args.delta_grid == "auto":
         unit = c * math.sqrt(2.0 / N)
         deltas = [0.0, 0.5 * unit, 1.0 * unit, 1.5 * unit]
     else:
-        deltas = [float(v) for v in args.delta_grid.split(",")]
+        try:
+            deltas = [float(v) for v in args.delta_grid.split(",")]
+        except ValueError:
+            raise SpecError(f"--delta-grid must be \"auto\" or a comma list of numbers, "
+                            f"got {args.delta_grid!r}") from None
     profiles = tol_mod.tolerance_sweep(spec, N, M, lam, deltas)
     rows = [[p.N, p.M, p.delta, p.t, p.epsilon0.real, p.epsilon0.imag,
              p.m_naive, p.m_compensated, p.P_measured_naive, p.P_measured_comp,
              p.P_predicted_naive, p.P_predicted_comp] for p in profiles]
-    payload = {"lambda0": [lam.real, lam.imag] if not isinstance(lam, str) else lam,
+    payload = {"lambda0": [lam.real, lam.imag],
                "c": c,
-               "profiles": [dict(zip(
-                   ["N", "M", "delta", "t", "epsilon0_re", "epsilon0_im",
-                    "m_naive", "m_comp", "P_measured_naive", "P_measured_comp",
-                    "P_predicted_naive", "P_predicted_comp"], row))
-                   for row in rows]}
-    _emit(args, ["N", "M", "delta", "t", "epsilon0_re", "epsilon0_im",
-                 "m_naive", "m_comp", "P_measured_naive", "P_measured_comp",
-                 "P_predicted_naive", "P_predicted_comp"], rows, payload)
+               "profiles": [dict(zip(TOLERANCE_COLUMNS, row)) for row in rows]}
+    _emit(args, TOLERANCE_COLUMNS, rows, payload)
     return EXIT_OK
 
 
 def cmd_oracle_check(args) -> int:
     spec = graph.load_spec(args.spec)
-    N, hi = _parse_n_range(args.n)
-    if hi is not None:
-        raise SpecError("oracle-check takes a single --n")
-    if N > 64:
-        raise SpecError("oracle-check is limited to N <= 64")
+    N = _single_n(args)
     M = args.m_copies
-    lam, c, _ = spectral.best_target(spectral.right_classifications(spec))
-    phi, branch = spectral.matched_phi(lam)
-    hub = graph.hub_coefficients(N, M=M)
-    Uc = graph.build_collapsed(spec, hub, phi)
-    Uf = graph.build_full(spec, N, M=M, phi=phi)
-    state_c = search_mod.initial_state(spec, N, M, branch, phi)
+    nstates = 2 * N + M * spec.n_interior
+    if nstates > ORACLE_MAX_STATES or args.steps < 0:
+        raise SpecError(f"oracle-check takes --steps >= 0 and at most {ORACLE_MAX_STATES} "
+                        f"full-graph states (2N + M*n); got --steps {args.steps}, "
+                        f"{nstates} states")
+    plan = search_mod.plan_search(spec, N, M=M)
+    Uc = graph.build_collapsed(spec, graph.hub_coefficients(N, M=M), plan.phi)
+    Uf = graph.build_full(spec, N, M=M, phi=plan.phi)
+    state_c = plan.initial
     state_f = graph.lift_collapsed_state(state_c, N, M)
     worst = 0.0
     for _ in range(args.steps):
         state_c = graph.apply(Uc, state_c)
         state_f = graph.apply(Uf, state_f)
-        restricted, leak = graph.restrict_full_state(state_f, M=M)
+        restricted, leak = graph.restrict_full_state(state_f)
         dev = float(np.linalg.norm(restricted.amplitudes - state_c.amplitudes))
         worst = max(worst, dev, leak)
     print(f"oracle-check: N={N} M={M} steps={args.steps} max deviation = {worst:.3e}")
@@ -304,7 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "{0, 0.5, 1, 1.5} x c*sqrt(2/N)")
     p.set_defaults(func=cmd_tolerance)
 
-    p = sub.add_parser("oracle-check", help="full vs collapsed regression check")
+    p = sub.add_parser("oracle-check", help="full vs collapsed regression check",
+                       description=f"Full vs collapsed regression check on at most "
+                       f"{ORACLE_MAX_STATES:,} full-graph states (2N + M*n, 16 B each per array).")
     common(p, n=True)
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--tol", type=float, default=ORACLE_TOL)

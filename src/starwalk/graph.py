@@ -8,7 +8,8 @@ one (or M identical) of its edges carries an attached subgraph G described by a
 
 Two operator builders are provided:
 
-* ``build_full``      — the literal N-edge walk (oracle, dense, small N only);
+* ``build_full``      — the literal N-edge walk (oracle), applied matrix-free
+                        with full-graph states addressed by index arithmetic;
 * ``build_collapsed`` — the symmetry-collapsed walk on the fixed basis
                         ``[|out>, |in>, |0,1>, |1,0>, G-interior...]``.
 
@@ -18,25 +19,29 @@ from __future__ import annotations
 
 import cmath
 import json
-import logging
 import math
-from dataclasses import dataclass, field
+import re
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 # Fixed labels of the four hub-facing collapsed states.
 OUT = "out"
 IN = "in"
 MARKED_OUT = "0->1"   # hub -> attachment vertex
 MARKED_IN = "1->0"    # attachment vertex -> hub
+RESERVED_LABELS = (OUT, IN, MARKED_OUT, MARKED_IN)
 
 VERTEX_UNITARITY_TOL = 1e-12
 OPERATOR_UNITARITY_TOL = 1e-10
-FULL_SIZE_GUARD = 5000
+FULL_SIZE_GUARD = 5000      # states; only the dense full matrix is guarded
+# Relative norm change over one evolve call beyond which the propagated
+# phases are no longer trustworthy (double precision runs out near N ~ 1e21).
+NORM_DRIFT_TOL = 1e-6
 
 
 class SpecError(ValueError):
@@ -89,6 +94,9 @@ class SubgraphSpec:
             raise SpecError(f"attachment vertex {self.attachment!r} not defined")
         if len(set(self.interior)) != len(self.interior):
             raise SpecError("duplicate interior labels")
+        for lab in self.interior:
+            if lab in RESERVED_LABELS:
+                raise SpecError(f"interior label {lab!r} is reserved for a hub-facing state")
 
         consumed: dict[str, str] = {}
         produced: dict[str, str] = {}
@@ -247,6 +255,14 @@ def _is_standard_hub(x: float, y: float) -> bool:
             and math.cos(x) < 0 and math.cos(y) > 0)
 
 
+def check_star(N: int, M: int = 1) -> None:
+    """The one star-size rule: integers 2 <= N, 1 <= M < N, N finite as a double."""
+    if not (isinstance(N, (int, np.integer)) and 2 <= N <= sys.float_info.max):
+        raise SpecError(f"N must be an integer in [2, {sys.float_info.max:.6g}], got {N!r}")
+    if not (isinstance(M, (int, np.integer)) and 1 <= M < N):
+        raise SpecError(f"need 1 <= M < N, got M={M!r}, N={N!r}")
+
+
 def hub_coefficients(N: int, M: int = 1, x: float = math.pi, y: float = 0.0) -> HubModel:
     """Hub coefficients for N edges, M marked copies, solution-family phases (x, y).
 
@@ -254,10 +270,7 @@ def hub_coefficients(N: int, M: int = 1, x: float = math.pi, y: float = 0.0) -> 
     other phases pick the generalized one-parameter-family solution, defined
     only when cos(x-y) < 1.
     """
-    if not (isinstance(N, (int, np.integer)) and N >= 2):
-        raise SpecError(f"N must be an integer >= 2, got {N!r}")
-    if not (isinstance(M, (int, np.integer)) and 1 <= M < N):
-        raise SpecError(f"need 1 <= M < N, got M={M!r}, N={N!r}")
+    check_star(N, M)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise SpecError(f"hub phases must be finite (x={x}, y={y})")
     if math.cos(x - y) >= 1.0 - 1e-15:
@@ -301,39 +314,57 @@ def _check_hub_invariants(hub: HubModel, tol: float = 1e-12) -> None:
 # Bases, operators, states
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+_HUB_LABEL = re.compile(r"0->([1-9][0-9]*)|([1-9][0-9]*)->0")
+
+
+@dataclass(frozen=True)
 class EdgeBasis:
-    """Ordered edge-state labels; ``kind`` is "full" or "collapsed"."""
-    labels: tuple[str, ...]
-    kind: str
-    _index: dict = field(init=False, repr=False, compare=False)
+    """Ordered edge states of the collapsed (``N == 0``) or the full picture.
 
-    def __post_init__(self):
-        idx = {lab: i for i, lab in enumerate(self.labels)}
-        if len(idx) != len(self.labels):
-            raise SpecError("basis labels are not unique")
-        object.__setattr__(self, "_index", idx)
+    Collapsed: ``[|out>, |in>, |0,1>, |1,0>, interior...]``.  Full (N edges, M
+    copies of G, n interior states): ``0->j`` at ``j-1``, ``j->0`` at ``N+j-1``,
+    interior state ``i`` of copy ``k`` (``"<label>#k"``) at ``2N+(k-1)n+i``.
+    """
+    interior: tuple[str, ...]
+    N: int = 0
+    M: int = 0
 
-    def index(self, label: str) -> int:
-        return self._index[label]
+    @property
+    def kind(self) -> str:
+        return "full" if self.N else "collapsed"
 
     def __len__(self) -> int:
-        return len(self.labels)
+        n = len(self.interior)
+        return 2 * self.N + self.M * n if self.N else 4 + n
 
-    def matches(self, other: "EdgeBasis") -> bool:
-        return self.kind == other.kind and self.labels == other.labels
+    @property
+    def labels(self) -> tuple[str, ...]:
+        if not self.N:
+            return RESERVED_LABELS + self.interior
+        hub = range(1, self.N + 1)
+        return (tuple(f"0->{j}" for j in hub) + tuple(f"{j}->0" for j in hub)
+                + tuple(f"{lab}#{k}" for k in range(1, self.M + 1) for lab in self.interior))
+
+    def index(self, label: str) -> int:
+        """Position of ``label``; KeyError if it names no state of this basis."""
+        N, hub = self.N, _HUB_LABEL.fullmatch(label)
+        lab, _, k = label.rpartition("#")
+        if not N and label in self.labels:
+            return self.labels.index(label)
+        if N and hub and int(hub[1] or hub[2]) <= N:
+            return int(hub[1] or hub[2]) - 1 + (N if hub[2] else 0)
+        if N and lab in self.interior and k.isdecimal() and 1 <= int(k) <= self.M:
+            return 2 * N + (int(k) - 1) * len(self.interior) + self.interior.index(lab)
+        raise KeyError(label)
 
 
 def collapsed_basis(spec: SubgraphSpec) -> EdgeBasis:
-    return EdgeBasis(labels=(OUT, IN, MARKED_OUT, MARKED_IN) + spec.interior, kind="collapsed")
+    return EdgeBasis(spec.interior)
 
 
 def full_basis(spec: SubgraphSpec, N: int, M: int) -> EdgeBasis:
-    labels = [f"0->{j}" for j in range(1, N + 1)]
-    labels += [f"{j}->0" for j in range(1, N + 1)]
-    for k in range(1, M + 1):
-        labels += [f"{lab}#{k}" for lab in spec.interior]
-    return EdgeBasis(labels=tuple(labels), kind="full")
+    check_star(N, M)
+    return EdgeBasis(spec.interior, int(N), int(M))
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,6 +380,9 @@ class UnitaryOperator:
         res = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))
         if res > OPERATOR_UNITARITY_TOL:
             raise SpecError(f"constructed operator not unitary (residual {res:.2e})")
+
+    def step(self, x: np.ndarray) -> np.ndarray:
+        return self.matrix @ x
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,8 +434,7 @@ def collapsed_coefficients(eps, x: float = math.pi, y: float = 0.0, trans_sqrt=N
 
 def _assemble_collapsed(spec: SubgraphSpec, R_L, R_R, T, phi: float) -> np.ndarray:
     d = spec.dim_collapsed
-    basis = collapsed_basis(spec)
-    index = {lab: basis.index(lab) for lab in basis.labels}
+    index = {lab: i for i, lab in enumerate(collapsed_basis(spec).labels)}
     U = np.zeros((d, d), dtype=complex)
     U[index[IN], index[OUT]] = cmath.exp(1j * phi)
     U[index[OUT], index[IN]] = R_L
@@ -434,142 +467,130 @@ def build_collapsed(spec: SubgraphSpec, hub: HubModel, phi: float) -> UnitaryOpe
 # Full operator (oracle)
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class FullWalk:
+    """The literal N-edge walk with M disjoint copies of G, applied matrix-free.
+
+    One step maps amplitudes ``x`` (shape ``(D,)`` or ``(D, k)``) to ``y``:
+    the hub sends ``y[0:N] = t*sum(x_in) + (r-t)*x_in`` with ``x_in = x[N:2N]``;
+    each unmarked edge j > M reflects, ``y[N+j-1] = e^{i phi} x[j-1]``; copy k
+    of G applies ``port_block`` to ``[x[k-1], interior_k]`` and writes
+    ``[y[N+k-1], interior_k]``.
+    """
+    basis: EdgeBasis
+    hub: HubModel
+    phi: float
+    port_block: np.ndarray      # (1+n)x(1+n): [0->1, interior] -> [1->0, interior]
+
+    def step(self, x: np.ndarray) -> np.ndarray:
+        N, M, n = self.basis.N, self.basis.M, len(self.basis.interior)
+        r, t = self.hub.r, self.hub.t
+        X = x.reshape(len(self.basis), -1)      # one column per state
+        k = X.shape[1]
+        y = np.empty(X.shape, dtype=complex)
+        x_in = X[N:2 * N]
+        y[:N] = t * x_in.sum(axis=0) + (r - t) * x_in
+        y[N + M:2 * N] = cmath.exp(1j * self.phi) * X[M:N]
+        slab = np.concatenate((X[:M, None], X[2 * N:].reshape(M, n, k)), axis=1)
+        out = self.port_block @ slab
+        y[N:N + M] = out[:, 0]
+        y[2 * N:] = out[:, 1:].reshape(M * n, k)
+        return y.reshape(x.shape)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense operator, built by stepping the identity (small N only)."""
+        D = len(self.basis)
+        if D > FULL_SIZE_GUARD:
+            raise SpecError(f"full graph would need {D} states (guard {FULL_SIZE_GUARD})")
+        dense = self.step(np.eye(D, dtype=complex))
+        # wrapping it checks unitarity
+        return UnitaryOperator(dense, self.basis, self.hub.epsilon, self.phi).matrix
+
+
 def build_full(spec: SubgraphSpec, N: int, M: int = 1, phi: float = 0.0,
-               x: float = math.pi, y: float = 0.0) -> UnitaryOperator:
-    """Literal N-edge walk operator with M disjoint copies of G (dense oracle)."""
-    nstates = 2 * N + M * spec.n_interior
-    if nstates > FULL_SIZE_GUARD:
-        raise SpecError(f"full graph would need {nstates} states (guard {FULL_SIZE_GUARD})")
+               x: float = math.pi, y: float = 0.0) -> FullWalk:
+    """Literal N-edge walk operator with M disjoint copies of G (oracle)."""
     hub = hub_coefficients(N, M=M, x=x, y=y)
-    basis = full_basis(spec, N, M)
-    index = {lab: basis.index(lab) for lab in basis.labels}
-    U = np.zeros((len(basis), len(basis)), dtype=complex)
-
-    # hub: |j,0> -> r|0,j> + t sum_{k != j} |0,k>
-    for j in range(1, N + 1):
-        col = index[f"{j}->0"]
-        for k in range(1, N + 1):
-            U[index[f"0->{k}"], col] = hub.r if k == j else hub.t
-
-    # unmarked edges reflect with phase phi
-    for j in range(M + 1, N + 1):
-        U[index[f"{j}->0"], index[f"0->{j}"]] = cmath.exp(1j * phi)
-
-    # marked edges: one copy of G each
-    for k in range(1, M + 1):
-        remap = {MARKED_OUT: f"0->{k}", MARKED_IN: f"{k}->0"}
-        remap.update({lab: f"{lab}#{k}" for lab in spec.interior})
-        sub_index = {lab: index[remap[lab]] for lab in remap}
-        _vertex_columns(spec, U, sub_index)
-
-    return UnitaryOperator(matrix=U, basis=basis, epsilon=hub.epsilon, phi=float(phi))
+    index = {MARKED_OUT: 0, MARKED_IN: 0} | {lab: 1 + i for i, lab in enumerate(spec.interior)}
+    block = np.zeros((1 + spec.n_interior, 1 + spec.n_interior), dtype=complex)
+    _vertex_columns(spec, block, index)
+    return FullWalk(basis=full_basis(spec, N, M), hub=hub, phi=float(phi), port_block=block)
 
 
 # ---------------------------------------------------------------------------
 # Lift / restrict between pictures
 # ---------------------------------------------------------------------------
 
-def _parse_full_basis(basis: EdgeBasis) -> tuple[int, int, tuple[str, ...]]:
-    """Recover (N, M, interior labels) from a full basis produced here."""
-    if basis.kind != "full":
-        raise SpecError("expected a full-basis state")
-    N = sum(1 for lab in basis.labels if lab.startswith("0->") and "#" not in lab)
-    copies = {int(lab.rsplit("#", 1)[1]) for lab in basis.labels if "#" in lab}
-    interior = tuple(lab.rsplit("#", 1)[0] for lab in basis.labels if lab.endswith("#1"))
-    M_interior = max(copies) if copies else 0
-    return N, M_interior, interior
-
-
 def lift_collapsed_state(state: StateVector, N: int, M: int = 1) -> StateVector:
     """Embed a collapsed state into the full basis (inverse of restriction)."""
     if state.basis.kind != "collapsed":
         raise SpecError("expected a collapsed-basis state")
-    labels = state.basis.labels
-    interior = labels[4:]
+    check_star(N, M)
+    basis = EdgeBasis(state.basis.interior, int(N), int(M))
     a = state.amplitudes
-    fb_labels = [f"0->{j}" for j in range(1, N + 1)] + [f"{j}->0" for j in range(1, N + 1)]
-    for k in range(1, M + 1):
-        fb_labels += [f"{lab}#{k}" for lab in interior]
-    basis = EdgeBasis(labels=tuple(fb_labels), kind="full")
-    full = np.zeros(len(basis), dtype=complex)
-    wL = 1.0 / math.sqrt(N - M)
-    wR = 1.0 / math.sqrt(M)
-    for j in range(M + 1, N + 1):
-        full[basis.index(f"0->{j}")] = a[0] * wL      # |out>
-        full[basis.index(f"{j}->0")] = a[1] * wL      # |in>
-    for k in range(1, M + 1):
-        full[basis.index(f"0->{k}")] = a[2] * wR      # |0,1>
-        full[basis.index(f"{k}->0")] = a[3] * wR      # |1,0>
-        for i, lab in enumerate(interior):
-            full[basis.index(f"{lab}#{k}")] = a[4 + i] * wR
+    wL, wR = 1.0 / math.sqrt(N - M), 1.0 / math.sqrt(M)
+    full = np.empty(len(basis), dtype=complex)
+    full[:M] = a[2] * wR                # |0,1>
+    full[M:N] = a[0] * wL               # |out>
+    full[N:N + M] = a[3] * wR           # |1,0>
+    full[N + M:2 * N] = a[1] * wL       # |in>
+    full[2 * N:] = np.tile(a[4:] * wR, M)
     return StateVector(amplitudes=full, basis=basis)
 
 
-def restrict_full_state(state: StateVector, M: int | None = None) -> tuple[StateVector, float]:
+def restrict_full_state(state: StateVector) -> tuple[StateVector, float]:
     """Project a full state onto the symmetric (collapsed) subspace.
 
     Returns the collapsed state and the leakage norm of the discarded
-    asymmetric component (0 for symmetric states).  ``M`` is inferred from the
-    interior-copy labels when the subgraph has interior states; for
-    interior-free subgraphs pass it explicitly (default 1).
+    asymmetric component (0 for symmetric states).  N, M and the interior
+    come from the state's basis.
     """
-    N, M_inferred, interior = _parse_full_basis(state.basis)
-    if M_inferred > 0:
-        M = M_inferred
-    elif M is None:
-        M = 1
     b = state.basis
-    a = state.amplitudes
-    wL = 1.0 / math.sqrt(N - M)
-    wR = 1.0 / math.sqrt(M)
-    out = wL * sum(a[b.index(f"0->{j}")] for j in range(M + 1, N + 1))
-    inn = wL * sum(a[b.index(f"{j}->0")] for j in range(M + 1, N + 1))
-    mo = wR * sum(a[b.index(f"0->{k}")] for k in range(1, M + 1))
-    mi = wR * sum(a[b.index(f"{k}->0")] for k in range(1, M + 1))
-    coll = [out, inn, mo, mi]
-    for lab in interior:
-        coll.append(wR * sum(a[b.index(f"{lab}#{k}")] for k in range(1, M + 1)))
-    coll = np.array(coll, dtype=complex)
+    if b.kind != "full":
+        raise SpecError("expected a full-basis state")
+    N, M, n, a = b.N, b.M, len(b.interior), state.amplitudes
+    wL, wR = 1.0 / math.sqrt(N - M), 1.0 / math.sqrt(M)
+    hub = [wL * a[M:N].sum(), wL * a[N + M:2 * N].sum(), wR * a[:M].sum(), wR * a[N:N + M].sum()]
+    coll = StateVector(np.concatenate((hub, wR * a[2 * N:].reshape(M, n).sum(axis=0))),
+                       EdgeBasis(b.interior))
     # leakage = norm of the component outside the symmetric subspace, computed
     # by re-embedding the projection (a norm-difference would cancel badly)
-    sym = np.zeros_like(a)
-    for j in range(M + 1, N + 1):
-        sym[b.index(f"0->{j}")] = coll[0] * wL
-        sym[b.index(f"{j}->0")] = coll[1] * wL
-    for k in range(1, M + 1):
-        sym[b.index(f"0->{k}")] = coll[2] * wR
-        sym[b.index(f"{k}->0")] = coll[3] * wR
-        for i, lab in enumerate(interior):
-            sym[b.index(f"{lab}#{k}")] = coll[4 + i] * wR
-    leakage = float(np.linalg.norm(a - sym))
-    if leakage > 1e-8:
-        logger.debug("restrict_full_state: asymmetric leakage norm %.3e", leakage)
-    basis = EdgeBasis(labels=(OUT, IN, MARKED_OUT, MARKED_IN) + tuple(interior),
-                      kind="collapsed")
-    return StateVector(amplitudes=coll, basis=basis), leakage
+    leakage = float(np.linalg.norm(a - lift_collapsed_state(coll, N, M).amplitudes))
+    return coll, leakage
 
 
 # ---------------------------------------------------------------------------
 # Evolution
 # ---------------------------------------------------------------------------
 
-def apply(U: UnitaryOperator, s: StateVector) -> StateVector:
+def apply(U: UnitaryOperator | FullWalk, s: StateVector) -> StateVector:
     """One time step."""
-    if not U.basis.matches(s.basis):
+    if U.basis != s.basis:
         raise SpecError("operator/state basis mismatch")
-    return StateVector(amplitudes=U.matrix @ s.amplitudes, basis=s.basis)
+    return StateVector(amplitudes=U.step(s.amplitudes), basis=s.basis)
 
 
-def evolve(U: UnitaryOperator, s: StateVector, m: int) -> StateVector:
-    """m time steps (m >= 0)."""
-    if not U.basis.matches(s.basis):
+def evolve(U: UnitaryOperator | FullWalk, s: StateVector, m: int) -> StateVector:
+    """m time steps (m >= 0).
+
+    A dense operator is raised to the m-th power; the matrix-free full walk
+    steps m times.  Raises NumericsError when the norm drifts by more than
+    NORM_DRIFT_TOL (relative): the result would be silently wrong.
+    """
+    if U.basis != s.basis:
         raise SpecError("operator/state basis mismatch")
     if m < 0:
         raise ValueError("step count must be nonnegative")
-    if m > 2000:
-        amp = np.linalg.matrix_power(U.matrix, m) @ s.amplitudes
-        return StateVector(amplitudes=amp, basis=s.basis)
     amp = s.amplitudes
-    for _ in range(m):
-        amp = U.matrix @ amp
+    if isinstance(U, FullWalk):
+        for _ in range(m):
+            amp = U.step(amp)
+    else:
+        amp = np.linalg.matrix_power(U.matrix, m) @ amp
+    n0 = np.linalg.norm(s.amplitudes)
+    drift = abs(np.linalg.norm(amp) - n0) / n0 if n0 else 0.0
+    if not drift <= NORM_DRIFT_TOL:
+        raise NumericsError(f"norm drifted by {drift:.2e} (relative) over {m} steps, past "
+                            f"{NORM_DRIFT_TOL:g}: this many steps exhaust double precision")
     return StateVector(amplitudes=amp, basis=s.basis)

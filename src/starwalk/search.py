@@ -15,9 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import (
+    SpecError,
     StateVector,
     SubgraphSpec,
     build_collapsed,
+    check_star,
     collapsed_basis,
     evolve,
     hub_coefficients,
@@ -63,8 +65,7 @@ def initial_state(spec: SubgraphSpec, N: int, M: int, branch: int, phi: float) -
     alpha = branch*e^{i phi/2}/sqrt(2); equals the left active vector up to
     O(sqrt(M/N)).
     """
-    if not (1 <= M <= N):
-        raise ValueError(f"need 1 <= M <= N, got M={M}, N={N}")
+    check_star(N, M)
     alpha = branch * np.exp(0.5j * phi) / math.sqrt(2.0)
     beta = 1.0 / math.sqrt(2.0)
     wL = math.sqrt((N - M) / N)
@@ -79,6 +80,7 @@ def initial_state(spec: SubgraphSpec, N: int, M: int, branch: int, phi: float) -
 
 def plan_search(spec: SubgraphSpec, N: int, M: int = 1, lambda0="auto") -> SearchPlan:
     """Build a SearchPlan for the given star size, choosing lambda0 if "auto"."""
+    check_star(N, M)
     if isinstance(lambda0, str) and lambda0 == "auto":
         classifications = right_classifications(spec)
         lam, c, _ = best_target(classifications)
@@ -86,7 +88,7 @@ def plan_search(spec: SubgraphSpec, N: int, M: int = 1, lambda0="auto") -> Searc
     else:
         chosen = classify_right(spec, complex(lambda0))
         if chosen.c is None:
-            raise ValueError(
+            raise SpecError(
                 f"lambda0={chosen.lambda0} has no active right eigenvector "
                 f"(constant-family case); it cannot drive a search")
         lam, c = chosen.lambda0, chosen.c
@@ -117,7 +119,7 @@ def run_search(plan: SearchPlan, spec: SubgraphSpec) -> SearchResult:
 def sample_measurement(result: SearchResult, seed: int, shots: int) -> dict[str, int]:
     """Multinomial measurement of (marked, unmarked, null); seed-deterministic."""
     if shots < 1:
-        raise ValueError("shots must be >= 1")
+        raise SpecError(f"shots must be >= 1, got {shots}")
     probs = np.array([result.p_marked, result.p_unmarked, result.p_null], dtype=float)
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()

@@ -23,8 +23,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .graph import (
     NumericsError,
+    SpecError,
     SubgraphSpec,
-    UnitaryOperator,
     collapsed_basis,
     collapsed_coefficients,
     collapsed_matrix,
@@ -62,10 +62,6 @@ def _gauge(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_matrix(U) -> np.ndarray:
-    return U.matrix if isinstance(U, UnitaryOperator) else np.asarray(U, dtype=complex)
-
-
 def eigendecompose(U, residual_tol: float = RESIDUAL_TOL) -> EigenSystem:
     """Eigenvalues and an orthonormal eigenbasis from one complex Schur form.
 
@@ -73,7 +69,7 @@ def eigendecompose(U, residual_tol: float = RESIDUAL_TOL) -> EigenSystem:
     the Schur vectors are an orthonormal eigenbasis, degenerate clusters
     included.  A residual above ``residual_tol`` means the input is not normal.
     """
-    A = _as_matrix(U)
+    A = np.asarray(getattr(U, "matrix", U), dtype=complex)   # an operator or a bare matrix
     T, Z = scipy.linalg.schur(A, output="complex")
     vals = np.diag(T).copy()
     res = _max_residual(A, vals, Z)
@@ -178,8 +174,8 @@ def _nearest(items, lambda0: complex, where: str):
     dists = [abs(it.lambda0 - lambda0) for it in items]
     k = int(np.argmin(dists))
     if dists[k] > LOOKUP_TOL:
-        raise ValueError(f"{lambda0} is not an eigenvalue of {where} "
-                         f"(closest group at distance {dists[k]:.2e})")
+        raise SpecError(f"{lambda0} is not an eigenvalue of {where} "
+                        f"(closest group at distance {dists[k]:.2e})")
     return items[k]
 
 
@@ -365,8 +361,6 @@ def monodromy(spec: SubgraphSpec, phi: float, rho: float = 1e-4,
     w = cmath.sqrt(rho - rho * rho)
     vals = np.linalg.eigvals(collapsed_matrix(spec, rho, phi, trans_sqrt=w))
     start = vals.copy()
-    n = len(vals)
-    perm = list(range(n))
     jump_limit = 0.5 * math.sqrt(rho)
     for k in range(1, steps + 1):
         theta = 2.0 * math.pi * k / steps

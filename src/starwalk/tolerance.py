@@ -28,6 +28,7 @@ from .graph import (
     StateVector,
     SubgraphSpec,
     build_collapsed,
+    check_star,
     collapsed_matrix,
     evolve,
     hub_coefficients,
@@ -74,6 +75,7 @@ def detuned_phase(lambda0: complex, delta: float) -> float:
 
 def tuning_t(delta: float, c: float, N: int, M: int = 1) -> float:
     """Dimensionless tuning parameter t = delta^2 / (4 c^2 eps), eps = M/N."""
+    check_star(N, M)
     eps = M / N
     return float(delta * delta / (4.0 * c * c * eps))
 

@@ -94,7 +94,7 @@ def test_c03_oracle_equivalence(grover_spec, bolo_spec):
                     for _ in range(200):
                         sc = sw.apply(Uc, sc)
                         sf = sw.apply(Uf, sf)
-                        restricted, leak = sw.restrict_full_state(sf, M=M)
+                        restricted, leak = sw.restrict_full_state(sf)
                         dev = np.linalg.norm(restricted.amplitudes - sc.amplitudes)
                         assert max(dev, leak) < 1e-10
         assert time.perf_counter() - t0 < 10.0

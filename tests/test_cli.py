@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from starwalk.cli import EXIT_NUMERICS, EXIT_OK, EXIT_ORACLE, EXIT_SPEC, main
+from starwalk.cli import (EXIT_NUMERICS, EXIT_OK, EXIT_ORACLE, EXIT_SPEC,
+                          ORACLE_MAX_STATES, main)
 
 
 def run(argv):
@@ -145,7 +146,14 @@ class TestOracleCheck:
                     "--tol", "1e-30"]) == EXIT_ORACLE
 
     def test_large_n_rejected(self):
-        assert run(["oracle-check", "grover", "--n", "128"]) == EXIT_SPEC
+        # 2N states for grover: one past ORACLE_MAX_STATES
+        N = ORACLE_MAX_STATES // 2 + 1
+        assert run(["oracle-check", "grover", "--n", str(N)]) == EXIT_SPEC
+
+    def test_bolo_hundred_thousand_edges(self, capsys):
+        assert run(["oracle-check", "bolo", "--n", "100000", "--steps", "20"]) == EXIT_OK
+        dev = float(capsys.readouterr().out.split("max deviation = ")[1])
+        assert dev < 1e-10
 
 
 class TestDemo:
@@ -160,6 +168,28 @@ class TestArgParsing:
     def test_bad_lambda_exits_2(self, tmp_path):
         assert run(["search", "grover", "--n", "100", "--lambda", "banana",
                     "--out", str(tmp_path / "s")]) == EXIT_SPEC
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "bolo", "--n", "1e6"],
+        ["search", "bolo", "--n", "1000", "--shots", "-5"],
+        ["search", "bolo", "--n", "1000000", "--m-copies", "0"],
+        ["search", "grover", "--n", "10", "--m-copies", "10"],
+        ["search", "bolo", "--n", "1000", "--lambda", "0.5,0.5"],
+        ["sweep", "bolo", "--n", "100..1000", "--points", "0"],
+        ["sweep", "bolo", "--n", "0..100"],
+        ["tolerance", "grover", "--n", "1" + "0" * 400],
+        ["tolerance", "grover", "--n", "1000", "--delta-grid", "x"],
+        ["oracle-check", "bolo", "--n", "8", "--steps", "-3"],
+    ], ids=lambda argv: " ".join(argv)[:40])
+    def test_bad_input_exits_2(self, argv, tmp_path, capsys):
+        assert run(argv + ["--out", str(tmp_path / "x")]) == EXIT_SPEC
+        assert "Traceback" not in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_precision_envelope_exits_3(self, tmp_path, capsys):
+        assert run(["search", "bolo", "--n", str(10 ** 30),
+                    "--out", str(tmp_path / "s")]) == EXIT_NUMERICS
+        assert "norm drifted" in capsys.readouterr().err
 
     def test_numerics_exit_code(self, monkeypatch, tmp_path):
         # force a numerical diagnostic through the analyze path

@@ -66,6 +66,26 @@ class TestHubCoefficients:
             sw.hub_coefficients(10, x=math.nan)
 
 
+class TestStarSizeRule:
+    """One (N, M) rule, 2 <= N, 1 <= M < N, N finite as a double, everywhere."""
+    CALLS = {
+        "hub_coefficients": lambda spec, N, M: sw.hub_coefficients(N, M=M),
+        "initial_state": lambda spec, N, M: sw.initial_state(spec, N, M, +1, 0.0),
+        "plan_search": lambda spec, N, M: sw.plan_search(spec, N, M=M),
+        "tuning_t": lambda spec, N, M: sw.tuning_t(0.1, 0.8, N, M=M),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("N,M", [(10, 10), (10, 0), (1, 1), (10 ** 400, 1), (10.0, 1)])
+    def test_rejected(self, grover_spec, call, N, M):
+        with pytest.raises(sw.SpecError):
+            self.CALLS[call](grover_spec, N, M)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_largest_finite_n_accepted(self, grover_spec, call):
+        self.CALLS[call](grover_spec, 10 ** 300, 3)
+
+
 # ---------------------------------------------------------------------------
 # build_collapsed
 # ---------------------------------------------------------------------------
@@ -115,6 +135,35 @@ class TestBuildCollapsed:
 # build_full
 # ---------------------------------------------------------------------------
 
+def literal_full_matrix(spec, N, M, phi):
+    """Reference full-walk matrix, written out edge by edge and port by port.
+
+    Positions follow the documented basis: 0->j at j-1, j->0 at N+j-1, and
+    interior state i of copy k at 2N+(k-1)n+i.
+    """
+    n = spec.n_interior
+    pos = {f"0->{j}": j - 1 for j in range(1, N + 1)}
+    pos.update({f"{j}->0": N + j - 1 for j in range(1, N + 1)})
+    for k in range(1, M + 1):
+        pos.update({f"{lab}#{k}": 2 * N + (k - 1) * n + i
+                    for i, lab in enumerate(spec.interior)})
+    hub = sw.hub_coefficients(N, M=M)
+    U = np.zeros((len(pos), len(pos)), dtype=complex)
+    for j in range(1, N + 1):           # hub: |j,0> -> r|0,j> + t sum_{k != j} |0,k>
+        for k in range(1, N + 1):
+            U[pos[f"0->{k}"], pos[f"{j}->0"]] = hub.r if k == j else hub.t
+    for j in range(M + 1, N + 1):       # unmarked edges reflect with phase phi
+        U[pos[f"{j}->0"], pos[f"0->{j}"]] = cmath.exp(1j * phi)
+    for k in range(1, M + 1):           # copy k of G hangs on edge k
+        name = {"0->1": f"0->{k}", "1->0": f"{k}->0"}
+        name.update({lab: f"{lab}#{k}" for lab in spec.interior})
+        for v in spec.vertices:
+            for jj, lab_in in enumerate(v.ports_in):
+                for ii, lab_out in enumerate(v.ports_out):
+                    U[pos[name[lab_out]], pos[name[lab_in]]] += v.matrix[ii, jj]
+    return U
+
+
 class TestBuildFull:
     def test_grover_n3_hand_check(self, grover_spec):
         # oracle: write out the six basis images by hand for N=3
@@ -146,7 +195,41 @@ class TestBuildFull:
 
     def test_size_guard(self, bolo_spec):
         with pytest.raises(sw.SpecError):
-            sw.build_full(bolo_spec, 4000)
+            sw.build_full(bolo_spec, 4000).matrix
+
+    @given(seed=st.integers(0, 10 ** 6), N=st.integers(2, 12), data=st.data(),
+           phi=st.floats(0.0, 2 * math.pi))
+    @settings(max_examples=40, deadline=None)
+    def test_step_matches_literal_walk(self, seed, N, data, phi):
+        M = data.draw(st.integers(1, N - 1), label="M")
+        rng = np.random.default_rng(seed)
+        spec = random_spec(rng)
+        ref = literal_full_matrix(spec, N, M, phi)
+        walk = sw.build_full(spec, N, M=M, phi=phi)
+        D = ref.shape[0]
+        assert len(walk.basis) == D
+        x = rng.normal(size=(D, 3)) + 1j * rng.normal(size=(D, 3))
+        assert np.max(np.abs(walk.step(x) - ref @ x)) < 1e-13
+        assert np.max(np.abs(walk.step(x[:, 0]) - ref @ x[:, 0])) < 1e-13
+        assert np.max(np.abs(walk.matrix - ref)) < 1e-15
+
+    def test_positions_are_arithmetic(self, bolo_spec):
+        b = sw.full_basis(bolo_spec, 5, 2)
+        assert len(b) == 2 * 5 + 2 * 3
+        assert b.index("0->1") == 0 and b.index("0->5") == 4
+        assert b.index("1->0") == 5 and b.index("5->0") == 9
+        assert b.index("A->1#1") == 10 and b.index("1->A#2") == 15
+        assert [b.index(lab) for lab in b.labels] == list(range(len(b)))
+        for bad in ("0->6", "6->0", "0->0", "b#3", "b#0", "zz#1", "out"):
+            with pytest.raises(KeyError):
+                b.index(bad)
+
+    def test_million_edge_basis_needs_no_labels(self, bolo_spec):
+        b = sw.full_basis(bolo_spec, 10 ** 6, 1)
+        assert len(b) == 2 * 10 ** 6 + 3
+        assert b.index("b#1") == 2 * 10 ** 6 + 1
+        assert b == sw.build_full(bolo_spec, 10 ** 6).basis
+        assert b != sw.full_basis(bolo_spec, 10 ** 6, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +262,14 @@ class TestLiftRestrict:
         assert leak < 1e-12
         assert np.max(np.abs(back.amplitudes - s.amplitudes)) < 1e-12
 
+    def test_roundtrip_without_interior_infers_copies(self, grover_spec):
+        # grover has no interior states, so M can only come from the basis
+        rng = np.random.default_rng(7)
+        s = random_collapsed_state(rng, grover_spec)
+        back, leak = sw.restrict_full_state(sw.lift_collapsed_state(s, 12, 3))
+        assert leak < 1e-12
+        assert np.max(np.abs(back.amplitudes - s.amplitudes)) < 1e-12
+
     def test_inner_products_preserved(self, bolo_spec):
         rng = np.random.default_rng(1)
         s1 = random_collapsed_state(rng, bolo_spec)
@@ -207,8 +298,7 @@ class TestLiftRestrict:
         basis = sw.full_basis(grover_spec, N, 1)
         amp = np.zeros(len(basis), dtype=complex)
         amp[basis.index("2->0")] = 1.0  # one unmarked edge only: not symmetric
-        restricted, leak = sw.restrict_full_state(
-            sw.StateVector(amp, basis), M=1)
+        restricted, leak = sw.restrict_full_state(sw.StateVector(amp, basis))
         # symmetric component is 1/sqrt(N-1) of |in>; the rest leaks
         assert abs(restricted.amplitudes[1]) == pytest.approx(1 / math.sqrt(N - 1))
         assert leak == pytest.approx(math.sqrt(1 - 1 / (N - 1)), abs=1e-12)
@@ -269,6 +359,23 @@ class TestEvolution:
             U = sw.build_collapsed(bolo_spec, hub, 0.0)
             out = sw.evolve(U, s, 7)
             assert np.max(np.abs(out.amplitudes - (-1) ** 7 * v)) < 1e-12
+
+    def test_dense_power_matches_stepping(self, bolo_spec):
+        hub = sw.hub_coefficients(1000)
+        U = sw.build_collapsed(bolo_spec, hub, 0.4)
+        s = random_collapsed_state(np.random.default_rng(6), bolo_spec)
+        stepped = s
+        for _ in range(300):
+            stepped = sw.apply(U, stepped)
+        assert np.max(np.abs(sw.evolve(U, s, 300).amplitudes - stepped.amplitudes)) < 1e-12
+
+    def test_precision_envelope(self, bolo_spec):
+        # past N ~ 1e21 the m-step phases exhaust double precision; at 1e30
+        # p_marked would come out near 0.59 instead of 0.75
+        with pytest.raises(sw.NumericsError, match="norm drifted"):
+            sw.run_search(sw.plan_search(bolo_spec, 10 ** 30), bolo_spec)
+        res = sw.run_search(sw.plan_search(bolo_spec, 10 ** 12), bolo_spec)
+        assert abs(res.p_marked - 0.75) < 1e-6
 
     def test_norm_conservation_long_run(self, bolo_spec):
         hub = sw.hub_coefficients(997)
@@ -345,6 +452,12 @@ class TestSpecSerialization:
             sw.SubgraphSpec(
                 (sw.Vertex("1", ("0->1",), ("1->0",), np.array([[-1.0]])),),
                 "1", ("ghost",))
+
+    @pytest.mark.parametrize("reserved", ["out", "in", "0->1", "1->0"])
+    def test_reserved_interior_label_rejected(self, bolo_spec, reserved):
+        text = json.dumps(bolo_spec.to_dict()).replace('"b"', json.dumps(reserved))
+        with pytest.raises(sw.SpecError, match=f"interior label '{reserved}' is reserved"):
+            sw.SubgraphSpec.from_dict(json.loads(text))
 
     def test_nan_matrix_rejected(self):
         with pytest.raises(sw.SpecError, match="not unitary"):

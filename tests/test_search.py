@@ -41,10 +41,10 @@ class TestInitialState:
             st = sw.initial_state(bolo_spec, N, 1, branch, phi)
             assert abs(abs(np.vdot(l0, st.amplitudes)) ** 2 - (N - 1) / N) < 1e-12
 
-    def test_degenerate_all_marked(self, grover_spec):
-        # M = N: everything sits on the marked edge already
-        st = sw.initial_state(grover_spec, 5, 5, +1, 0.0)
-        assert abs(abs(st.amplitudes[2]) ** 2 + abs(st.amplitudes[3]) ** 2 - 1.0) < 1e-12
+    def test_all_marked_rejected(self, grover_spec):
+        # M = N leaves no unmarked edge: the same rule as hub_coefficients
+        with pytest.raises(sw.SpecError, match="1 <= M < N"):
+            sw.initial_state(grover_spec, 5, 5, +1, 0.0)
 
     def test_rejects_bad_M(self, grover_spec):
         with pytest.raises(ValueError):
