@@ -189,9 +189,11 @@ def cmd_tolerance(args) -> int:
     else:
         try:
             deltas = [float(v) for v in args.delta_grid.split(",")]
+            if not all(math.isfinite(d) for d in deltas):
+                raise ValueError
         except ValueError:
-            raise SpecError(f"--delta-grid must be \"auto\" or a comma list of numbers, "
-                            f"got {args.delta_grid!r}") from None
+            raise SpecError(f"--delta-grid must be \"auto\" or a comma list of finite "
+                            f"numbers, got {args.delta_grid!r}") from None
     profiles = tol_mod.tolerance_sweep(spec, N, M, lam, deltas)
     rows = [[p.N, p.M, p.delta, p.t, p.epsilon0.real, p.epsilon0.imag,
              p.m_naive, p.m_compensated, p.P_measured_naive, p.P_measured_comp,
@@ -212,6 +214,8 @@ def cmd_oracle_check(args) -> int:
         raise SpecError(f"oracle-check takes --steps >= 0 and at most {ORACLE_MAX_STATES} "
                         f"full-graph states (2N + M*n); got --steps {args.steps}, "
                         f"{nstates} states")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise SpecError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     plan = search_mod.plan_search(spec, N, M=M)
     Uc = graph.build_collapsed(spec, graph.hub_coefficients(N, M=M), plan.phi)
     Uf = graph.build_full(spec, N, M=M, phi=plan.phi)

@@ -68,6 +68,14 @@ class Vertex:
     ports_out: tuple[str, ...]
     matrix: np.ndarray
 
+    def __post_init__(self):
+        try:
+            m = np.array(self.matrix, dtype=complex)    # a private copy, frozen below
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"vertex {self.id}: malformed matrix: {exc}") from exc
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
+
 
 @dataclass(frozen=True, eq=False)
 class SubgraphSpec:
@@ -77,6 +85,10 @@ class SubgraphSpec:
     directed edge-state inside G appears in ``interior`` and has exactly one
     producer and one consumer (a label may be produced and consumed by the
     same vertex, which encodes arms that return in a single step).
+
+    A spec is immutable (vertex matrices are read-only), so data derived from
+    it, such as ``vertex_columns`` and the spectral classification, is
+    computed once per spec and kept.
     """
     vertices: tuple[Vertex, ...]
     attachment: str
@@ -101,7 +113,7 @@ class SubgraphSpec:
         consumed: dict[str, str] = {}
         produced: dict[str, str] = {}
         for v in self.vertices:
-            m = np.asarray(v.matrix, dtype=complex)
+            m = v.matrix
             if m.shape != (len(v.ports_out), len(v.ports_in)) or m.shape[0] != m.shape[1]:
                 raise SpecError(f"vertex {v.id}: matrix shape {m.shape} does not match ports")
             res = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))
@@ -139,6 +151,23 @@ class SubgraphSpec:
     @property
     def dim_right(self) -> int:
         return 2 + self.n_interior
+
+    @cached_property
+    def vertex_columns(self) -> np.ndarray:
+        """The collapsed one-step matrix with the hub slots at zero (read-only).
+
+        Vertex columns (``interior`` and |0,1>) never share a column with the
+        hub's (|out>, |in>, |1,0>), so an assembly copies this matrix and writes
+        the five hub entries.
+        """
+        index = {lab: i for i, lab in enumerate(RESERVED_LABELS + self.interior)}
+        base = np.zeros((self.dim_collapsed, self.dim_collapsed), dtype=complex)
+        for v in self.vertices:
+            rows = [index[lab] for lab in v.ports_out]
+            cols = [index[lab] for lab in v.ports_in]
+            base[np.ix_(rows, cols)] += v.matrix
+        base.flags.writeable = False
+        return base
 
     # -- (de)serialization --------------------------------------------------
     @classmethod
@@ -263,6 +292,13 @@ def check_star(N: int, M: int = 1) -> None:
         raise SpecError(f"need 1 <= M < N, got M={M!r}, N={N!r}")
 
 
+def check_phases(**phases: float) -> None:
+    """The one phase rule: hub (x, y) and reflector (phi) phases are finite reals."""
+    for name, value in phases.items():
+        if not math.isfinite(value):
+            raise SpecError(f"phase {name} must be finite, got {value!r}")
+
+
 def hub_coefficients(N: int, M: int = 1, x: float = math.pi, y: float = 0.0) -> HubModel:
     """Hub coefficients for N edges, M marked copies, solution-family phases (x, y).
 
@@ -271,8 +307,7 @@ def hub_coefficients(N: int, M: int = 1, x: float = math.pi, y: float = 0.0) -> 
     only when cos(x-y) < 1.
     """
     check_star(N, M)
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise SpecError(f"hub phases must be finite (x={x}, y={y})")
+    check_phases(x=x, y=y)
     if math.cos(x - y) >= 1.0 - 1e-15:
         raise SpecError(f"hub family undefined: cos(x-y) must be < 1 (x={x}, y={y})")
 
@@ -403,16 +438,6 @@ class StateVector:
 # Collapsed operator
 # ---------------------------------------------------------------------------
 
-def _vertex_columns(spec: SubgraphSpec, U: np.ndarray, index: dict[str, int]) -> None:
-    """Fill the columns of U owned by subgraph vertices (in-place)."""
-    for v in spec.vertices:
-        rows = [index[lab] for lab in v.ports_out]
-        for j, lab in enumerate(v.ports_in):
-            col = index[lab]
-            for i, row in enumerate(rows):
-                U[row, col] += v.matrix[i, j]
-
-
 def collapsed_coefficients(eps, x: float = math.pi, y: float = 0.0, trans_sqrt=None):
     """(R_L, R_R, T) of the collapsed hub as analytic functions of epsilon.
 
@@ -433,15 +458,13 @@ def collapsed_coefficients(eps, x: float = math.pi, y: float = 0.0, trans_sqrt=N
 
 
 def _assemble_collapsed(spec: SubgraphSpec, R_L, R_R, T, phi: float) -> np.ndarray:
-    d = spec.dim_collapsed
-    index = {lab: i for i, lab in enumerate(collapsed_basis(spec).labels)}
-    U = np.zeros((d, d), dtype=complex)
-    U[index[IN], index[OUT]] = cmath.exp(1j * phi)
-    U[index[OUT], index[IN]] = R_L
-    U[index[MARKED_OUT], index[IN]] = T
-    U[index[MARKED_OUT], index[MARKED_IN]] = R_R
-    U[index[OUT], index[MARKED_IN]] = T
-    _vertex_columns(spec, U, index)
+    out, in_, marked_out, marked_in = range(4)      # positions of RESERVED_LABELS
+    U = spec.vertex_columns.copy()
+    U[in_, out] = cmath.exp(1j * phi)
+    U[out, in_] = R_L
+    U[marked_out, in_] = T
+    U[marked_out, marked_in] = R_R
+    U[out, marked_in] = T
     return U
 
 
@@ -452,12 +475,14 @@ def collapsed_matrix(spec: SubgraphSpec, eps, phi: float,
     Returns a bare ndarray: for complex or negative epsilon the matrix is not
     unitary and intentionally skips the UnitaryOperator contract.
     """
+    check_phases(phi=phi, x=x, y=y)
     R_L, R_R, T = collapsed_coefficients(eps, x=x, y=y, trans_sqrt=trans_sqrt)
     return _assemble_collapsed(spec, R_L, R_R, T, phi)
 
 
 def build_collapsed(spec: SubgraphSpec, hub: HubModel, phi: float) -> UnitaryOperator:
     """Symmetry-collapsed time-step operator for the given spec and hub."""
+    check_phases(phi=phi)
     U = _assemble_collapsed(spec, hub.R_L, hub.R_R, hub.T, phi)
     return UnitaryOperator(matrix=U, basis=collapsed_basis(spec),
                            epsilon=hub.epsilon, phi=float(phi))
@@ -512,9 +537,9 @@ def build_full(spec: SubgraphSpec, N: int, M: int = 1, phi: float = 0.0,
                x: float = math.pi, y: float = 0.0) -> FullWalk:
     """Literal N-edge walk operator with M disjoint copies of G (oracle)."""
     hub = hub_coefficients(N, M=M, x=x, y=y)
-    index = {MARKED_OUT: 0, MARKED_IN: 0} | {lab: 1 + i for i, lab in enumerate(spec.interior)}
-    block = np.zeros((1 + spec.n_interior, 1 + spec.n_interior), dtype=complex)
-    _vertex_columns(spec, block, index)
+    # rows [1->0, interior], columns [0->1, interior] of the collapsed base
+    interior = list(range(4, spec.dim_collapsed))
+    block = spec.vertex_columns[np.ix_([3] + interior, [2] + interior)]
     return FullWalk(basis=full_basis(spec, N, M), hub=hub, phi=float(phi), port_block=block)
 
 

@@ -5,7 +5,8 @@ Spectral analysis of the collapsed walk operator.
 * eigendecomposition from one complex Schur form, with a fixed phase gauge;
 * clustering of unit-circle eigenvalues into lambda0 families;
 * classification of right-block eigenspaces into bound (hub-blind) and active
-  (hub-contacting) parts with the coupling constant c;
+  (hub-contacting) parts with the coupling constant c, computed once per
+  loaded spec;
 * numerical checks of the structure theory: affine characteristic polynomial,
   eigenvalue pairing lambda0*exp(+-ic*sqrt(eps)), monodromy of a loop of eps
   around 0, and selection of the best search eigenvalue.
@@ -15,11 +16,11 @@ from __future__ import annotations
 import cmath
 import logging
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import linear_sum_assignment
 
 from .graph import (
     NumericsError,
@@ -158,7 +159,7 @@ def right_block(spec: SubgraphSpec, x: float = math.pi) -> tuple[np.ndarray, tup
 
 @dataclass(frozen=True, eq=False)
 class RightClassification:
-    """Bound/active split of one right-block eigenspace."""
+    """Bound/active split of one right-block eigenspace (read-only arrays)."""
     lambda0: complex
     bound_basis: np.ndarray            # (dim_right, n_bound), orthonormal columns
     active_vector: np.ndarray | None   # the hub-contacting unit vector, if any
@@ -173,7 +174,7 @@ def _nearest(items, lambda0: complex, where: str):
     """The item (group or classification) whose lambda0 is closest to ``lambda0``."""
     dists = [abs(it.lambda0 - lambda0) for it in items]
     k = int(np.argmin(dists))
-    if dists[k] > LOOKUP_TOL:
+    if not dists[k] <= LOOKUP_TOL:              # a NaN request matches nothing
         raise SpecError(f"{lambda0} is not an eigenvalue of {where} "
                         f"(closest group at distance {dists[k]:.2e})")
     return items[k]
@@ -196,6 +197,7 @@ def _classify_group(sys: EigenSystem, g: EigenvalueGroup) -> RightClassification
             f"eigenspace at lambda0={g.lambda0:.6f} touches the hub with rank "
             f"{rank} (singular values {svals}); expected at most one active vector")
     if rank == 0:
+        basis.flags.writeable = False
         return RightClassification(lambda0=g.lambda0, bound_basis=basis,
                                    active_vector=None, c=None)
     active = basis @ vh[0].conj()
@@ -204,15 +206,36 @@ def _classify_group(sys: EigenSystem, g: EigenvalueGroup) -> RightClassification
     active = active * (active[i].conjugate() / abs(active[i]))
     bound = basis @ vh[1:].conj().T
     c = math.sqrt(2.0) * abs(active[1])         # sqrt(2)*|<1,0|r0>|
+    active.flags.writeable = bound.flags.writeable = False
     return RightClassification(lambda0=g.lambda0, bound_basis=bound,
                                active_vector=active, c=float(c))
 
 
-def right_classifications(spec: SubgraphSpec, x: float = math.pi) -> list[RightClassification]:
-    """Classification of every eigenvalue group of the right block."""
+def _classify(spec: SubgraphSpec, x: float) -> tuple[RightClassification, ...]:
+    """Decompose the right block once and classify every eigenvalue group."""
     A, _ = right_block(spec, x=x)
     sys = eigendecompose(A)
-    return [_classify_group(sys, g) for g in group_eigenvalues(sys)]
+    return tuple(_classify_group(sys, g) for g in group_eigenvalues(sys))
+
+
+# Classifications per loaded spec, then per hub phase x.  A spec is immutable,
+# so an entry never goes stale; it goes away with its spec.  Keyed on the spec
+# object (weakly), never on id(spec): ids are reused after garbage collection.
+_CLASSIFIED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def right_classifications(spec: SubgraphSpec, x: float = math.pi) -> list[RightClassification]:
+    """Classification of every eigenvalue group of the right block.
+
+    Computed on the first call for a given ``(spec, x)`` and served from a memo
+    afterwards, since it does not depend on N or M; a failed classification
+    (SpecError, NumericsError) is not kept.
+    """
+    cached = _CLASSIFIED.get(spec, {}).get(x)
+    if cached is None:
+        cached = _classify(spec, x)
+        _CLASSIFIED.setdefault(spec, {})[x] = cached
+    return list(cached)
 
 
 def classify_right(spec: SubgraphSpec, lambda0: complex,
@@ -356,6 +379,9 @@ def monodromy(spec: SubgraphSpec, phi: float, rho: float = 1e-4,
     by continuity, not principal value); eigenvalues are matched step-to-step
     by minimal |delta lambda| assignment.
     """
+    # imported here: scipy.optimize adds ~0.2 s to import, and only this uses it
+    from scipy.optimize import linear_sum_assignment
+
     if steps < 180:
         raise ValueError("need steps >= 180 for reliable continuation")
     w = cmath.sqrt(rho - rho * rho)

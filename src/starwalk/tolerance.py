@@ -102,17 +102,18 @@ HUB_WEIGHT_FLOOR = 0.05     # eigenvectors below this hub-state mass are bound
 
 
 def _closest_pair_sq(vals: np.ndarray) -> tuple[complex, float]:
-    """(difference^2, |difference|) of the closest eigenvalue pair."""
+    """(difference^2, |difference|) of the closest eigenvalue pair.
+
+    Pairs are (i, j) with i < j; on a tie the first in row-major order wins.
+    """
     n = len(vals)
-    best = None
-    best_abs = math.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = abs(vals[i] - vals[j])
-            if d < best_abs:
-                best_abs = d
-                best = (vals[i] - vals[j]) ** 2
-    return complex(best), float(best_abs)
+    diff = vals[:, None] - vals[None, :]
+    # hypot equals the scalar abs() bit for bit; np.abs of a complex array may not
+    dist = np.hypot(diff.real, diff.imag)
+    dist.flat[::n + 1] = np.inf                # no pair of a value with itself
+    # dist is symmetric, so its first row-major minimum lies above the diagonal
+    i, j = divmod(int(np.argmin(dist)), n)
+    return complex(diff[i, j] ** 2), float(dist[i, j])
 
 
 def _hub_coupled_eigenvalues(spec: SubgraphSpec, eps: complex, phi: float) -> np.ndarray:

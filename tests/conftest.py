@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import starwalk as sw
+from starwalk import spectral
 
 
 @pytest.fixture(scope="session")
@@ -12,6 +13,19 @@ def grover_spec():
 @pytest.fixture(scope="session")
 def bolo_spec():
     return sw.load_spec("bolo")
+
+
+@pytest.fixture
+def decompositions(monkeypatch) -> list:
+    """One entry per spectral.eigendecompose call made during the test."""
+    calls = []
+    real = spectral.eigendecompose
+
+    def counting(U, *args, **kwargs):
+        calls.append(U)
+        return real(U, *args, **kwargs)
+    monkeypatch.setattr(spectral, "eigendecompose", counting)
+    return calls
 
 
 def haar_unitary(rng, n: int) -> np.ndarray:

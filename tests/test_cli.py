@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import starwalk
 from starwalk.cli import (EXIT_NUMERICS, EXIT_OK, EXIT_ORACLE, EXIT_SPEC,
                           ORACLE_MAX_STATES, main)
 
@@ -180,6 +184,14 @@ class TestArgParsing:
         ["tolerance", "grover", "--n", "1" + "0" * 400],
         ["tolerance", "grover", "--n", "1000", "--delta-grid", "x"],
         ["oracle-check", "bolo", "--n", "8", "--steps", "-3"],
+        ["search", "bolo", "--n", "1000", "--lambda", "nan,0"],
+        ["tolerance", "grover", "--n", "1000", "--delta-grid", "0,nan"],
+        ["tolerance", "grover", "--n", "1000", "--delta-grid", "inf"],
+        ["analyze", "bolo", "--phi", "nan"],
+        ["analyze", "bolo", "--phi", "inf"],
+        ["oracle-check", "bolo", "--n", "64", "--tol", "nan"],
+        ["oracle-check", "bolo", "--n", "64", "--tol", "inf"],
+        ["oracle-check", "bolo", "--n", "64", "--tol=-1e-8"],
     ], ids=lambda argv: " ".join(argv)[:40])
     def test_bad_input_exits_2(self, argv, tmp_path, capsys):
         assert run(argv + ["--out", str(tmp_path / "x")]) == EXIT_SPEC
@@ -200,3 +212,22 @@ class TestArgParsing:
             raise NumericsError("synthetic")
         monkeypatch.setattr(cli.spectral, "spectral_report", boom)
         assert run(["analyze", "grover", "--out", str(tmp_path / "x")]) == EXIT_NUMERICS
+
+
+class TestSpecCompiledOnce:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "bolo", "--n", "100..1000000000000", "--log", "--points", "11"],
+        ["tolerance", "grover", "--n", "10000"],
+        ["demo"],
+    ], ids=lambda argv: argv[0])
+    def test_right_block_decomposed_once(self, argv, tmp_path, decompositions):
+        out = [] if argv[0] == "demo" else ["--out", str(tmp_path / "x")]
+        assert run(argv + out) == EXIT_OK
+        assert len(decompositions) == 1
+
+    def test_import_leaves_scipy_optimize_out(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(starwalk.__file__)))
+        code = "import sys, starwalk.cli; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
+        assert proc.stdout.strip() == "False"

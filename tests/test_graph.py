@@ -130,6 +130,29 @@ class TestBuildCollapsed:
                 (sw.Vertex("1", ("0->1",), ("1->0",), np.array([[0.5]])),),
                 "1", ())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("phase", ["phi", "x", "y"])
+    def test_non_finite_phase_rejected(self, bolo_spec, phase, bad):
+        kw = {"phi": 0.0, "x": math.pi, "y": 0.0, phase: bad}
+        with pytest.raises(sw.SpecError, match=f"phase {phase} must be finite"):
+            sw.collapsed_matrix(bolo_spec, 1e-3, **kw)
+
+    def test_non_finite_reflector_phase_rejected(self, bolo_spec):
+        # a NaN phase would pass the unitarity check (NaN compares false)
+        with pytest.raises(sw.SpecError, match="phase phi must be finite"):
+            sw.build_collapsed(bolo_spec, sw.hub_coefficients(100), math.nan)
+
+    def test_vertex_columns_cached_with_hub_slots_empty(self):
+        spec = sw.load_spec("bolo")             # not the shared fixture: a write is tried
+        base = spec.vertex_columns
+        assert base is spec.vertex_columns
+        assert not base[:, [0, 1, 3]].any()     # |out>, |in>, |1,0> belong to the hub
+        U = sw.collapsed_matrix(spec, 1e-3, 0.4)
+        assert np.array_equal(U[:, [2]], base[:, [2]])
+        assert np.array_equal(U[:, 4:], base[:, 4:])
+        with pytest.raises(ValueError):
+            base[4, 4] = 1.0
+
 
 # ---------------------------------------------------------------------------
 # build_full
@@ -458,6 +481,20 @@ class TestSpecSerialization:
         text = json.dumps(bolo_spec.to_dict()).replace('"b"', json.dumps(reserved))
         with pytest.raises(sw.SpecError, match=f"interior label '{reserved}' is reserved"):
             sw.SubgraphSpec.from_dict(json.loads(text))
+
+    def test_vertex_matrix_is_a_read_only_copy(self):
+        given = np.array([[-1.0]])
+        v = sw.Vertex("1", ("0->1",), ("1->0",), given)
+        assert v.matrix.dtype == complex
+        with pytest.raises(ValueError):
+            v.matrix[0, 0] = 1.0
+        given[0, 0] = 1.0                       # the caller's array stays theirs
+        assert v.matrix[0, 0] == -1.0
+
+    def test_loaded_vertex_matrices_are_read_only(self):
+        for v in sw.load_spec("bolo").vertices:     # not the shared fixture
+            with pytest.raises(ValueError):
+                v.matrix[0, 0] = 0.0
 
     def test_nan_matrix_rejected(self):
         with pytest.raises(sw.SpecError, match="not unitary"):

@@ -1,10 +1,13 @@
 import cmath
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import starwalk as sw
+from starwalk import spectral
 from starwalk.spectral import (
     CASE_CONSTANT,
     CASE_DRIFT,
@@ -172,6 +175,8 @@ class TestClassifyRight:
     def test_rejects_non_eigenvalue(self, bolo_spec):
         with pytest.raises(ValueError, match="not an eigenvalue"):
             sw.classify_right(bolo_spec, 0.5 + 0.5j)
+        with pytest.raises(ValueError, match="not an eigenvalue"):
+            sw.classify_right(bolo_spec, complex(math.nan, 0.0))
 
     def test_active_vector_is_eigenvector(self, bolo_spec):
         A, _ = sw.right_block(bolo_spec)
@@ -181,6 +186,73 @@ class TestClassifyRight:
             r = cl.active_vector
             assert np.linalg.norm(A @ r - cl.lambda0 * r) < 1e-9
             assert abs(cl.c - math.sqrt(2.0) * abs(r[1])) < 1e-12
+
+
+class TestClassificationMemo:
+    """The right-block classification is computed once per (spec, x)."""
+
+    def test_one_decomposition_across_entry_points(self, decompositions):
+        spec = sw.load_spec("bolo")
+        for N in (10 ** 3, 10 ** 6, 10 ** 9):
+            sw.plan_search(spec, N)
+            sw.plan_search(spec, N, M=2, lambda0=1.0)
+        sw.classify_right(spec, -1.0)
+        sw.tolerance_sweep(spec, 10 ** 4, 1, -1.0, [0.0], locate_eps0=False)
+        assert len(decompositions) == 1
+
+    def test_fresh_list_each_call(self, bolo_spec):
+        first = sw.right_classifications(bolo_spec)
+        first.clear()
+        again = sw.right_classifications(bolo_spec)
+        assert len(again) == 4
+        assert again is not sw.right_classifications(bolo_spec)
+
+    def test_cached_arrays_are_read_only(self):
+        for cl in sw.right_classifications(sw.load_spec("bolo")):   # not the shared fixture
+            with pytest.raises(ValueError):
+                cl.bound_basis[0, ...] = 0.0
+            if cl.active_vector is not None:
+                with pytest.raises(ValueError):
+                    cl.active_vector[0] = 0.0
+
+    def test_entry_per_loaded_spec_released_with_it(self):
+        a, b = sw.load_spec("grover"), sw.load_spec("grover")
+        before = len(spectral._CLASSIFIED)
+        sw.right_classifications(a)
+        sw.right_classifications(b)
+        assert len(spectral._CLASSIFIED) == before + 2
+        ref = weakref.ref(a)
+        del a
+        gc.collect()
+        assert ref() is None
+        assert len(spectral._CLASSIFIED) == before + 1
+        assert b in spectral._CLASSIFIED
+
+    def test_other_hub_phase_has_own_entry(self):
+        spec = sw.load_spec("bolo")
+        standard = sw.right_classifications(spec)
+        other = sw.right_classifications(spec, x=2.0)
+        assert set(spectral._CLASSIFIED[spec]) == {math.pi, 2.0}
+        uncached = spectral._classify(spec, 2.0)
+        assert [cl.c for cl in other] == [cl.c for cl in uncached]
+        assert [cl.lambda0 for cl in other] != [cl.lambda0 for cl in standard]
+
+    def test_failure_is_not_cached(self, monkeypatch):
+        spec = sw.load_spec("bolo")
+
+        def failing(U, *args, **kwargs):
+            raise sw.NumericsError("synthetic")
+        monkeypatch.setattr(spectral, "eigendecompose", failing)
+        with pytest.raises(sw.NumericsError):
+            sw.right_classifications(spec)
+        monkeypatch.undo()
+        assert spec not in spectral._CLASSIFIED
+        assert len(sw.right_classifications(spec)) == 4
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_x_rejected(self, bolo_spec, x):
+        with pytest.raises(sw.SpecError, match="phase x must be finite"):
+            sw.right_classifications(bolo_spec, x=x)
 
 
 class TestSumRule:

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import starwalk as sw
-from starwalk.tolerance import SMALL_ANGLE_GUARD
+from starwalk.tolerance import SMALL_ANGLE_GUARD, _closest_pair_sq
 
 
 class TestDetunedPhase:
@@ -50,6 +52,38 @@ class TestTuningParameter:
             sw.predicted_success_naive(-0.1)
         with pytest.raises(ValueError):
             sw.predicted_success_compensated(-0.1)
+
+
+def closest_pair_loop(vals):
+    """Reference: every pair i < j in order, the first strictly smaller gap wins."""
+    best, best_abs = None, math.inf
+    for i in range(len(vals)):
+        for j in range(i + 1, len(vals)):
+            d = abs(vals[i] - vals[j])
+            if d < best_abs:
+                best_abs = d
+                best = (vals[i] - vals[j]) ** 2
+    return complex(best), float(best_abs)
+
+
+class TestClosestPair:
+    # values drawn from a small pool, so exact ties and repeats are common
+    pool = st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                                       allow_infinity=False), min_size=1, max_size=4)
+
+    @given(pool=pool, data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_loop_bit_for_bit(self, pool, data):
+        picks = data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=9))
+        vals = np.array(picks, dtype=complex)
+        assert _closest_pair_sq(vals) == closest_pair_loop(vals)
+
+    @given(seed=st.integers(0, 10 ** 6), n=st.integers(2, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_loop_on_unit_circle(self, seed, n):
+        rng = np.random.default_rng(seed)
+        vals = np.exp(1j * rng.uniform(0, 2 * np.pi, n)) * rng.uniform(0.9, 1.1, n)
+        assert _closest_pair_sq(vals) == closest_pair_loop(vals)
 
 
 class TestLocateDoubleRoot:
