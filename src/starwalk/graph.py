@@ -219,7 +219,7 @@ def _matrix_from_json(rows) -> np.ndarray:
                     r.append(complex(re, im))
             out.append(r)
         return np.array(out, dtype=complex)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise SpecError(f"malformed matrix entry: {exc}") from exc
 
 
@@ -413,7 +413,7 @@ class UnitaryOperator:
     def __post_init__(self):
         m = self.matrix
         res = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))
-        if res > OPERATOR_UNITARITY_TOL:
+        if not res <= OPERATOR_UNITARITY_TOL:      # NaN entries fail here too
             raise SpecError(f"constructed operator not unitary (residual {res:.2e})")
 
     def step(self, x: np.ndarray) -> np.ndarray:
@@ -438,15 +438,14 @@ class StateVector:
 # Collapsed operator
 # ---------------------------------------------------------------------------
 
-def collapsed_coefficients(eps, x: float = math.pi, y: float = 0.0, trans_sqrt=None):
+def collapsed_coefficients(eps, x: float = math.pi, y: float = 0.0):
     """(R_L, R_R, T) of the collapsed hub as analytic functions of epsilon.
 
-    ``eps`` may be complex (used for monodromy loops and double-root hunting).
-    ``trans_sqrt`` overrides sqrt(eps - eps^2) with an explicitly continued
-    branch value; by default the principal branch is taken.
+    ``eps`` may be complex.  T takes the principal branch of sqrt(eps - eps^2):
+    negating T flips the sign of the right side, so the spectrum sees T^2 only.
     """
     eps = complex(eps)
-    w = cmath.sqrt(eps - eps * eps) if trans_sqrt is None else complex(trans_sqrt)
+    w = cmath.sqrt(eps - eps * eps)
     if _is_standard_hub(x, y):
         return 1.0 - 2.0 * eps, -1.0 + 2.0 * eps, 2.0 * w
     s = cmath.sqrt(1.0 - 4.0 * math.sin(x - y) ** 2 * w * w)
@@ -469,14 +468,14 @@ def _assemble_collapsed(spec: SubgraphSpec, R_L, R_R, T, phi: float) -> np.ndarr
 
 
 def collapsed_matrix(spec: SubgraphSpec, eps, phi: float,
-                     x: float = math.pi, y: float = 0.0, trans_sqrt=None) -> np.ndarray:
+                     x: float = math.pi, y: float = 0.0) -> np.ndarray:
     """Collapsed one-step matrix at (possibly complex) epsilon.
 
     Returns a bare ndarray: for complex or negative epsilon the matrix is not
     unitary and intentionally skips the UnitaryOperator contract.
     """
     check_phases(phi=phi, x=x, y=y)
-    R_L, R_R, T = collapsed_coefficients(eps, x=x, y=y, trans_sqrt=trans_sqrt)
+    R_L, R_R, T = collapsed_coefficients(eps, x=x, y=y)
     return _assemble_collapsed(spec, R_L, R_R, T, phi)
 
 

@@ -118,8 +118,8 @@ def run_search(plan: SearchPlan, spec: SubgraphSpec) -> SearchResult:
 
 def sample_measurement(result: SearchResult, seed: int, shots: int) -> dict[str, int]:
     """Multinomial measurement of (marked, unmarked, null); seed-deterministic."""
-    if shots < 1:
-        raise SpecError(f"shots must be >= 1, got {shots}")
+    if shots < 1 or seed < 0:
+        raise SpecError(f"need shots >= 1 and seed >= 0, got shots={shots}, seed={seed}")
     probs = np.array([result.p_marked, result.p_unmarked, result.p_null], dtype=float)
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()

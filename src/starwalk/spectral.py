@@ -7,9 +7,9 @@ Spectral analysis of the collapsed walk operator.
 * classification of right-block eigenspaces into bound (hub-blind) and active
   (hub-contacting) parts with the coupling constant c, computed once per
   loaded spec;
-* numerical checks of the structure theory: affine characteristic polynomial,
-  eigenvalue pairing lambda0*exp(+-ic*sqrt(eps)), monodromy of a loop of eps
-  around 0, and selection of the best search eigenvalue.
+* the secular function det(U(eps) - z)/det(U(0) - z) of the cached (lambda0, c) table,
+  whose roots give the pairing lambda0*exp(+-ic*sqrt(eps)) and the monodromy of a loop
+  of eps around 0; the dense affine check and the best search eigenvalue.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ from .graph import (
     NumericsError,
     SpecError,
     SubgraphSpec,
+    check_phases,
     collapsed_basis,
     collapsed_coefficients,
     collapsed_matrix,
@@ -170,14 +171,14 @@ class RightClassification:
         return self.bound_basis.shape[1]
 
 
-def _nearest(items, lambda0: complex, where: str):
-    """The item (group or classification) whose lambda0 is closest to ``lambda0``."""
-    dists = [abs(it.lambda0 - lambda0) for it in items]
+def _nearest(values, lambda0: complex, where: str) -> int:
+    """Index of the eigenvalue in ``values`` closest to ``lambda0``."""
+    dists = np.abs(np.asarray(values, dtype=complex) - lambda0)
     k = int(np.argmin(dists))
     if not dists[k] <= LOOKUP_TOL:              # a NaN request matches nothing
         raise SpecError(f"{lambda0} is not an eigenvalue of {where} "
                         f"(closest group at distance {dists[k]:.2e})")
-    return items[k]
+    return k
 
 
 def _classify_group(sys: EigenSystem, g: EigenvalueGroup) -> RightClassification:
@@ -241,7 +242,8 @@ def right_classifications(spec: SubgraphSpec, x: float = math.pi) -> list[RightC
 def classify_right(spec: SubgraphSpec, lambda0: complex,
                    x: float = math.pi) -> RightClassification:
     """The classification of the right-block eigenspace nearest to ``lambda0``."""
-    return _nearest(right_classifications(spec, x=x), lambda0, "the right block")
+    classes = right_classifications(spec, x=x)
+    return classes[_nearest([cl.lambda0 for cl in classes], lambda0, "the right block")]
 
 
 # ---------------------------------------------------------------------------
@@ -269,27 +271,6 @@ def embed_right(vec: np.ndarray, dim: int) -> np.ndarray:
     out = np.zeros(dim, dtype=complex)
     out[2:2 + len(vec)] = vec
     return out
-
-
-def u1_matrix(spec: SubgraphSpec, phi: float = 0.0,
-              x: float = math.pi, y: float = 0.0) -> np.ndarray:
-    """The sqrt(eps)-order coefficient of U(eps) on the collapsed basis.
-
-    For the standard hub this is 2(|0,1><in| + |out><1,0|); the generalized
-    family rescales the coefficient to -2cos(x-y)e^{iy}.
-    """
-    del phi  # the phase-phi reflection enters at order eps^0 only
-    d = spec.dim_collapsed
-    g = -2.0 * math.cos(x - y) * cmath.exp(1j * y)
-    U1 = np.zeros((d, d), dtype=complex)
-    U1[2, 1] = g   # |0,1><in|
-    U1[0, 3] = g   # |out><1,0|
-    return U1
-
-
-def coupling_c(l0: np.ndarray, r0: np.ndarray, U1: np.ndarray) -> float:
-    """Coupling constant c = |<l0|U1|r0>| (vectors on the collapsed basis)."""
-    return float(abs(np.vdot(l0, U1 @ r0)))
 
 
 def matched_phi(lambda0: complex) -> tuple[float, int]:
@@ -338,6 +319,156 @@ def affine_residual(spec: SubgraphSpec, phi: float, z_samples, eps_samples) -> f
 
 
 # ---------------------------------------------------------------------------
+# Secular function of the eps-dependence
+# ---------------------------------------------------------------------------
+
+NEWTON_MAX = 50          # Newton iterations per solve before giving up
+NEWTON_TOL = 1e-7        # |F| over its terms below which one more Newton step gives ~1e-14
+RAMP_STEPS = 16          # continuation steps, uniform in sqrt(eps), up to the largest eps
+
+
+def _offset(mu, center):
+    """angle(mu/center), exactly 0 for mu == center (unlike a fused multiply-add)."""
+    return np.arctan2(mu.imag * center.real - mu.real * center.imag,
+                      mu.real * center.real + mu.imag * center.imag)
+
+
+@dataclass(frozen=True, eq=False)
+class SecularFunction:
+    """D(z, eps) = det(U(eps) - z) / det(U(0) - z) from the eps = 0 poles.
+
+    U(eps) - U(0) is a rank-2 update on the columns |in> and |1,0>, so
+    D = 1 + a g_L + b g_R + (a b - T^2) g_L g_R, with (a, b, T) the changes of
+    (R_L, R_R, T) from eps = 0, g_L = sum over p = +-sqrt(e^{i phi} R_L0) of
+    p/(2 R_L0 (p - z)) and g_R = conj(R_R0) sum over active right eigenvalues of
+    (c^2/2) lambda/(lambda - z); the standard hub has D = 1 + 2 eps s with
+    s = g_R - g_L - 2 g_L g_R.  At z = center*e^{i theta} a pole center*e^{i alpha}
+    enters as (1 - i cot((alpha - theta)/2))/2, so a root by its pole keeps full
+    relative precision; ' is d/dtheta.  Root k leaves pole k; the roots solve the
+    pole-free (1/g_L + a)(1/g_R + b) = T^2: the eigenvalues of U(eps) but the bound.
+    """
+    poles: np.ndarray        # the two left poles, then the active right eigenvalues
+    residues: np.ndarray     # (pole, side): g_L, g_R = sum of residue * mu/(mu - z)
+    centers: np.ndarray      # per root, the pole it leaves
+    alpha: np.ndarray        # (root, pole): _offset(pole, center of root)
+    fixed: np.ndarray        # bound eigenvalues, with multiplicity
+    hub0: tuple[complex, complex]    # (R_L0, R_R0)
+    x: float
+    y: float
+
+    def changes(self, eps):
+        """(a, b, T^2): T enters squared, so no branch of sqrt(eps - eps^2) is chosen."""
+        R_L, R_R, T = collapsed_coefficients(eps, x=self.x, y=self.y)
+        return R_L - self.hub0[0], R_R - self.hub0[1], T * T
+
+    def sides(self, theta, alpha, order: int = 0):
+        """([g_L, g_L', ...], [g_R, g_R', ...]) with ``alpha`` = _offset(poles, center)."""
+        u = 1.0 / np.tan(0.5 * (alpha - np.asarray(theta, dtype=complex)[..., None]))
+        du = 0.5 * (1.0 + u * u)                        # cot' = (1 + cot^2)/2
+        g = [0.5 * self.residues.sum(axis=0) - 0.5j * (u @ self.residues),
+             -0.5j * (du @ self.residues), -0.5j * ((u * du) @ self.residues)][:order + 1]
+        return [gk[..., 0] for gk in g], [gk[..., 1] for gk in g]
+
+    def det_ratio(self, z, eps):
+        """D(z, eps) at points z off the poles."""
+        z = np.asarray(z, dtype=complex)[..., None]
+        (gL,), (gR,) = self.sides(-1j * np.log(np.abs(z[..., 0])), _offset(self.poles, z / abs(z)))
+        a, b, T2 = self.changes(eps)
+        return 1.0 + a * gL + b * gR + (a * b - T2) * gL * gR
+
+    def s(self, theta, center=1.0):
+        """(s, s', s'') of the standard hub."""
+        (L, dL, d2L), (R, dR, d2R) = self.sides(theta, _offset(self.poles, center), order=2)
+        return (R - L - 2.0 * L * R, dR - dL - 2.0 * (dL * R + L * dR),
+                d2R - d2L - 2.0 * (d2L * R + 2.0 * dL * dR + L * d2R))
+
+    def z(self, theta, roots=slice(None)) -> np.ndarray:
+        return self.centers[roots] * np.exp(1j * np.asarray(theta))
+
+    def family(self, lambda0: complex) -> tuple[complex, np.ndarray]:
+        """(lam0, roots): the eigenvalue of U(0) nearest lambda0 and the roots leaving it."""
+        eigs = np.concatenate((self.poles, self.fixed))
+        lam0 = complex(eigs[_nearest(eigs, lambda0, "U(0)")])
+        return lam0, np.flatnonzero(np.abs(self.centers - lam0) <= CLUSTER_TOL)
+
+    def _seeds(self, eps, roots) -> np.ndarray:
+        """Small-eps roots: a left and a right pole that meet split as theta^2 =
+        (a b - T^2) A_L A_R (A: residues); a lone pole's root moves O(eps)."""
+        a, b, T2 = self.changes(eps)
+        AL, AR = ((np.abs(self.alpha[roots]) <= CLUSTER_TOL) @ self.residues).T
+        sign = np.where(np.arange(len(self.poles))[roots] < 2, 1.0, -1.0)
+        return np.where(AL * AR != 0, sign * np.sqrt((a * b - T2) * AL * AR), 1j * eps)
+
+    def _solve(self, eps, guess, old, roots) -> np.ndarray:
+        """Newton from ``guess``; a correction of half the gap between the roots
+        at ``old`` may have reached a neighbour's root, and raises."""
+        a, b, T2 = self.changes(eps)
+        theta, alpha = guess, self.alpha[roots]
+        for _ in range(NEWTON_MAX):
+            (L, dL), (R, dR) = self.sides(theta, alpha, order=1)
+            qL, qR = 1.0 / L + a, 1.0 / R + b
+            F = qL * qR - T2
+            theta = theta + F / (dL / (L * L) * qR + qL * dR / (R * R))
+            if np.all(np.abs(F) <= NEWTON_TOL * (np.abs(qL * qR) + abs(T2))):
+                break
+        else:
+            raise NumericsError(f"secular roots did not converge at eps={eps:.3e}")
+        z_old = self.z(old, roots)
+        gap = np.abs(z_old[:, None] - z_old) + np.diag(np.full(len(z_old), np.inf))
+        fix = np.abs(self.z(theta, roots) - self.z(guess, roots))
+        if np.any(fix >= 0.5 * gap.min(axis=1)):
+            raise NumericsError(f"secular root continuation ambiguous at eps={eps:.3e}: "
+                                f"correction {fix.max():.2e}, root gap {gap.min():.2e}")
+        return theta
+
+    def track(self, eps_path, t_path, known, roots=slice(None)) -> np.ndarray:
+        """theta along eps_path from the ``known`` first points (linear predictor in t)."""
+        out = list(known)
+        for k in range(len(out), len(eps_path)):
+            guess = out[-1] if k == 1 else out[-1] + (out[-1] - out[-2]) * (
+                (t_path[k] - t_path[k - 1]) / (t_path[k - 1] - t_path[k - 2]))
+            out.append(self._solve(eps_path[k], guess, out[-1], roots))
+        return np.array(out)
+
+    def roots(self, eps_values, roots=slice(None)) -> np.ndarray:
+        """theta at real eps_values > 0, continued from 0 in sqrt(eps): doubling steps
+        from where poles apart still act alone, then RAMP_STEPS equal ones."""
+        eps_values = np.asarray(eps_values, dtype=float)
+        step = math.sqrt(eps_values.max()) / RAMP_STEPS
+        apart = np.abs(self.centers[:, None] - self.centers)
+        first = min(step, 0.1 * apart[apart > 0].min(initial=step))
+        ramp = np.union1d(np.geomspace(first, step, 2 + int(math.log2(step / first))),
+                          step * np.arange(1, RAMP_STEPS + 1))
+        path = np.union1d(eps_values, ramp ** 2)
+        seeds = self._seeds(path[0], roots)
+        known = [np.zeros_like(seeds), self._solve(path[0], seeds, seeds, roots)]
+        path = np.concatenate(([0.0], path))
+        return self.track(path, np.sqrt(path), known, roots)[np.searchsorted(path, eps_values)]
+
+
+def secular_function(spec: SubgraphSpec, phi: float, x: float = math.pi,
+                     y: float = 0.0) -> SecularFunction:
+    """The secular function at reflector phase phi and hub phases (x, y)."""
+    check_phases(phi=phi, x=x, y=y)
+    R_L0, R_R0, _ = collapsed_coefficients(0.0, x=x, y=y)
+    p = cmath.exp(0.5j * phi) * cmath.sqrt(R_L0)
+    classes = right_classifications(spec, x=x)
+    active = [cl for cl in classes if cl.c is not None]
+    right = np.array([_snap(cl.lambda0) for cl in active], dtype=complex)   # +-1 exact
+    poles = np.concatenate(([p, -p], right / np.abs(right)))
+    residues = np.zeros((len(poles), 2), dtype=complex)
+    residues[:2, 0] = 0.5 / R_L0
+    residues[2:, 1] = R_R0.conjugate() * np.array([cl.c ** 2 / 2.0 for cl in active])
+    gap = np.abs(poles[:2, None] - poles[2:])
+    centers = np.where(gap.min(axis=1) <= CLUSTER_TOL, poles[2 + np.argmin(gap, axis=1)], poles[:2])
+    centers = np.concatenate((centers, poles[2:]))
+    return SecularFunction(
+        poles=poles, residues=residues, centers=centers, alpha=_offset(poles, centers[:, None]),
+        fixed=np.array([cl.lambda0 for cl in classes for _ in range(cl.n_bound)], dtype=complex),
+        hub0=(R_L0, R_R0), x=float(x), y=float(y))
+
+
+# ---------------------------------------------------------------------------
 # Monodromy of a loop of eps around 0
 # ---------------------------------------------------------------------------
 
@@ -373,45 +504,24 @@ def _cycles_of(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 def monodromy(spec: SubgraphSpec, phi: float, rho: float = 1e-4,
               steps: int = 240) -> MonodromyReport:
-    """Track all eigenvalues along eps = rho*e^{i theta}, theta: 0 -> 2pi.
+    """Follow every eigenvalue of U(eps) along eps = rho*e^{i t}, t: 0 -> 2pi.
 
-    sqrt(eps - eps^2) is continued analytically along the loop (branch chosen
-    by continuity, not principal value); eigenvalues are matched step-to-step
-    by minimal |delta lambda| assignment.
+    The secular roots are continued over ``steps`` equal steps (a collision
+    raises NumericsError); the bound eigenvalues, listed last, are fixed points.
     """
-    # imported here: scipy.optimize adds ~0.2 s to import, and only this uses it
-    from scipy.optimize import linear_sum_assignment
-
     if steps < 180:
         raise ValueError("need steps >= 180 for reliable continuation")
-    w = cmath.sqrt(rho - rho * rho)
-    vals = np.linalg.eigvals(collapsed_matrix(spec, rho, phi, trans_sqrt=w))
-    start = vals.copy()
-    jump_limit = 0.5 * math.sqrt(rho)
-    for k in range(1, steps + 1):
-        theta = 2.0 * math.pi * k / steps
-        eps = rho * cmath.exp(1j * theta)
-        w_candidates = cmath.sqrt(eps - eps * eps)
-        w = w_candidates if abs(w_candidates - w) <= abs(-w_candidates - w) else -w_candidates
-        new = np.linalg.eigvals(collapsed_matrix(spec, eps, phi, trans_sqrt=w))
-        cost = np.abs(vals[:, None] - new[None, :])
-        rows, cols = linear_sum_assignment(cost)
-        step_cost = float(cost[rows, cols].max())
-        if step_cost > jump_limit:
-            raise NumericsError(
-                f"monodromy tracking ambiguous at theta={theta:.4f} "
-                f"(matched step {step_cost:.2e} > {jump_limit:.2e}); "
-                f"increase steps or shrink rho")
-        vals = new[cols]
-    # vals[i] is the continuation of start[i]; find which start value it became
-    cost = np.abs(vals[:, None] - start[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    final_cost = float(cost[rows, cols].max())
-    if final_cost > jump_limit:
-        raise NumericsError(f"monodromy loop did not close (residual {final_cost:.2e})")
-    perm = tuple(int(c) for c in cols)
-    return MonodromyReport(rho=rho, start_eigenvalues=start, permutation=perm,
-                           cycles=_cycles_of(perm))
+    sec = secular_function(spec, phi)
+    t = 2.0 * math.pi * np.arange(steps + 1) / steps
+    theta = sec.roots([rho])[0]
+    start, end = sec.z(theta), sec.z(sec.track(rho * np.exp(1j * t), t, [theta])[-1])
+    # end[i] is the continuation of start[i]; find which start value it became
+    cols = np.argmin(np.abs(end[:, None] - start), axis=1)
+    if len(set(cols)) < len(cols):
+        raise NumericsError("monodromy loop did not close: two branches end on one value")
+    perm = tuple(int(c) for c in cols) + tuple(range(len(start), len(start) + len(sec.fixed)))
+    return MonodromyReport(rho=rho, start_eigenvalues=np.concatenate((start, sec.fixed)),
+                           permutation=perm, cycles=_cycles_of(perm))
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +531,7 @@ def monodromy(spec: SubgraphSpec, phi: float, rho: float = 1e-4,
 CASE_CONSTANT = "constant"        # case i: the whole family stays put
 CASE_DRIFT = "single-drift"       # case ii: one branch drifts at O(eps)
 CASE_PAIRED = "paired"            # case iii: lambda0 e^{+-ic sqrt(eps)} pair
+DEFAULT_EPS_GRID = tuple(np.logspace(-6, -2, 9))
 
 
 @dataclass(frozen=True)
@@ -434,79 +545,38 @@ class PairingFit:
     balanced: bool = False          # lambda0^2 + e^{i phi} = 0: no net hub flow
 
 
-def default_eps_grid() -> tuple[float, ...]:
-    return tuple(np.logspace(-6, -2, 9))
-
-
-def _family(spec: SubgraphSpec, phi: float, lambda0: complex,
-            x: float, y: float) -> EigenvalueGroup:
-    """The eigenvalue group of U(0) nearest to ``lambda0``."""
-    U0 = collapsed_matrix(spec, 0.0, phi, x=x, y=y)
-    return _nearest(group_eigenvalues(eigendecompose(U0)), lambda0, "U(0)")
-
-
 def pairing_fit(spec: SubgraphSpec, phi: float, lambda0: complex,
                 eps_grid=None, x: float = math.pi, y: float = 0.0) -> PairingFit:
     """Fit the lambda0 family of U(eps) to one of the three structure cases.
 
-    Case iii fits the phase split between the two moving branches to
-    2c*sqrt(eps) (+ higher orders) and reports the log-log slope of the
-    remainder |lambda+- - lambda0 e^{+-ic sqrt(eps)}|, which is >= 0.9 for a
-    genuine O(eps) remainder.
+    The case is the number of secular roots leaving lambda0: none (bound only,
+    or a balanced hub, whose pole cancels), one, or two (a left and a right pole
+    together).  A pair's phase split on the grid is fit to 2c*sqrt(eps) (+ higher
+    orders); the log-log slope of the remainder |lambda+- - lambda0 e^{+-ic sqrt(eps)}|
+    is >= 0.9 for a genuine O(eps) remainder.
     """
-    grid = tuple(sorted(eps_grid)) if eps_grid is not None else default_eps_grid()
-    g = _family(spec, phi, lambda0, x, y)
-    lam0 = g.lambda0
-    s = g.multiplicity
+    grid = tuple(sorted(eps_grid)) if eps_grid is not None else DEFAULT_EPS_GRID
+    sec = secular_function(spec, phi, x=x, y=y)
+    lam0, moving = sec.family(lambda0)
 
-    R_L0, _, _ = collapsed_coefficients(0.0, x=x, y=y)
-    balanced = abs(lam0 * lam0 + cmath.exp(1j * phi) * R_L0) < 1e-9
+    balanced = abs(lam0 * lam0 + cmath.exp(1j * phi) * sec.hub0[0]) < 1e-9
     if balanced:
         logger.warning("lambda0^2 + e^{i phi} = 0 at lambda0=%s: no net probability "
                        "flow across the hub; pairing is not claimed", lam0)
+        moving = moving[:0]
+    if len(moving) < 2:
+        return PairingFit(lambda0=lam0, case=CASE_DRIFT if len(moving) else CASE_CONSTANT,
+                          c_fit=None, residual_slope=None, epsilon_grid=grid, balanced=balanced)
 
-    fam_dev = []        # per eps: deviations |lambda - lambda0| of the family, sorted desc
-    fam_vals = []
-    for e in grid:
-        vals = np.linalg.eigvals(collapsed_matrix(spec, e, phi, x=x, y=y))
-        idx = np.argsort(np.abs(vals - lam0))[:s]
-        fam = vals[idx]
-        dev = np.abs(fam - lam0)
-        order = np.argsort(-dev)
-        fam_dev.append(dev[order])
-        fam_vals.append(fam[order])
-
-    max_dev = np.array([d[0] for d in fam_dev])
-    if float(max_dev.max()) < 1e-10:
-        return PairingFit(lambda0=lam0, case=CASE_CONSTANT, c_fit=None,
-                          residual_slope=None, epsilon_grid=grid, balanced=balanced)
-
-    slope = float(np.polyfit(np.log(grid), np.log(np.maximum(max_dev, 1e-300)), 1)[0])
-    if slope > 0.75 or balanced or s < 2:
-        return PairingFit(lambda0=lam0, case=CASE_DRIFT, c_fit=None,
-                          residual_slope=None, epsilon_grid=grid, balanced=balanced)
-
-    # case iii: phase split of the two movers against sqrt(eps)
-    splits = []
-    for e, fam in zip(grid, fam_vals):
-        a1 = cmath.phase(fam[0] / lam0)
-        a2 = cmath.phase(fam[1] / lam0)
-        splits.append(abs(a1 - a2))
-    splits = np.array(splits)
+    # case iii: phase split of the two roots against sqrt(eps)
+    minus, plus = np.sort(sec.roots(grid, moving).real, axis=1).T
     root = np.sqrt(np.array(grid))
     design = np.stack([root, root ** 2, root ** 3], axis=1)
-    coef, *_ = np.linalg.lstsq(design, splits, rcond=None)
+    coef, *_ = np.linalg.lstsq(design, plus - minus, rcond=None)
     c_fit = float(coef[0] / 2.0)
-
-    residuals = []
-    for e, fam in zip(grid, fam_vals):
-        if cmath.phase(complex(fam[0]) / lam0) >= 0:
-            plus, minus = complex(fam[0]), complex(fam[1])
-        else:
-            plus, minus = complex(fam[1]), complex(fam[0])
-        r = max(abs(plus - lam0 * cmath.exp(1j * c_fit * math.sqrt(e))),
-                abs(minus - lam0 * cmath.exp(-1j * c_fit * math.sqrt(e))))
-        residuals.append(max(r, 1e-16))
+    # |lambda0 e^{i a} - lambda0 e^{i b}| = 2|sin((a - b)/2)|
+    residuals = 2.0 * np.abs(np.sin(0.5 * np.stack([plus - c_fit * root, minus + c_fit * root])))
+    residuals = np.maximum(residuals.max(axis=0), 1e-16)
     residual_slope = float(np.polyfit(np.log(grid), np.log(residuals), 1)[0])
     return PairingFit(lambda0=lam0, case=CASE_PAIRED, c_fit=c_fit,
                       residual_slope=residual_slope, epsilon_grid=grid,
@@ -517,23 +587,20 @@ def paired_vectors(spec: SubgraphSpec, phi: float, lambda0: complex, eps: float,
                    x: float = math.pi, y: float = 0.0):
     """The two paired eigenvalues/vectors of U(eps) split off lambda0.
 
-    Within the lambda0 family (size = multiplicity at eps=0, which may also
-    contain bound members pinned at lambda0) the pair is the two members with
-    the largest deviation.  Returns (lam_plus, v_plus, lam_minus, v_minus)
-    ordered by the sign of the phase offset from lambda0.
+    The eigenvalues are the two secular roots leaving lambda0, the vectors those
+    of the dense U(eps) nearest to them.  Returns (lam_plus, v_plus, lam_minus,
+    v_minus) ordered by the sign of the phase offset from lambda0.
     """
-    g = _family(spec, phi, lambda0, x, y)
-    if g.multiplicity < 2:
-        raise ValueError(f"lambda0={g.lambda0} is a singleton family: nothing pairs")
+    sec = secular_function(spec, phi, x=x, y=y)
+    lam0, moving = sec.family(lambda0)
+    if len(moving) < 2:
+        raise ValueError(f"lambda0={lam0} is a singleton family: nothing pairs")
+    theta = sec.roots([eps], moving)[0]
+    lams = sec.z(theta, moving)[np.argsort(-theta.real)]
     sys = eigendecompose(collapsed_matrix(spec, eps, phi, x=x, y=y))
-    fam = np.argsort(np.abs(sys.eigenvalues - g.lambda0))[:g.multiplicity]
-    fam = sorted(fam, key=lambda i: -abs(sys.eigenvalues[i] - g.lambda0))[:2]
-    i1, i2 = int(fam[0]), int(fam[1])
-    if cmath.phase(complex(sys.eigenvalues[i1]) / g.lambda0) < \
-            cmath.phase(complex(sys.eigenvalues[i2]) / g.lambda0):
-        i1, i2 = i2, i1
-    return (complex(sys.eigenvalues[i1]), sys.eigenvectors[:, i1],
-            complex(sys.eigenvalues[i2]), sys.eigenvectors[:, i2])
+    i_plus, i_minus = (int(np.argmin(np.abs(sys.eigenvalues - lam))) for lam in lams)
+    return (complex(lams[0]), sys.eigenvectors[:, i_plus],
+            complex(lams[1]), sys.eigenvectors[:, i_minus])
 
 
 # ---------------------------------------------------------------------------

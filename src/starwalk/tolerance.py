@@ -7,7 +7,7 @@ the chosen right eigenvalue lambda0, the pair is detuned by a phase gap delta
 (e^{i delta} = lambda_l * conj(lambda_r)).  This module quantifies the damage:
 
 * the characteristic polynomial's double root drifts off eps=0 to a complex
-  eps0 ~ -(delta/2c)^2, located here by gap minimization plus Newton;
+  eps0 ~ -(delta/2c)^2, a critical point of the secular function found by Newton;
 * the dimensionless tuning parameter t = delta^2/(4 c^2 eps) controls the peak
   success probability: (1/(1+t))*sin^2((pi/2)*sqrt(1+t)) on the naive schedule
   and 1/(1+t) on the compensated schedule;
@@ -16,7 +16,6 @@ the chosen right eigenvalue lambda0, the pair is detuned by a phase gap delta
 """
 from __future__ import annotations
 
-import cmath
 import logging
 import math
 from dataclasses import dataclass
@@ -25,21 +24,22 @@ import numpy as np
 
 from .graph import (
     NumericsError,
+    SpecError,
     StateVector,
     SubgraphSpec,
     build_collapsed,
     check_star,
-    collapsed_matrix,
     evolve,
     hub_coefficients,
 )
 from .spectral import (
+    NEWTON_MAX,
     classify_right,
-    eigendecompose,
     embed_left,
     embed_right,
     left_active,
     matched_phi,
+    secular_function,
 )
 
 logger = logging.getLogger(__name__)
@@ -98,90 +98,30 @@ def predicted_success_compensated(t: float) -> float:
 # Double-root drift
 # ---------------------------------------------------------------------------
 
-HUB_WEIGHT_FLOOR = 0.05     # eigenvectors below this hub-state mass are bound
+def locate_double_root(spec: SubgraphSpec, phi: float, lambda0: complex) -> complex:
+    """Complex eps at which the two branches of the lambda0 family merge.
 
-
-def _closest_pair_sq(vals: np.ndarray) -> tuple[complex, float]:
-    """(difference^2, |difference|) of the closest eigenvalue pair.
-
-    Pairs are (i, j) with i < j; on a tie the first in row-major order wins.
+    The root of D = 1 + 2 eps s(z) in eps is -1/(2 s(z)), so a double root is a
+    critical point s'(z*) = 0, eps0 = -1/(2 s(z*)).  Newton on s' at
+    z = lambda0*e^{i theta} starts at theta = delta/2, between lambda0 and the
+    nearest left pole lambda0*e^{i delta}, which picks the family; delta = 0 gives 0.
     """
-    n = len(vals)
-    diff = vals[:, None] - vals[None, :]
-    # hypot equals the scalar abs() bit for bit; np.abs of a complex array may not
-    dist = np.hypot(diff.real, diff.imag)
-    dist.flat[::n + 1] = np.inf                # no pair of a value with itself
-    # dist is symmetric, so its first row-major minimum lies above the diagonal
-    i, j = divmod(int(np.argmin(dist)), n)
-    return complex(diff[i, j] ** 2), float(dist[i, j])
-
-
-def _hub_coupled_eigenvalues(spec: SubgraphSpec, eps: complex, phi: float) -> np.ndarray:
-    """Eigenvalues whose eigenvectors carry mass on the four hub-adjacent states.
-
-    Bound eigenvectors live entirely inside the attached structure and stay
-    pinned for every eps; they would otherwise always present a fake zero gap
-    against the eps=0 degeneracy they belong to.
-    """
-    vals, vecs = np.linalg.eig(collapsed_matrix(spec, eps, phi))
-    weight = np.sum(np.abs(vecs[:4, :]) ** 2, axis=0) / \
-        np.sum(np.abs(vecs) ** 2, axis=0)
-    keep = weight > HUB_WEIGHT_FLOOR
-    if int(np.sum(keep)) < 2:
-        return vals
-    return vals[keep]
-
-
-def locate_double_root(spec: SubgraphSpec, phi: float,
-                       search_radius: float = 0.1, grid: int = 25) -> complex:
-    """Complex eps where the characteristic polynomial has a double root.
-
-    Only hub-coupled eigenvalue branches are tracked (bound branches are
-    constant in eps and never merge with anything they were not already
-    degenerate with).  Strategy: seed with the minimal gap on a grid over the
-    complex disk, then Newton-iterate on the *squared* difference of the merging
-    pair — an analytic function of eps with a simple zero at eps0 — so the
-    final location is sharp even though the gap itself has a square-root cusp.
-    """
-    def gap(eps: complex) -> float:
-        return _closest_pair_sq(_hub_coupled_eigenvalues(spec, eps, phi))[1]
-
-    def F(eps: complex) -> complex:
-        return _closest_pair_sq(_hub_coupled_eigenvalues(spec, eps, phi))[0]
-
-    xs = np.linspace(-search_radius, search_radius, grid)
-    best_eps, best_gap = 0.0 + 0.0j, gap(0.0 + 0.0j)
-    for re in xs:
-        for im in xs:
-            e = complex(re, im)
-            g = gap(e)
-            if g < best_gap:
-                best_gap, best_eps = g, e
-
-    eps = best_eps
-    if gap(eps) < 1e-12:
-        return complex(eps)
-    h0 = max(abs(eps), search_radius / grid) * 1e-4
-    for _ in range(100):
-        f = F(eps)
-        if abs(f) < 1e-24:
-            break
-        h = max(h0, abs(eps) * 1e-7)
-        df = (F(eps + h) - F(eps - h)) / (2.0 * h)
-        if df == 0:
-            raise NumericsError("double-root Newton stalled (zero derivative)")
-        step = f / df
-        eps = eps - step
-        if abs(step) < 1e-15:
-            break
-    if abs(eps) > search_radius * 1.5:
-        raise NumericsError(
-            f"no double root inside |eps| < {search_radius}: pairing structurally "
-            f"absent at phi={phi}")
-    if gap(eps) > 1e-6:
-        raise NumericsError(f"double-root search did not converge "
-                            f"(gap {gap(eps):.2e} at eps={eps})")
-    return complex(eps)
+    cl = classify_right(spec, lambda0)
+    if cl.c is None:
+        raise ValueError(f"lambda0={lambda0} has no active right eigenvector")
+    sec = secular_function(spec, phi)
+    k = 2 + int(np.argmin(np.abs(sec.poles[2:] - cl.lambda0)))     # the root of lambda0
+    center, delta = sec.centers[k], min(sec.alpha[k, :2], key=abs)
+    if delta == 0.0:
+        return 0j
+    theta = complex(0.5 * delta)
+    for _ in range(NEWTON_MAX):
+        _, ds, d2s = sec.s(theta, center)
+        step = complex(ds / d2s)
+        theta -= step
+        if abs(step) <= 1e-14 * abs(theta):
+            return complex(-0.5 / sec.s(theta, center)[0])
+    raise NumericsError(f"double-root Newton did not converge (step {abs(step):.2e}, phi={phi})")
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +145,11 @@ def tolerance_sweep(spec: SubgraphSpec, N: int, M: int, lambda0: complex,
     r0 = embed_right(cl.active_vector, dim)
     _, branch = matched_phi(lam0)
 
+    deltas = [float(delta) for delta in delta_grid]
+    if not all(math.isfinite(delta) for delta in deltas):
+        raise SpecError(f"detunings must be finite, got {deltas}")
     profiles = []
-    for delta in delta_grid:
-        delta = float(delta)
+    for delta in deltas:
         phi = detuned_phase(lam0, delta)
         extrapolated = abs(delta) >= SMALL_ANGLE_GUARD
         t = tuning_t(delta, c, N, M)
@@ -217,7 +159,7 @@ def tolerance_sweep(spec: SubgraphSpec, N: int, M: int, lambda0: complex,
         l0 = StateVector(embed_left(left_active(phi, branch), dim), U.basis)
         psi_comp = evolve(U, l0, m_comp)             # t >= 0, so m_comp <= m_naive
         psi_naive = evolve(U, psi_comp, m_naive - m_comp)
-        eps0 = locate_double_root(spec, phi) if locate_eps0 else complex("nan")
+        eps0 = locate_double_root(spec, phi, lam0) if locate_eps0 else complex("nan")
         profiles.append(ToleranceProfile(
             N=int(N), M=int(M), delta=delta, t=t, epsilon0=eps0,
             m_naive=m_naive, m_compensated=m_comp,
@@ -234,32 +176,23 @@ def paired_mix_angle(spec: SubgraphSpec, N: int, M: int, lambda0: complex,
                      delta: float) -> float:
     """Measured sin^2(2*omega) from the detuned paired eigenvectors.
 
-    omega is the mixing angle of the near-lambda0 eigenvectors between the left
-    and right active directions; the tuning theory predicts
-    sin^2(2*omega) = 1/(1+t).
+    omega is the mixing angle of the eigenvector v on the root z leaving lambda0
+    between l0 and r0; the tuning theory predicts sin^2(2*omega) = 1/(1+t).
+    v = (U(0) - z)^{-1} (q_1|out> + q_2|0,1>) with q = (T g_R, -(1 + a g_L)), so
+    <l0|v> = q_1/(sqrt(2)(p - z)) (p: the left pole by lambda0) and
+    <r0|v> = conj(<0,1|r0>) q_2/(lambda0 - z), where |<0,1|r0>|^2 = c^2/2.
     """
+    check_star(N, M)
     cl = classify_right(spec, lambda0)
     if cl.c is None:
         raise ValueError("lambda0 has no active right eigenvector")
-    lam0 = cl.lambda0
-    phi = detuned_phase(lam0, delta)
-    _, branch = matched_phi(lam0)
-    dim = spec.dim_collapsed
-    r0 = embed_right(cl.active_vector, dim)
-    l0 = embed_left(left_active(phi, branch), dim)
-    U = build_collapsed(spec, hub_coefficients(N, M=M), phi)
-    sys = eigendecompose(U)
-    center = lam0 * cmath.exp(0.5j * delta)
-    # skip bound eigenvectors that may sit right at lam0 inside the family
-    idx = np.argsort(np.abs(sys.eigenvalues - center))[:2 + cl.n_bound]
-    best = None
-    for i in idx:
-        v = sys.eigenvectors[:, int(i)]
-        a = abs(np.vdot(l0, v)) ** 2
-        b = abs(np.vdot(r0, v)) ** 2
-        if best is None or a + b > best[0] + best[1]:
-            best = (a, b)
-    a, b = best
-    if a + b < 1e-12:
-        raise NumericsError("paired eigenvector has no weight on the active pair")
-    return float(4.0 * a * b / (a + b) ** 2)
+    sec = secular_function(spec, detuned_phase(cl.lambda0, delta))
+    k = 2 + int(np.argmin(np.abs(sec.poles[2:] - cl.lambda0)))     # the root of lambda0
+    p = sec.poles[int(np.argmin(np.abs(sec.alpha[k, :2])))]
+    theta = sec.roots([M / N], [k])[0]
+    (gL,), (gR,) = sec.sides(theta, sec.alpha[[k]])
+    a, _, T2 = sec.changes(M / N)
+    z = complex(sec.z(theta, [k])[0])
+    left = abs(T2 * gR[0] ** 2) / (2.0 * abs(p - z) ** 2)
+    right = abs(1.0 + a * gL[0]) ** 2 * cl.c ** 2 / (2.0 * abs(cl.lambda0 - z) ** 2)
+    return float(4.0 * left * right / (left + right) ** 2)

@@ -137,6 +137,20 @@ class TestTolerance:
         # boundary point (t=1/2) and the 1.5x point (t=9/8)
         assert naive[0] > 0.99 and naive[2] > 0.5 and naive[3] < 0.5
 
+    def test_bolo_double_root_follows_the_drift_law(self, tmp_path):
+        # +1 and -1 both pair on bolo; each row must follow the -1 family
+        assert run(["tolerance", "bolo", "--n", "1000000",
+                    "--out", str(tmp_path / "tol")]) == EXIT_OK
+        payload = json.loads((tmp_path / "tol.json").read_text())
+        c = payload["c"]
+        assert abs(c - math.sqrt(3.0 / 4.0)) < 1e-12
+        for row in payload["profiles"]:
+            law = -(row["delta"] / (2.0 * c)) ** 2
+            if row["delta"] == 0.0:
+                assert row["epsilon0_re"] == 0.0 and row["epsilon0_im"] == 0.0
+            else:
+                assert abs(row["epsilon0_re"] / law - 1.0) < 0.01
+
 
 class TestOracleCheck:
     def test_bolo_passes(self, capsys):
@@ -192,9 +206,12 @@ class TestArgParsing:
         ["oracle-check", "bolo", "--n", "64", "--tol", "nan"],
         ["oracle-check", "bolo", "--n", "64", "--tol", "inf"],
         ["oracle-check", "bolo", "--n", "64", "--tol=-1e-8"],
+        ["search", "bolo", "--n", "100", "--shots", "10", "--seed", "-1"],
+        ["demo", "--seed", "-1"],
     ], ids=lambda argv: " ".join(argv)[:40])
     def test_bad_input_exits_2(self, argv, tmp_path, capsys):
-        assert run(argv + ["--out", str(tmp_path / "x")]) == EXIT_SPEC
+        out = [] if argv[0] == "demo" else ["--out", str(tmp_path / "x")]   # demo writes no file
+        assert run(argv + out) == EXIT_SPEC
         assert "Traceback" not in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
@@ -231,3 +248,11 @@ class TestSpecCompiledOnce:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
         assert proc.stdout.strip() == "False"
+
+    def test_analyze_leaves_scipy_optimize_out(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(starwalk.__file__)))
+        code = ("import sys, starwalk.cli; starwalk.cli.main(['analyze', 'bolo', '--out', "
+                f"{str(tmp_path / 'rep')!r}]); print('scipy.optimize' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
+        assert proc.stdout.strip().splitlines()[-1] == "False"

@@ -1,5 +1,6 @@
 """Graph core: hub coefficients, operator builders, lift/restrict, evolution."""
 import cmath
+import copy
 import json
 import math
 
@@ -136,6 +137,10 @@ class TestBuildCollapsed:
         kw = {"phi": 0.0, "x": math.pi, "y": 0.0, phase: bad}
         with pytest.raises(sw.SpecError, match=f"phase {phase} must be finite"):
             sw.collapsed_matrix(bolo_spec, 1e-3, **kw)
+
+    def test_nan_operator_rejected(self, grover_spec):
+        with pytest.raises(sw.SpecError, match="not unitary"):
+            sw.UnitaryOperator(np.full((4, 4), math.nan), sw.collapsed_basis(grover_spec), 0.0, 0.0)
 
     def test_non_finite_reflector_phase_rejected(self, bolo_spec):
         # a NaN phase would pass the unitarity check (NaN compares false)
@@ -453,6 +458,36 @@ class TestRandomSpecProperties:
 # Spec JSON handling
 # ---------------------------------------------------------------------------
 
+BAD_JSON_VALUES = [10 ** 400, -10 ** 400, math.nan, math.inf, 1e308, "x", "ab", None, True,
+                   7, [], [1.0], [[1, 2]], [[[1, 2]]], {"re": 1, "im": 0}]
+
+
+def _json_paths(node, path=()):
+    """The path (keys and indices) of every node of a JSON tree, root first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+def _mutated(tree, path, kind, value):
+    """A copy of ``tree`` with the node at ``path`` dropped, wrapped in a list or replaced."""
+    if not path:
+        return value
+    tree = copy.deepcopy(tree)
+    parent = tree
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "drop":
+        del parent[path[-1]]
+    elif kind == "wrap":
+        parent[path[-1]] = [parent[path[-1]]]
+    else:
+        parent[path[-1]] = value
+    return tree
+
+
 class TestSpecSerialization:
     def test_roundtrip(self, bolo_spec, tmp_path):
         path = tmp_path / "bolo_copy.json"
@@ -502,13 +537,27 @@ class TestSpecSerialization:
                 (sw.Vertex("1", ("0->1",), ("1->0",), np.array([[math.nan]])),),
                 "1", ())
 
-    @pytest.mark.parametrize("entry", ["a", [1, 0, 0]])
+    @pytest.mark.parametrize("entry", ["a", [1, 0, 0], 10 ** 400])
     def test_malformed_matrix_entry_rejected(self, entry):
         data = {"vertices": [{"id": "1", "ports_in": ["0->1"], "ports_out": ["1->0"],
                               "matrix": [[entry]]}],
                 "attachment": "1", "interior": []}
         with pytest.raises(sw.SpecError, match="malformed"):
             sw.SubgraphSpec.from_dict(data)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_description_loads_or_is_spec_error(self, data):
+        tree = sw.load_spec(data.draw(st.sampled_from(["grover", "bolo"]))).to_dict()
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from(list(_json_paths(tree))))
+            kind = data.draw(st.sampled_from(["drop", "wrap", "replace"]))
+            tree = _mutated(tree, path, kind, data.draw(st.sampled_from(BAD_JSON_VALUES)))
+        try:
+            spec = sw.SubgraphSpec.from_dict(tree)
+        except sw.SpecError:
+            return
+        assert isinstance(spec, sw.SubgraphSpec)
 
     def test_doubly_consumed_state_rejected(self):
         with pytest.raises(sw.SpecError):

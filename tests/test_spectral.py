@@ -12,8 +12,6 @@ from starwalk.spectral import (
     CASE_CONSTANT,
     CASE_DRIFT,
     CASE_PAIRED,
-    embed_left,
-    embed_right,
     spectral_report,
 )
 
@@ -337,35 +335,6 @@ class TestLeftSide:
         assert np.min(np.abs(vals - lam)) < 1e-10
 
 
-class TestCoupling:
-    def test_two_formulas_agree(self, bolo_spec):
-        """c = sqrt(2)|<1,0|r0>| must equal |<l0|U1|r0>| for the standard hub."""
-        dim = bolo_spec.dim_collapsed
-        U1 = sw.u1_matrix(bolo_spec)
-        for cl in sw.right_classifications(bolo_spec):
-            if cl.c is None:
-                continue
-            phi, branch = sw.matched_phi(cl.lambda0)
-            l0 = embed_left(sw.left_active(phi, branch), dim)
-            r0 = embed_right(cl.active_vector, dim)
-            assert abs(sw.coupling_c(l0, r0, U1) - cl.c) < 1e-10
-
-    def test_u1_standard_coefficient(self, grover_spec):
-        U1 = sw.u1_matrix(grover_spec)
-        assert abs(U1[2, 1] - 2.0) < 1e-12
-        assert abs(U1[0, 3] - 2.0) < 1e-12
-        assert np.count_nonzero(U1) == 2
-
-    def test_u1_matches_derivative_of_walk(self, grover_spec, bolo_spec):
-        # U(eps) = U0 + sqrt(eps) U1 + O(eps): check by finite difference in w
-        for spec in (grover_spec, bolo_spec):
-            U0 = sw.collapsed_matrix(spec, 0.0, 0.4)
-            U1 = sw.u1_matrix(spec)
-            w = 1e-6
-            Uw = sw.collapsed_matrix(spec, w * w, 0.4, trans_sqrt=w)
-            assert np.max(np.abs((Uw - U0) / w - U1)) < 1e-5
-
-
 # ---------------------------------------------------------------------------
 # Affine characteristic polynomial
 # ---------------------------------------------------------------------------
@@ -385,10 +354,73 @@ class TestAffineCharPoly:
 
 
 # ---------------------------------------------------------------------------
+# Secular function
+# ---------------------------------------------------------------------------
+
+class TestSecularFunction:
+    @pytest.mark.parametrize("x, y", [(math.pi, 0.0), (2.5, 0.3), (1.0, 2.0)])
+    def test_matches_determinant_ratio(self, grover_spec, bolo_spec, x, y):
+        """D(z, eps) = det(U(eps) - z)/det(U(0) - z), U(0) and U(eps) assembled densely."""
+        rng = np.random.default_rng(12)
+        specs = [grover_spec, bolo_spec] + [random_spec(rng) for _ in range(3)]
+        for spec in specs:
+            phi = float(rng.uniform(0, 2 * math.pi))
+            sec = sw.secular_function(spec, phi, x=x, y=y)
+            zs = np.exp(2j * math.pi * rng.uniform(size=5)) * rng.uniform(0.5, 1.5, 5)
+            I = np.eye(spec.dim_collapsed)
+            U0 = sw.collapsed_matrix(spec, 0.0, phi, x=x, y=y)
+            for eps in (1e-3, 0.3, -0.2 + 0.1j):
+                U = sw.collapsed_matrix(spec, eps, phi, x=x, y=y)
+                for z in zs:
+                    ref = np.linalg.det(U - z * I) / np.linalg.det(U0 - z * I)
+                    assert abs(sec.det_ratio(z, eps) - ref) <= 1e-12 * abs(ref)
+
+    def test_roots_are_the_hub_coupled_eigenvalues(self, bolo_spec):
+        phi, _ = sw.matched_phi(-1.0 + 0j)
+        sec = sw.secular_function(bolo_spec, phi)
+        for eps in (1e-6, 1e-3, 0.3):
+            roots = sec.z(sec.roots([eps])[0])
+            dense = np.linalg.eigvals(sw.collapsed_matrix(bolo_spec, eps, phi))
+            every = np.concatenate((roots, sec.fixed))
+            dist = np.abs(every[:, None] - dense[None, :])
+            assert sorted(np.argmin(dist, axis=1)) == list(range(len(dense)))
+            assert np.max(np.min(dist, axis=1)) < 1e-12
+
+
+def dense_monodromy(spec, phi, rho=1e-4, steps=240):
+    """Reference: dense eigenvalues along eps = rho e^{it}, matched to the nearest."""
+    vals = start = np.linalg.eigvals(sw.collapsed_matrix(spec, rho, phi))
+    for k in range(1, steps + 1):
+        new = np.linalg.eigvals(sw.collapsed_matrix(spec, rho * cmath.exp(2j * math.pi * k / steps),
+                                                    phi))
+        match = np.argmin(np.abs(vals[:, None] - new[None, :]), axis=1)
+        assert len(set(match)) == len(vals)
+        vals = new[match]
+    perm = np.argmin(np.abs(vals[:, None] - start[None, :]), axis=1)
+    assert len(set(perm)) == len(perm)
+    seen, lengths = set(), []
+    for i in range(len(perm)):
+        n = 0
+        while i not in seen:
+            seen.add(i)
+            i, n = int(perm[i]), n + 1
+        lengths += [n] if n else []
+    return sorted(lengths)
+
+
+# ---------------------------------------------------------------------------
 # Monodromy
 # ---------------------------------------------------------------------------
 
 class TestMonodromy:
+    @pytest.mark.parametrize("spec_name, phi", [("grover", 0.0), ("grover", 0.2),
+                                                ("bolo", 0.0), ("bolo", 0.2)])
+    def test_matches_dense_reference(self, spec_name, phi):
+        spec = sw.load_spec(spec_name)
+        rep = sw.monodromy(spec, phi)
+        assert sorted(rep.cycle_lengths) == dense_monodromy(spec, phi)
+        assert sorted(rep.permutation) == list(range(spec.dim_collapsed))
+
     def test_grover_matched(self, grover_spec):
         rep = sw.monodromy(grover_spec, 0.0)
         assert sorted(rep.cycle_lengths) == [2, 2]

@@ -4,11 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import starwalk as sw
-from starwalk.tolerance import SMALL_ANGLE_GUARD, _closest_pair_sq
+from starwalk.tolerance import SMALL_ANGLE_GUARD
 
 
 class TestDetunedPhase:
@@ -54,43 +52,11 @@ class TestTuningParameter:
             sw.predicted_success_compensated(-0.1)
 
 
-def closest_pair_loop(vals):
-    """Reference: every pair i < j in order, the first strictly smaller gap wins."""
-    best, best_abs = None, math.inf
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            d = abs(vals[i] - vals[j])
-            if d < best_abs:
-                best_abs = d
-                best = (vals[i] - vals[j]) ** 2
-    return complex(best), float(best_abs)
-
-
-class TestClosestPair:
-    # values drawn from a small pool, so exact ties and repeats are common
-    pool = st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False,
-                                       allow_infinity=False), min_size=1, max_size=4)
-
-    @given(pool=pool, data=st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_matches_loop_bit_for_bit(self, pool, data):
-        picks = data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=9))
-        vals = np.array(picks, dtype=complex)
-        assert _closest_pair_sq(vals) == closest_pair_loop(vals)
-
-    @given(seed=st.integers(0, 10 ** 6), n=st.integers(2, 12))
-    @settings(max_examples=100, deadline=None)
-    def test_matches_loop_on_unit_circle(self, seed, n):
-        rng = np.random.default_rng(seed)
-        vals = np.exp(1j * rng.uniform(0, 2 * np.pi, n)) * rng.uniform(0.9, 1.1, n)
-        assert _closest_pair_sq(vals) == closest_pair_loop(vals)
-
-
 class TestLocateDoubleRoot:
     def test_matched_phase_root_at_zero(self, grover_spec, bolo_spec):
         for spec, lam in ((grover_spec, -1.0 + 0j), (bolo_spec, -1.0 + 0j)):
             phi, _ = sw.matched_phi(lam)
-            eps0 = sw.locate_double_root(spec, phi)
+            eps0 = sw.locate_double_root(spec, phi, lam)
             assert abs(eps0) < 1e-8
 
     @pytest.mark.parametrize("delta", [0.02, 0.05, 0.1])
@@ -98,7 +64,7 @@ class TestLocateDoubleRoot:
         """For the two-state attachment the drifted double root has the exact
         closed form 1/2 - 1/(2 cos(phi/2))."""
         phi = 2.0 * delta
-        eps0 = sw.locate_double_root(grover_spec, phi)
+        eps0 = sw.locate_double_root(grover_spec, phi, -1.0 + 0j)
         exact = 0.5 - 1.0 / (2.0 * math.cos(0.5 * phi))
         assert abs(eps0 - exact) < 1e-8
 
@@ -107,7 +73,8 @@ class TestLocateDoubleRoot:
         deltas = np.array([0.02, 0.04, 0.06, 0.08, 0.1])
         mags = []
         for d in deltas:
-            eps0 = sw.locate_double_root(grover_spec, sw.detuned_phase(-1.0 + 0j, d))
+            eps0 = sw.locate_double_root(grover_spec, sw.detuned_phase(-1.0 + 0j, d),
+                                         -1.0 + 0j)
             assert abs(eps0.imag) < 1e-8       # drift stays on the real axis here
             assert eps0.real < 0
             mags.append(abs(eps0))
@@ -119,8 +86,40 @@ class TestLocateDoubleRoot:
         delta = 0.05
         c = math.sqrt(3.0 / 4.0)
         phi = sw.detuned_phase(-1.0 + 0j, delta)
-        eps0 = sw.locate_double_root(bolo_spec, phi)
+        eps0 = sw.locate_double_root(bolo_spec, phi, -1.0 + 0j)
         assert abs(eps0 - (-(delta / (2 * c)) ** 2)) < 2e-4
+
+
+    @pytest.mark.parametrize("lam, delta, expected", [(1.0, 1e-2, -5.0e-5),
+                                                      (-1.0, 1e-3, -1.0 / 3.0e6)])
+    def test_bolo_follows_the_requested_family(self, bolo_spec, lam, delta, expected):
+        # +1 (c^2 = 1/2) and -1 (c^2 = 3/4) both pair: each keeps its own law
+        eps0 = sw.locate_double_root(bolo_spec, sw.detuned_phase(lam, delta), lam)
+        assert abs(eps0 / expected - 1.0) < 0.01
+
+    @pytest.mark.parametrize("N", [10 ** 12, 10 ** 20])
+    @pytest.mark.parametrize("lam", [1.0 + 0j, -1.0 + 0j])
+    def test_drift_law_at_huge_n(self, grover_spec, bolo_spec, N, lam):
+        for spec in (grover_spec, bolo_spec):
+            c = sw.classify_right(spec, lam).c
+            delta = c * math.sqrt(2.0 / N)
+            eps0 = sw.locate_double_root(spec, sw.detuned_phase(lam, delta), lam)
+            assert abs(eps0 / -(delta / (2.0 * c)) ** 2 - 1.0) < 1e-6
+
+    def test_no_dense_eigensolver_once_classified(self, bolo_spec, monkeypatch):
+        import scipy.linalg
+        sw.right_classifications(bolo_spec)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense eigensolver called")
+        for module, name in ((np.linalg, "eig"), (np.linalg, "eigvals"), (scipy.linalg, "schur")):
+            monkeypatch.setattr(module, name, forbidden)
+        assert sw.locate_double_root(bolo_spec, sw.detuned_phase(-1.0, 1e-3), -1.0) != 0
+
+    def test_rejects_inactive_lambda(self):
+        from test_spectral import _decoupled_spec
+        with pytest.raises(ValueError, match="no active"):
+            sw.locate_double_root(_decoupled_spec(), 0.0, cmath.exp(0.5j))
 
 
 class TestToleranceSweep:
@@ -174,6 +173,11 @@ class TestToleranceSweep:
         r = sw.tolerance_sweep(grover_spec, 4, 1, 1.0 + 0j, [3.05])[0]
         assert r.m_compensated == 0 and r.m_naive == 3
         assert r.P_measured_comp == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_detuning(self, grover_spec, bad):
+        with pytest.raises(sw.SpecError, match="finite"):
+            sw.tolerance_sweep(grover_spec, 1000, 1, -1.0 + 0j, [0.0, bad])
 
     def test_rejects_inactive_lambda(self):
         # decoupled arm: bound-only eigenvalue cannot drive a sweep
