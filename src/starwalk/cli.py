@@ -12,7 +12,7 @@ tolerance     detuning sweep: t, eps0, naive/compensated success
 oracle-check  full-graph vs collapsed evolution deviation (regression guard)
 demo          narrated end-to-end run on the bundled 'bolo' fixture
 
-Exit codes: 0 ok; 2 spec validation failure; 3 numerical diagnostic;
+Exit codes: 0 ok; 2 bad input or unwritable --out; 3 numerical diagnostic;
 4 oracle-check deviation above threshold.  CSV output is byte-deterministic
 for a fixed config and seed; set STARWALK_LOG=debug|info|... for verbosity.
 """
@@ -70,15 +70,18 @@ def _write_json(path: str, payload) -> None:
 def _emit(args, header, rows, payload) -> None:
     """Write the tabular rows and the full JSON sidecar."""
     out = args.out or f"starwalk_{args.command.replace('-', '_')}"
-    if args.format == "csv":
-        csv_path = out if out.endswith(".csv") else out + ".csv"
-        _write_csv(csv_path, header, rows)
-        _write_json(os.path.splitext(csv_path)[0] + ".json", payload)
-        print(f"{args.command}: wrote {csv_path} ({len(rows)} rows)")
-    else:
-        json_path = out if out.endswith(".json") else out + ".json"
-        _write_json(json_path, payload)
-        print(f"{args.command}: wrote {json_path}")
+    try:
+        if args.format == "csv":
+            csv_path = out if out.endswith(".csv") else out + ".csv"
+            _write_csv(csv_path, header, rows)
+            _write_json(os.path.splitext(csv_path)[0] + ".json", payload)
+            print(f"{args.command}: wrote {csv_path} ({len(rows)} rows)")
+        else:
+            json_path = out if out.endswith(".json") else out + ".json"
+            _write_json(json_path, payload)
+            print(f"{args.command}: wrote {json_path}")
+    except OSError as exc:
+        raise SpecError(f"cannot write --out {out!r}: {exc.strerror or exc}") from None
 
 
 def _parse_lambda(text: str):
@@ -268,35 +271,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum-walk search on star graphs with a marked subgraph")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec=True, n=False):
-        if spec:
-            p.add_argument("spec", help="subgraph JSON file or bundled name "
-                                        "(grover, bolo)")
+    def common(p, n=True, fmt="csv"):
+        """The spec, then --n/--m-copies and, with a default --format, --out."""
+        p.add_argument("spec", help="subgraph JSON file or bundled name (grover, bolo)")
         if n:
             p.add_argument("--n", required=True,
                            help="hub degree N, or a range A..B for sweeps")
-        p.add_argument("--m-copies", type=int, default=1, metavar="INT",
-                       help="number of marked copies M (default 1)")
-        p.add_argument("--out", default=None, help="output path stem")
-        p.add_argument("--format", choices=("json", "csv"), default="csv")
-        p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--m-copies", type=int, default=1, metavar="INT",
+                           help="number of marked copies M (default 1)")
+        if fmt:
+            p.add_argument("--out", default=None, help="output path stem")
+            p.add_argument("--format", choices=("json", "csv"), default=fmt)
 
     p = sub.add_parser("analyze", help="spectral report for a subgraph")
-    common(p)
+    common(p, n=False, fmt="json")
     p.add_argument("--phi", type=float, default=None,
                    help="reflector phase (default: matched per eigenvalue)")
-    p.set_defaults(func=cmd_analyze, format="json")
+    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("search", help="plan and run one search")
-    common(p, n=True)
+    common(p)
     p.add_argument("--lambda", dest="lam", type=_parse_lambda, default="auto",
                    metavar='auto|"re,im"')
     p.add_argument("--shots", type=int, default=0,
                    help="measurement samples to draw (0 = none)")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("sweep", help="scan N and log success rows")
-    common(p, n=True)
+    common(p)
     p.add_argument("--lambda", dest="lam", type=_parse_lambda, default="auto",
                    metavar='auto|"re,im"')
     p.add_argument("--points", type=int, default=10)
@@ -304,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("tolerance", help="detuning sweep")
-    common(p, n=True)
+    common(p)
     p.add_argument("--lambda", dest="lam", type=_parse_lambda, default="auto",
                    metavar='auto|"re,im"')
     p.add_argument("--delta-grid", default="auto",
@@ -315,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="full vs collapsed regression check",
                        description=f"Full vs collapsed regression check on at most "
                        f"{ORACLE_MAX_STATES:,} full-graph states (2N + M*n, 16 B each per array).")
-    common(p, n=True)
+    common(p, fmt=None)
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--tol", type=float, default=ORACLE_TOL)
     p.set_defaults(func=cmd_oracle_check)

@@ -23,7 +23,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from importlib import resources
 
@@ -116,8 +115,13 @@ class SubgraphSpec:
             m = v.matrix
             if m.shape != (len(v.ports_out), len(v.ports_in)) or m.shape[0] != m.shape[1]:
                 raise SpecError(f"vertex {v.id}: matrix shape {m.shape} does not match ports")
+            # unitary entries have modulus <= 1: reject a NaN, infinite or huge
+            # one (by its larger part) before the product below overflows on it
+            if not np.all(np.maximum(abs(m.real), abs(m.imag)) <= 1.0 + VERTEX_UNITARITY_TOL):
+                raise SpecError(f"vertex {v.id}: scattering matrix not unitary "
+                                f"(malformed entry: not finite or modulus above 1)")
             res = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))
-            if not res <= VERTEX_UNITARITY_TOL:     # NaN entries fail here too
+            if not res <= VERTEX_UNITARITY_TOL:
                 raise SpecError(f"vertex {v.id}: scattering matrix not unitary (residual {res:.2e})")
             for lab in v.ports_in:
                 if lab in consumed:
@@ -259,29 +263,32 @@ class HubModel:
     """Reflection/transmission data of the degree-N hub, raw and collapsed.
 
     ``r``/``t`` act per edge; ``R_L``/``R_R``/``T`` act between the collapsed
-    unmarked (Left) and marked (Right) channels.  ``epsilon_exact`` keeps
-    M/N as an exact rational so sweeps do not accumulate drift.
+    unmarked (Left) and marked (Right) channels.
     """
-    n_edges: int
-    copies: int
-    phase_x: float
-    phase_y: float
     r: complex
     t: complex
     R_L: complex
     R_R: complex
     T: complex
-    epsilon_exact: Fraction
-
-    @property
-    def epsilon(self) -> float:
-        return float(self.epsilon_exact)
 
 
-def _is_standard_hub(x: float, y: float) -> bool:
-    """True when (x, y) selects the standard diffusive solution (x=pi, y=0)."""
-    return (abs(math.sin(x - math.pi)) < 1e-15 and abs(math.sin(y)) < 1e-15
-            and math.cos(x) < 0 and math.cos(y) > 0)
+def _hub_form(e, eps, x: float, y: float) -> tuple[complex, ...]:
+    """(r, t, R_L, R_R, T) at per-edge weight e = 1/N and marked fraction eps = M/N.
+
+    With k = 2cos(x-y)e^{iy} and s = sqrt(1 - 4sin^2(x-y)(e - e^2)), r = (1-2e)e^{ix}/s
+    and t = -k e/s; R_R = r + (M-1)t, R_L = r + (N-M-1)t and T = t sqrt(M(N-M)) are
+    written in e and eps (either may be complex).  The standard hub (x, y) = (pi, 0)
+    takes its exact form r = -1+2e, t = 2e, R_L = 1-2eps, R_R = -1+2eps.
+    """
+    e, eps = complex(e), complex(eps)
+    w = cmath.sqrt(eps - eps * eps)
+    if (abs(math.sin(x - math.pi)) < 1e-15 and abs(math.sin(y)) < 1e-15
+            and math.cos(x) < 0 and math.cos(y) > 0):
+        return -1.0 + 2.0 * e, 2.0 * e, 1.0 - 2.0 * eps, -1.0 + 2.0 * eps, 2.0 * w
+    k = 2.0 * math.cos(x - y) * cmath.exp(1j * y)
+    s = cmath.sqrt(1.0 - 4.0 * math.sin(x - y) ** 2 * (e - e * e))
+    a = (1.0 - 2.0 * e) * cmath.exp(1j * x)
+    return a / s, -k * e / s, (a - k * (1.0 - eps - e)) / s, (a - k * (eps - e)) / s, -k * w / s
 
 
 def check_star(N: int, M: int = 1) -> None:
@@ -310,36 +317,18 @@ def hub_coefficients(N: int, M: int = 1, x: float = math.pi, y: float = 0.0) -> 
     check_phases(x=x, y=y)
     if math.cos(x - y) >= 1.0 - 1e-15:
         raise SpecError(f"hub family undefined: cos(x-y) must be < 1 (x={x}, y={y})")
-
-    e = 1.0 / N  # per-edge epsilon entering r, t
-    if _is_standard_hub(x, y):
-        r = complex(-1.0 + 2.0 * e)
-        t = complex(2.0 * e)
-    else:
-        denom = math.sqrt(1.0 - 4.0 * math.sin(x - y) ** 2 * (e - e * e))
-        r = (1.0 - 2.0 * e) * cmath.exp(1j * x) / denom
-        t = -2.0 * math.cos(x - y) * e * cmath.exp(1j * y) / denom
-
-    R_R = r + (M - 1) * t
-    R_L = r + (N - M - 1) * t
-    T = t * math.sqrt(M * (N - M))
-
-    hub = HubModel(
-        n_edges=int(N), copies=int(M), phase_x=float(x), phase_y=float(y),
-        r=r, t=t, R_L=R_L, R_R=R_R, T=T,
-        epsilon_exact=Fraction(int(M), int(N)),
-    )
-    _check_hub_invariants(hub)
+    hub = HubModel(*_hub_form(1.0 / N, M / N, x, y))
+    _check_hub_invariants(hub, N, y)
     return hub
 
 
-def _check_hub_invariants(hub: HubModel, tol: float = 1e-12) -> None:
-    N, r, t = hub.n_edges, hub.r, hub.t
+def _check_hub_invariants(hub: HubModel, N: int, y: float, tol: float = 1e-12) -> None:
+    r, t = hub.r, hub.t
     c1 = abs(abs(r) ** 2 + (N - 1) * abs(t) ** 2 - 1.0)
     c2 = abs(2.0 * (r.conjugate() * t).real + (N - 2) * abs(t) ** 2)
     c3 = abs(abs(hub.R_R) ** 2 + abs(hub.T) ** 2 - 1.0)
     c4 = abs(abs(hub.R_L) ** 2 + abs(hub.T) ** 2 - 1.0)
-    c5 = abs(hub.T ** 2 - hub.R_R * hub.R_L - cmath.exp(2j * hub.phase_y))
+    c5 = abs(hub.T ** 2 - hub.R_R * hub.R_L - cmath.exp(2j * y))
     worst = max(c1, c2, c3, c4, c5)
     if not worst <= tol:
         raise NumericsError(f"hub coefficient invariants violated (worst residual {worst:.2e})")
@@ -407,8 +396,6 @@ class UnitaryOperator:
     """Dense one-step operator bound to an ordered edge basis."""
     matrix: np.ndarray
     basis: EdgeBasis
-    epsilon: float
-    phi: float
 
     def __post_init__(self):
         m = self.matrix
@@ -441,19 +428,14 @@ class StateVector:
 def collapsed_coefficients(eps, x: float = math.pi, y: float = 0.0):
     """(R_L, R_R, T) of the collapsed hub as analytic functions of epsilon.
 
+    The hub's closed form at e = eps: the M = 1 family eps = 1/N, used by
+    ``collapsed_matrix``, ``right_block``, ``secular_function``, ``pairing_fit``,
+    ``paired_vectors`` and ``monodromy``.  For the generalized hub at M > 1 the
+    collapsed coefficients depend on N and M separately (``hub_coefficients``).
     ``eps`` may be complex.  T takes the principal branch of sqrt(eps - eps^2):
     negating T flips the sign of the right side, so the spectrum sees T^2 only.
     """
-    eps = complex(eps)
-    w = cmath.sqrt(eps - eps * eps)
-    if _is_standard_hub(x, y):
-        return 1.0 - 2.0 * eps, -1.0 + 2.0 * eps, 2.0 * w
-    s = cmath.sqrt(1.0 - 4.0 * math.sin(x - y) ** 2 * w * w)
-    ex, ey = cmath.exp(1j * x), cmath.exp(1j * y)
-    R_R = (1.0 - 2.0 * eps) * ex / s
-    R_L = (1.0 - 2.0 * eps) * (ex - 2.0 * math.cos(x - y) * ey) / s
-    T = -2.0 * math.cos(x - y) * w * ey / s
-    return R_L, R_R, T
+    return _hub_form(eps, eps, x, y)[2:]
 
 
 def _assemble_collapsed(spec: SubgraphSpec, R_L, R_R, T, phi: float) -> np.ndarray:
@@ -483,8 +465,7 @@ def build_collapsed(spec: SubgraphSpec, hub: HubModel, phi: float) -> UnitaryOpe
     """Symmetry-collapsed time-step operator for the given spec and hub."""
     check_phases(phi=phi)
     U = _assemble_collapsed(spec, hub.R_L, hub.R_R, hub.T, phi)
-    return UnitaryOperator(matrix=U, basis=collapsed_basis(spec),
-                           epsilon=hub.epsilon, phi=float(phi))
+    return UnitaryOperator(matrix=U, basis=collapsed_basis(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +510,7 @@ class FullWalk:
             raise SpecError(f"full graph would need {D} states (guard {FULL_SIZE_GUARD})")
         dense = self.step(np.eye(D, dtype=complex))
         # wrapping it checks unitarity
-        return UnitaryOperator(dense, self.basis, self.hub.epsilon, self.phi).matrix
+        return UnitaryOperator(dense, self.basis).matrix
 
 
 def build_full(spec: SubgraphSpec, N: int, M: int = 1, phi: float = 0.0,

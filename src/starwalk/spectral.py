@@ -448,7 +448,11 @@ class SecularFunction:
 
 def secular_function(spec: SubgraphSpec, phi: float, x: float = math.pi,
                      y: float = 0.0) -> SecularFunction:
-    """The secular function at reflector phase phi and hub phases (x, y)."""
+    """The secular function at reflector phase phi and hub phases (x, y).
+
+    Its eps is the M = 1 family eps = 1/N of ``collapsed_coefficients``; the
+    generalized hub at M > 1 depends on N and M separately and is not on it.
+    """
     check_phases(phi=phi, x=x, y=y)
     R_L0, R_R0, _ = collapsed_coefficients(0.0, x=x, y=y)
     p = cmath.exp(0.5j * phi) * cmath.sqrt(R_L0)

@@ -144,6 +144,7 @@ def tolerance_sweep(spec: SubgraphSpec, N: int, M: int, lambda0: complex,
     dim = spec.dim_collapsed
     r0 = embed_right(cl.active_vector, dim)
     _, branch = matched_phi(lam0)
+    hub = hub_coefficients(N, M=M)
 
     deltas = [float(delta) for delta in delta_grid]
     if not all(math.isfinite(delta) for delta in deltas):
@@ -155,7 +156,7 @@ def tolerance_sweep(spec: SubgraphSpec, N: int, M: int, lambda0: complex,
         t = tuning_t(delta, c, N, M)
         m_naive = math.floor(math.pi / (2.0 * c * math.sqrt(eps)))
         m_comp = math.floor(math.pi / (2.0 * c * math.sqrt((1.0 + t) * eps)))
-        U = build_collapsed(spec, hub_coefficients(N, M=M), phi)
+        U = build_collapsed(spec, hub, phi)
         l0 = StateVector(embed_left(left_active(phi, branch), dim), U.basis)
         psi_comp = evolve(U, l0, m_comp)             # t >= 0, so m_comp <= m_naive
         psi_naive = evolve(U, psi_comp, m_naive - m_comp)

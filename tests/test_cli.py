@@ -210,10 +210,32 @@ class TestArgParsing:
         ["demo", "--seed", "-1"],
     ], ids=lambda argv: " ".join(argv)[:40])
     def test_bad_input_exits_2(self, argv, tmp_path, capsys):
-        out = [] if argv[0] == "demo" else ["--out", str(tmp_path / "x")]   # demo writes no file
+        writes = argv[0] not in ("demo", "oracle-check")        # these take no --out
+        out = ["--out", str(tmp_path / "x")] if writes else []
         assert run(argv + out) == EXIT_SPEC
         assert "Traceback" not in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "bolo", "--m-copies", "2"],
+        ["analyze", "bolo", "--seed", "1"],
+        ["sweep", "bolo", "--n", "100", "--seed", "1"],
+        ["tolerance", "grover", "--n", "1000", "--seed", "1"],
+        ["oracle-check", "bolo", "--n", "8", "--out", "x"],
+        ["oracle-check", "bolo", "--n", "8", "--format", "json"],
+        ["oracle-check", "bolo", "--n", "8", "--seed", "1"],
+    ], ids=lambda argv: " ".join(argv)[:40])
+    def test_unread_option_rejected(self, argv, capsys):
+        assert run(argv) == EXIT_SPEC
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unwritable_out_exits_2(self, fmt, tmp_path, capsys):
+        out = str(tmp_path / "no" / "such" / "x")
+        assert run(["search", "grover", "--n", "100", "--format", fmt, "--out", out]) == EXIT_SPEC
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert "cannot write --out" in err
 
     def test_precision_envelope_exits_3(self, tmp_path, capsys):
         assert run(["search", "bolo", "--n", str(10 ** 30),

@@ -3,6 +3,7 @@ import cmath
 import copy
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,7 +55,14 @@ class TestHubCoefficients:
         assert hub.R_R == pytest.approx(-1 + 2 * 0.3)
         assert hub.R_L == pytest.approx(1 - 2 * 0.3)
         assert hub.T == pytest.approx(2 * math.sqrt(0.3 - 0.09))
-        assert float(hub.epsilon_exact) == 0.3
+
+    @pytest.mark.parametrize("x,y", [(math.pi, 0.0), (2.0, 0.3), (1.0, 2.0), (0.4, -0.9)])
+    @pytest.mark.parametrize("N", [2, 10, 1000, 10 ** 12])
+    def test_eps_family_is_the_single_copy_hub(self, N, x, y):
+        # collapsed_coefficients(eps) is the hub's closed form at M = 1, eps = 1/N
+        hub = sw.hub_coefficients(N, 1, x, y)
+        got = collapsed_coefficients(1 / N, x, y)
+        assert max(abs(a - b) for a, b in zip(got, (hub.R_L, hub.R_R, hub.T))) <= 1e-15
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(sw.SpecError):
@@ -140,7 +148,7 @@ class TestBuildCollapsed:
 
     def test_nan_operator_rejected(self, grover_spec):
         with pytest.raises(sw.SpecError, match="not unitary"):
-            sw.UnitaryOperator(np.full((4, 4), math.nan), sw.collapsed_basis(grover_spec), 0.0, 0.0)
+            sw.UnitaryOperator(np.full((4, 4), math.nan), sw.collapsed_basis(grover_spec))
 
     def test_non_finite_reflector_phase_rejected(self, bolo_spec):
         # a NaN phase would pass the unitarity check (NaN compares false)
@@ -435,15 +443,20 @@ class TestRandomSpecProperties:
         n = Uf.shape[0]
         assert np.linalg.norm(Uf.conj().T @ Uf - np.eye(n)) < 1e-10
 
-    @pytest.mark.parametrize("N", [4, 8])
-    @pytest.mark.parametrize("M", [1, 2])
-    def test_collapse_correctness(self, N, M):
+    @pytest.mark.parametrize("M,N,x,y", [
+        pytest.param(M, N, math.pi, 0.0, id=f"{M}-{N}") for M in (1, 2) for N in (4, 8)
+    ] + [
+        pytest.param(M, N, x, y, id=f"{M}-{N}-x{x}-y{y}")
+        for M, N in ((3, 8), (2, 12)) for x, y in ((2.0, 0.3), (1.0, 2.0))
+    ])
+    def test_collapse_correctness(self, M, N, x, y):
+        # the generalized hub at M > 1: both pictures take hub_coefficients(N, M, x, y)
         rng = np.random.default_rng(100 * N + M)
         spec = random_spec(rng)
         phi = 0.9
-        hub = sw.hub_coefficients(N, M=M)
+        hub = sw.hub_coefficients(N, M, x, y)
         Uc = sw.build_collapsed(spec, hub, phi)
-        Uf = sw.build_full(spec, N, M=M, phi=phi)
+        Uf = sw.build_full(spec, N, M=M, phi=phi, x=x, y=y)
         sc = random_collapsed_state(rng, spec)
         sf = sw.lift_collapsed_state(sc, N, M)
         for _ in range(200):
@@ -537,13 +550,15 @@ class TestSpecSerialization:
                 (sw.Vertex("1", ("0->1",), ("1->0",), np.array([[math.nan]])),),
                 "1", ())
 
-    @pytest.mark.parametrize("entry", ["a", [1, 0, 0], 10 ** 400])
+    @pytest.mark.parametrize("entry", ["a", [1, 0, 0], 10 ** 400, [1e308, 0], math.inf])
     def test_malformed_matrix_entry_rejected(self, entry):
         data = {"vertices": [{"id": "1", "ports_in": ["0->1"], "ports_out": ["1->0"],
                               "matrix": [[entry]]}],
                 "attachment": "1", "interior": []}
-        with pytest.raises(sw.SpecError, match="malformed"):
-            sw.SubgraphSpec.from_dict(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # rejected before any overflow
+            with pytest.raises(sw.SpecError, match="malformed"):
+                sw.SubgraphSpec.from_dict(data)
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
