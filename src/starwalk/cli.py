@@ -265,8 +265,14 @@ def cmd_demo(args) -> int:
 # Parser / entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error: one line on stderr and exit 2, without the usage dump."""
+        self.exit(EXIT_SPEC, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="starwalk",
         description="Quantum-walk search on star graphs with a marked subgraph")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -2,7 +2,8 @@
 Spectral analysis of the collapsed walk operator.
 =================================================
 
-* eigendecomposition from one complex Schur form, with a fixed phase gauge;
+* eigendecomposition of a unitary from the Hermitian eigenbasis of its Cayley
+  transform, with a fixed phase gauge;
 * clustering of unit-circle eigenvalues into lambda0 families;
 * classification of right-block eigenspaces into bound (hub-blind) and active
   (hub-contacting) parts with the coupling constant c, computed once per
@@ -20,7 +21,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .graph import (
     NumericsError,
@@ -65,15 +65,29 @@ def _gauge(vecs: np.ndarray) -> np.ndarray:
 
 
 def eigendecompose(U, residual_tol: float = RESIDUAL_TOL) -> EigenSystem:
-    """Eigenvalues and an orthonormal eigenbasis from one complex Schur form.
+    """Eigenvalues and an orthonormal eigenbasis of a unitary matrix.
 
-    For a normal (here: unitary) matrix the triangular factor is diagonal, so
-    the Schur vectors are an orthonormal eigenbasis, degenerate clusters
-    included.  A residual above ``residual_tol`` means the input is not normal.
+    The input must be unitary.  It is turned by e^{-i beta} so that the centre
+    of its largest gap between eigenvalue angles sits at -1; the Cayley
+    transform H = i (I + B)^{-1} (I - B) of B = e^{-i beta} U is then Hermitian
+    with the eigenvectors of U, and ``eigh`` gives an orthonormal eigenbasis,
+    degenerate clusters included.  The eigenvalues are the Rayleigh quotients
+    of U in that basis.  Non-square, empty or non-finite input raises SpecError;
+    a residual above ``residual_tol`` means the input is not unitary.
     """
     A = np.asarray(getattr(U, "matrix", U), dtype=complex)   # an operator or a bare matrix
-    T, Z = scipy.linalg.schur(A, output="complex")
-    vals = np.diag(T).copy()
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise SpecError(f"eigendecompose needs a non-empty square matrix, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise SpecError("eigendecompose got a matrix with NaN or infinite entries")
+    angles = np.sort(np.angle(np.linalg.eigvals(A)))
+    gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
+    k = int(np.argmax(gaps))
+    B = A * np.exp(-1j * (angles[k] + 0.5 * gaps[k] - np.pi))
+    eye = np.eye(len(A))
+    H = 1j * np.linalg.solve(eye + B, eye - B)
+    _, Z = np.linalg.eigh(0.5 * (H + H.conj().T))
+    vals = np.einsum("ij,ij->j", Z.conj(), A @ Z)
     res = _max_residual(A, vals, Z)
     if res > residual_tol:
         cond = np.linalg.cond(A)
@@ -111,7 +125,8 @@ def group_eigenvalues(sys: EigenSystem, tol: float = CLUSTER_TOL) -> list[Eigenv
     """Cluster eigenvalues into lambda0 families by single-linkage on the circle.
 
     Two clusters whose representatives end up closer than 2*tol are reported as
-    ambiguous rather than silently merged.
+    ambiguous rather than silently merged.  A representative's round-off-level
+    parts are set to +0, so +-1 carry no sign of the eigensolver's rounding.
     """
     vals = sys.eigenvalues
     n = len(vals)
@@ -131,7 +146,7 @@ def group_eigenvalues(sys: EigenSystem, tol: float = CLUSTER_TOL) -> list[Eigenv
     for members in clusters:
         mean = np.mean(vals[members])
         rep = complex(mean / abs(mean)) if abs(mean) > 0 else complex(vals[members[0]])
-        groups.append(EigenvalueGroup(lambda0=rep, multiplicity=len(members),
+        groups.append(EigenvalueGroup(lambda0=_snap(rep), multiplicity=len(members),
                                       members=tuple(sorted(members))))
     for a in range(len(groups)):
         for b in range(a + 1, len(groups)):
@@ -140,8 +155,7 @@ def group_eigenvalues(sys: EigenSystem, tol: float = CLUSTER_TOL) -> list[Eigenv
                 raise NumericsError(
                     f"ambiguous eigenvalue clustering: groups at {groups[a].lambda0:.9f} "
                     f"and {groups[b].lambda0:.9f} are {gap:.2e} apart (< 2*tol)")
-    # -1 sorts last whatever the sign of its round-off imaginary part
-    return sorted(groups, key=lambda g: round(float(np.angle(_snap(g.lambda0))), 12))
+    return sorted(groups, key=lambda g: round(float(np.angle(g.lambda0)), 12))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +203,7 @@ def _classify_group(sys: EigenSystem, g: EigenvalueGroup) -> RightClassification
     values against ``RANK_TOL``.  A contact rank above 1 would contradict the
     one-active-vector-per-side structure and raises a diagnostic.
     """
-    basis = sys.eigenvectors[:, list(g.members)]   # orthonormal (Schur vectors)
+    basis = sys.eigenvectors[:, list(g.members)]   # orthonormal columns
     contact = basis[:2, :]                      # amplitudes on |0,1>, |1,0>
     _, svals, vh = np.linalg.svd(contact)
     rank = int(np.sum(svals > RANK_TOL))
@@ -388,7 +402,7 @@ class SecularFunction:
     def family(self, lambda0: complex) -> tuple[complex, np.ndarray]:
         """(lam0, roots): the eigenvalue of U(0) nearest lambda0 and the roots leaving it."""
         eigs = np.concatenate((self.poles, self.fixed))
-        lam0 = complex(eigs[_nearest(eigs, lambda0, "U(0)")])
+        lam0 = _snap(eigs[_nearest(eigs, lambda0, "U(0)")])
         return lam0, np.flatnonzero(np.abs(self.centers - lam0) <= CLUSTER_TOL)
 
     def _seeds(self, eps, roots) -> np.ndarray:
@@ -458,7 +472,7 @@ def secular_function(spec: SubgraphSpec, phi: float, x: float = math.pi,
     p = cmath.exp(0.5j * phi) * cmath.sqrt(R_L0)
     classes = right_classifications(spec, x=x)
     active = [cl for cl in classes if cl.c is not None]
-    right = np.array([_snap(cl.lambda0) for cl in active], dtype=complex)   # +-1 exact
+    right = np.array([cl.lambda0 for cl in active], dtype=complex)
     poles = np.concatenate(([p, -p], right / np.abs(right)))
     residues = np.zeros((len(poles), 2), dtype=complex)
     residues[:2, 0] = 0.5 / R_L0
@@ -670,7 +684,7 @@ def spectral_report(spec: SubgraphSpec, phi: float | None = None,
             for cl in classifications
         ],
         "c_table": {  # keyed by "re,im" of lambda0
-            "{0.real:.12g},{0.imag:.12g}".format(_snap(cl.lambda0)): cl.c
+            "{0.real:.12g},{0.imag:.12g}".format(cl.lambda0): cl.c
             for cl in classifications if cl.c is not None
         },
         "pairing_fits": [

@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import starwalk
 from starwalk.cli import (EXIT_NUMERICS, EXIT_OK, EXIT_ORACLE, EXIT_SPEC,
@@ -181,6 +183,25 @@ class TestDemo:
         assert "Best target" in out
         assert "p_marked = 0.75" in out or "p_marked = 0.74" in out
 
+    def test_plus_minus_one_have_exact_zero_imaginary_part(self, tmp_path, capsys):
+        # bolo's +-1 families print and write a zero imaginary part of sign +
+        assert run(["demo"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "lambda0 = +1.000000+0.000000j" in out and "lambda0 = -1.000000+0.000000j" in out
+        assert "-0.000000" not in out and "-0.000j" not in out
+        for lam in ("1,0", "-1,0"):
+            stem = tmp_path / f"s{lam}"
+            assert run(["search", "bolo", "--n", "1000", f"--lambda={lam}", "--out", str(stem)]) == EXIT_OK
+            row = (tmp_path / f"s{lam}.csv").read_text().splitlines()[1].split(",")
+            assert row[2:4] == [lam.split(",")[0], "0"]
+        assert run(["analyze", "bolo", "--out", str(tmp_path / "rep")]) == EXIT_OK
+        assert "best lambda0 = -1.000000+0.000000i" in capsys.readouterr().out
+        rep = json.loads((tmp_path / "rep.json").read_text())
+        for entry in rep["classifications"] + rep["pairing_fits"]:
+            re, im = entry["lambda0"]
+            if abs(abs(re) - 1.0) < 1e-9:
+                assert math.copysign(1.0, im) == 1.0 and im == 0.0
+
 
 class TestArgParsing:
     def test_bad_lambda_exits_2(self, tmp_path):
@@ -253,6 +274,59 @@ class TestArgParsing:
         assert run(["analyze", "grover", "--out", str(tmp_path / "x")]) == EXIT_NUMERICS
 
 
+# One cheap, valid invocation per subcommand; the fuzzer mutates its argv.
+FUZZ_BASE = {
+    "analyze": ["analyze", "grover", "--phi", "0.5"],
+    "search": ["search", "grover", "--n", "100", "--m-copies", "1", "--lambda", "1,0",
+               "--shots", "10", "--seed", "1"],
+    "sweep": ["sweep", "grover", "--n", "100..1000", "--points", "3", "--lambda", "auto"],
+    "tolerance": ["tolerance", "grover", "--n", "100", "--delta-grid", "0,0.01"],
+    "oracle-check": ["oracle-check", "grover", "--n", "16", "--steps", "5", "--tol", "1e-8"],
+    "demo": ["demo", "--seed", "1"],
+}
+BAD_VALUES = ["abc", "", "nan", "NaN", "inf", "-inf", "-1", "-2.5", "1e400", "nan,0",
+              "1,inf", "..", "3..nan", "-5..100"]
+
+
+@st.composite
+def mutated_argv(draw, command):
+    """The base argv of ``command`` with one to three of: an unknown flag, a value
+    replaced by a bad one, a token dropped (missing operand)."""
+    argv = list(FUZZ_BASE[command])
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["flag", "value", "drop"]))
+        if kind == "flag":
+            flag = draw(st.sampled_from(["--bogus", "--bogus=1", "-z", "--n-copies"]))
+            argv.insert(draw(st.integers(1, len(argv))), flag)
+        elif kind == "value" and len(argv) > 1:
+            argv[draw(st.integers(1, len(argv) - 1))] = draw(st.sampled_from(BAD_VALUES))
+        elif len(argv) > 1:
+            del argv[draw(st.integers(1, len(argv) - 1))]
+    return argv
+
+
+class TestArgvFuzz:
+    @pytest.mark.parametrize("command", sorted(FUZZ_BASE))
+    def test_base_argv_is_valid(self, command, tmp_path):
+        writes = command not in ("demo", "oracle-check")
+        assert run(FUZZ_BASE[command] + (["--out", str(tmp_path / "x")] if writes else [])) == EXIT_OK
+
+    @pytest.mark.parametrize("command", sorted(FUZZ_BASE))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bad_argv_exits_2_with_one_line(self, command, data, tmp_path, capsys):
+        argv = data.draw(mutated_argv(command), label="argv")
+        writes = command not in ("demo", "oracle-check")
+        capsys.readouterr()
+        code = run(argv + (["--out", str(tmp_path / "x")] if writes else []))
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert code in (EXIT_OK, EXIT_SPEC, EXIT_NUMERICS, EXIT_ORACLE)
+        if code == EXIT_SPEC:
+            assert len(err.strip().splitlines()) == 1, err
+
+
 class TestSpecCompiledOnce:
     @pytest.mark.parametrize("argv", [
         ["sweep", "bolo", "--n", "100..1000000000000", "--log", "--points", "11"],
@@ -264,17 +338,32 @@ class TestSpecCompiledOnce:
         assert run(argv + out) == EXIT_OK
         assert len(decompositions) == 1
 
-    def test_import_leaves_scipy_optimize_out(self):
+    @staticmethod
+    def _scipy_loaded_after(argvs) -> list[str]:
+        """Whether scipy is in sys.modules of a fresh interpreter after
+        ``import starwalk.cli`` and after each argv run through ``main``."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(starwalk.__file__)))
-        code = "import sys, starwalk.cli; print('scipy.optimize' in sys.modules)"
+        code = ("import sys, starwalk.cli\n"
+                "print('SCIPY', 'scipy' in sys.modules)\n"
+                f"for argv in {argvs!r}:\n"
+                "    assert starwalk.cli.main(argv) == 0, argv\n"
+                "    print('SCIPY', 'scipy' in sys.modules)\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
-        assert proc.stdout.strip() == "False"
+                              env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True)
+        return [line.split()[1] for line in proc.stdout.splitlines() if line.startswith("SCIPY")]
+
+    def test_import_leaves_scipy_optimize_out(self):
+        assert self._scipy_loaded_after([]) == ["False"]
 
     def test_analyze_leaves_scipy_optimize_out(self, tmp_path):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(starwalk.__file__)))
-        code = ("import sys, starwalk.cli; starwalk.cli.main(['analyze', 'bolo', '--out', "
-                f"{str(tmp_path / 'rep')!r}]); print('scipy.optimize' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
-        assert proc.stdout.strip().splitlines()[-1] == "False"
+        assert self._scipy_loaded_after(
+            [["analyze", "bolo", "--out", str(tmp_path / "rep")]]) == ["False"] * 2
+
+    def test_every_subcommand_leaves_scipy_out(self, tmp_path):
+        out = ["--out", str(tmp_path / "x")]
+        argvs = [["search", "bolo", "--n", "1000", "--shots", "100"] + out,
+                 ["sweep", "grover", "--n", "100..1000000", "--log", "--points", "3"] + out,
+                 ["tolerance", "grover", "--n", "10000"] + out,
+                 ["oracle-check", "bolo", "--n", "64", "--steps", "20"],
+                 ["demo"]]
+        assert self._scipy_loaded_after(argvs) == ["False"] * 6

@@ -1,0 +1,46 @@
+import ast
+import os
+import re
+import sys
+
+import pytest
+
+import starwalk
+
+tomllib = pytest.importorskip("tomllib")
+
+PACKAGE = os.path.dirname(os.path.abspath(starwalk.__file__))
+ROOT = os.path.dirname(os.path.dirname(PACKAGE))
+
+
+def _third_party_imports() -> dict[str, set[str]]:
+    """Top-level third-party modules imported anywhere in the package -> files."""
+    found: dict[str, set[str]] = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE, name)) as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                top = module.split(".")[0]
+                if top not in sys.stdlib_module_names and top != "starwalk":
+                    found.setdefault(top, set()).add(name)
+    return found
+
+
+def test_runtime_imports_are_the_declared_dependencies():
+    # every third-party import of the package is a runtime dependency, and
+    # every runtime dependency is imported: test-only packages stay in extras
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower().replace("-", "_")
+                for d in deps}
+    imported = _third_party_imports()
+    assert set(imported) == declared, imported

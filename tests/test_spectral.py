@@ -66,12 +66,87 @@ class TestEigendecompose:
         U = Q @ np.diag([1, 1, 1, 1, -1]).astype(complex) @ Q.conj().T
         sys = sw.eigendecompose(U)
         G = sys.eigenvectors.conj().T @ sys.eigenvectors
-        assert np.max(np.abs(G - np.eye(5))) < 1e-9
+        assert np.max(np.abs(G - np.eye(5))) < 1e-12
 
     def test_non_normal_input_raises(self):
-        # a Jordan block has no eigenbasis: the Schur vectors fail the residual
+        # a Jordan block has no eigenbasis: any orthonormal basis fails the residual
         with pytest.raises(sw.NumericsError, match="residual"):
             sw.eigendecompose(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
+
+    @pytest.mark.parametrize("A", [
+        np.ones((2, 3), dtype=complex),
+        np.zeros((0, 0), dtype=complex),
+        np.ones(4, dtype=complex),
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        np.array([[1.0, 0.0], [0.0, np.inf]]),
+        np.array([[1.0, 0.0], [0.0, complex(0.0, -np.inf)]]),
+    ], ids=["non-square", "empty", "one-dimensional", "nan", "inf", "imag-inf"])
+    def test_malformed_input_is_spec_error(self, A):
+        with pytest.raises(sw.SpecError) as info:
+            sw.eigendecompose(A)
+        assert len(str(info.value).splitlines()) == 1
+
+    @staticmethod
+    def _check_basis(U, sys, tol=1e-12):
+        n = len(U)
+        Z = sys.eigenvectors
+        assert np.max(np.abs(Z.conj().T @ Z - np.eye(n))) < tol
+        assert np.max(np.linalg.norm(U @ Z - Z * sys.eigenvalues, axis=0)) < tol
+
+    def test_evenly_spread_spectrum(self):
+        # n = 400 equally spaced eigenvalues: the largest gap is the smallest
+        # possible one, 2pi/n, so I + B is as close to singular as it gets
+        n = 400
+        lams = np.exp(2j * np.pi * (np.arange(n) + 0.3) / n)
+        Q = haar_unitary(RNG, n)
+        U = (Q * lams) @ Q.conj().T
+        sys = sw.eigendecompose(U)
+        self._check_basis(U, sys)
+        assert np.max(np.min(np.abs(sys.eigenvalues[:, None] - lams), axis=1)) < 1e-12
+        assert len(sw.group_eigenvalues(sys)) == n
+
+    def test_clusters_at_plus_minus_one_with_close_neighbours(self):
+        # degenerate clusters at +-1 with simple eigenvalues 1e-6 away from each
+        near = cmath.exp(1e-6j)
+        spectrum = {1.0: 4, -1.0: 3, near: 1, -near: 1, 1j: 2}
+        lams = np.array([lam for lam, k in spectrum.items() for _ in range(k)], dtype=complex)
+        Q = haar_unitary(RNG, len(lams))
+        U = (Q * lams) @ Q.conj().T
+        sys = sw.eigendecompose(U)
+        self._check_basis(U, sys)
+        groups = sw.group_eigenvalues(sys)
+        assert len(groups) == len(spectrum)
+        for g in groups:
+            lam = min(spectrum, key=lambda z: abs(z - g.lambda0))
+            assert g.multiplicity == spectrum[lam]
+            assert abs(g.lambda0 - lam) < 1e-12
+            V = sys.eigenvectors[:, list(g.members)]
+            Q_g = Q[:, np.abs(lams - lam) < 1e-12]
+            assert np.max(np.abs(V @ V.conj().T - Q_g @ Q_g.conj().T)) < 1e-9
+
+    @pytest.mark.parametrize("kind", ["haar", "degenerate"])
+    def test_matches_schur(self, kind):
+        # the complex Schur form of a unitary is diagonal: its diagonal and the
+        # spans of its vectors per eigenvalue group are the reference
+        import scipy.linalg
+        n = 40
+        Q = haar_unitary(RNG, n)
+        if kind == "haar":
+            U = Q
+        else:
+            lams = RNG.choice([1.0, -1.0, 1j, cmath.exp(0.3j)], size=n)
+            U = (Q * lams) @ Q.conj().T
+        sys = sw.eigendecompose(U)
+        T, Z = scipy.linalg.schur(U, output="complex")
+        ref = sw.EigenSystem(eigenvalues=np.diag(T).copy(), eigenvectors=Z)
+        assert np.max(np.min(np.abs(sys.eigenvalues[:, None] - ref.eigenvalues), axis=1)) < 1e-12
+        groups, ref_groups = sw.group_eigenvalues(sys), sw.group_eigenvalues(ref)
+        assert [g.multiplicity for g in groups] == [g.multiplicity for g in ref_groups]
+        for g, r in zip(groups, ref_groups):
+            assert abs(g.lambda0 - r.lambda0) < 1e-12
+            V = sys.eigenvectors[:, list(g.members)]
+            W = Z[:, list(r.members)]
+            assert np.max(np.abs(V @ V.conj().T - W @ W.conj().T)) < 1e-10
 
     def test_accepts_operator_wrapper(self, bolo_spec):
         U = sw.build_collapsed(bolo_spec, sw.hub_coefficients(100), 0.0)
@@ -112,6 +187,18 @@ class TestGroupEigenvalues:
         sys = sw.EigenSystem(eigenvalues=vals, eigenvectors=np.eye(2, dtype=complex))
         with pytest.raises(sw.NumericsError, match="ambiguous"):
             sw.group_eigenvalues(sys)
+
+    def test_round_off_of_plus_minus_one_is_snapped(self, bolo_spec):
+        # +-1 with round-off parts of either sign: lambda0 has exact +0.0 parts
+        vals = np.array([complex(1.0, -3e-17), complex(1.0 - 1e-16, 2e-17),
+                         complex(-1.0, -5e-17), complex(-1.0, 4e-17), 1j * (1 + 1e-16)])
+        sys = sw.EigenSystem(eigenvalues=vals, eigenvectors=np.eye(5, dtype=complex))
+        groups = sw.group_eigenvalues(sys)
+        assert [g.lambda0 for g in groups] == [1.0, 1j, -1.0]
+        assert all(math.copysign(1.0, g.lambda0.imag) == 1.0 for g in groups)
+        for cl in sw.right_classifications(bolo_spec):
+            if abs(abs(cl.lambda0.real) - 1.0) < 1e-9:
+                assert cl.lambda0.imag == 0.0 and math.copysign(1.0, cl.lambda0.imag) == 1.0
 
 
 # ---------------------------------------------------------------------------

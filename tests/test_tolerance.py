@@ -112,7 +112,8 @@ class TestLocateDoubleRoot:
 
         def forbidden(*args, **kwargs):
             raise AssertionError("dense eigensolver called")
-        for module, name in ((np.linalg, "eig"), (np.linalg, "eigvals"), (scipy.linalg, "schur")):
+        for module, name in ((np.linalg, "eig"), (np.linalg, "eigvals"), (np.linalg, "eigh"),
+                             (scipy.linalg, "schur")):
             monkeypatch.setattr(module, name, forbidden)
         assert sw.locate_double_root(bolo_spec, sw.detuned_phase(-1.0, 1e-3), -1.0) != 0
 
