@@ -12,9 +12,10 @@ tolerance     detuning sweep: t, eps0, naive/compensated success
 oracle-check  full-graph vs collapsed evolution deviation (regression guard)
 demo          narrated end-to-end run on the bundled 'bolo' fixture
 
-Exit codes: 0 ok; 2 bad input or unwritable --out; 3 numerical diagnostic;
-4 oracle-check deviation above threshold.  CSV output is byte-deterministic
-for a fixed config and seed; set STARWALK_LOG=debug|info|... for verbosity.
+Exit codes: 0 ok; 1 standard output closed by its reader; 2 bad input or
+unwritable --out; 3 numerical diagnostic; 4 oracle-check deviation above
+threshold.  CSV output is byte-deterministic for a fixed config and seed; set
+STARWALK_LOG=debug|info|... for verbosity.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -33,6 +35,7 @@ from .graph import NumericsError, SpecError
 logger = logging.getLogger("starwalk")
 
 EXIT_OK = 0
+EXIT_PIPE = 1          # what Python's own recipe returns for a closed stdout
 EXIT_SPEC = 2
 EXIT_NUMERICS = 3
 EXIT_ORACLE = 4
@@ -75,13 +78,13 @@ def _emit(args, header, rows, payload) -> None:
             csv_path = out if out.endswith(".csv") else out + ".csv"
             _write_csv(csv_path, header, rows)
             _write_json(os.path.splitext(csv_path)[0] + ".json", payload)
-            print(f"{args.command}: wrote {csv_path} ({len(rows)} rows)")
+            wrote = f"{csv_path} ({len(rows)} rows)"
         else:
-            json_path = out if out.endswith(".json") else out + ".json"
-            _write_json(json_path, payload)
-            print(f"{args.command}: wrote {json_path}")
+            wrote = out if out.endswith(".json") else out + ".json"
+            _write_json(wrote, payload)
     except OSError as exc:
         raise SpecError(f"cannot write --out {out!r}: {exc.strerror or exc}") from None
+    print(f"{args.command}: wrote {wrote}")
 
 
 def _parse_lambda(text: str):
@@ -266,6 +269,13 @@ def cmd_demo(args) -> int:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a token that starts with "-" as an option unless it is
+        # a plain negative number; no option here starts "-<digit>", so widen
+        # that rule and "--lambda -1,0" parses like "--lambda=-1,0"
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         """A usage error: one line on stderr and exit 2, without the usage dump."""
         self.exit(EXIT_SPEC, f"{self.prog}: error: {message}\n")
@@ -343,13 +353,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()          # a closed stdout raises here, not at exit
+        return code
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     except NumericsError as exc:
         print(f"numerical diagnostic: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
+    except BrokenPipeError:
+        # the reader went away (``starwalk demo | head -1``); point stdout at
+        # devnull so that the interpreter's final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

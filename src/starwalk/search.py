@@ -6,11 +6,16 @@ Pick an active right eigenvalue lambda0 (by maximal coupling c when "auto"),
 dial the unmarked-edge reflection phase so a left eigenvalue sits exactly at
 lambda0, prepare the accessible uniform superposition, iterate the walk for
 m = floor(pi*sqrt(N/M)/(2c)) steps, and read out the mass on the marked edge.
+
+The search target, everything of a plan that does not depend on N or M
+(lambda0, c, phi, branch, the active vector r0 and the predicted success), is
+computed once per loaded spec and eigenvalue group and served from a memo.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +30,7 @@ from .graph import (
     hub_coefficients,
 )
 from .spectral import (
+    RightClassification,
     best_target,
     classify_right,
     embed_right,
@@ -71,35 +77,80 @@ def initial_state(spec: SubgraphSpec, N: int, M: int, branch: int, phi: float) -
     wL = math.sqrt((N - M) / N)
     wR = math.sqrt(M / N)
     amp = np.zeros(spec.dim_collapsed, dtype=complex)
-    amp[0] = beta * wL
-    amp[1] = alpha * wL
-    amp[2] = beta * wR
-    amp[3] = alpha * wR
+    amp[:4] = beta * wL, alpha * wL, beta * wR, alpha * wR
     return StateVector(amplitudes=amp, basis=collapsed_basis(spec))
+
+
+@dataclass(frozen=True, eq=False)
+class _Target:
+    """The N-independent part of a plan: one active eigenvalue group's data."""
+    lambda0: complex
+    c: float
+    phi: float
+    branch: int
+    r0: np.ndarray              # read-only
+    predicted_success: float
+
+
+@dataclass(eq=False)
+class _SpecTargets:
+    groups: dict[complex, _Target] = field(default_factory=dict)   # by group lambda0
+    best: _Target | None = None     # the "auto" choice, once made
+
+
+# Search targets per loaded spec, kept like the classification memo in
+# spectral: weakly keyed on the spec object, so an entry goes away with its
+# spec.  A failed lookup (SpecError, NumericsError) caches nothing.
+_TARGETS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _group_target(memo: _SpecTargets, chosen: RightClassification, dim: int) -> _Target:
+    target = memo.groups.get(chosen.lambda0)
+    if target is None:
+        if chosen.c is None:
+            raise SpecError(
+                f"lambda0={chosen.lambda0} has no active right eigenvector "
+                f"(constant-family case); it cannot drive a search")
+        phi, branch = matched_phi(chosen.lambda0)
+        r0 = embed_right(chosen.active_vector, dim)
+        r0.flags.writeable = False
+        target = _Target(lambda0=chosen.lambda0, c=chosen.c, phi=phi, branch=branch, r0=r0,
+                         predicted_success=float(abs(r0[2]) ** 2 + abs(r0[3]) ** 2))
+        memo.groups[chosen.lambda0] = target
+    return target
+
+
+def _search_target(spec: SubgraphSpec, lambda0) -> _Target:
+    """The target of ``lambda0`` ("auto" or a group's eigenvalue), computed once.
+
+    Either form resolves to an eigenvalue group first, so the memo holds at most
+    one target per group; "auto" runs best_target's checks on its first call.
+    """
+    memo = _TARGETS.get(spec)
+    if memo is None:
+        memo = _SpecTargets()
+    if isinstance(lambda0, str) and lambda0 == "auto":
+        if memo.best is None:
+            classifications = right_classifications(spec)
+            lam, _, _ = best_target(classifications)
+            chosen = next(cl for cl in classifications if cl.lambda0 == lam)
+            memo.best = _group_target(memo, chosen, spec.dim_collapsed)
+        target = memo.best
+    else:
+        target = _group_target(memo, classify_right(spec, complex(lambda0)), spec.dim_collapsed)
+    _TARGETS.setdefault(spec, memo)     # a new spec's memo is kept once it holds a target
+    return target
 
 
 def plan_search(spec: SubgraphSpec, N: int, M: int = 1, lambda0="auto") -> SearchPlan:
     """Build a SearchPlan for the given star size, choosing lambda0 if "auto"."""
     check_star(N, M)
-    if isinstance(lambda0, str) and lambda0 == "auto":
-        classifications = right_classifications(spec)
-        lam, c, _ = best_target(classifications)
-        chosen = next(cl for cl in classifications if cl.lambda0 == lam)
-    else:
-        chosen = classify_right(spec, complex(lambda0))
-        if chosen.c is None:
-            raise SpecError(
-                f"lambda0={chosen.lambda0} has no active right eigenvector "
-                f"(constant-family case); it cannot drive a search")
-        lam, c = chosen.lambda0, chosen.c
-    phi, branch = matched_phi(lam)
-    m = math.floor(math.pi * math.sqrt(N / M) / (2.0 * c))
-    init = initial_state(spec, N, M, branch, phi)
-    r0 = embed_right(chosen.active_vector, spec.dim_collapsed)
-    predicted = float(abs(r0[2]) ** 2 + abs(r0[3]) ** 2)
-    return SearchPlan(lambda0=lam, phi=phi, branch=branch, c=float(c),
-                      N=int(N), M=int(M), m=m, initial=init,
-                      predicted_success=predicted, r0=r0)
+    t = _search_target(spec, lambda0)
+    m = math.floor(math.pi * math.sqrt(N / M) / (2.0 * t.c))
+    return SearchPlan(lambda0=t.lambda0, phi=t.phi, branch=t.branch, c=t.c,
+                      N=int(N), M=int(M), m=m,
+                      initial=initial_state(spec, N, M, t.branch, t.phi),
+                      predicted_success=t.predicted_success, r0=t.r0)
 
 
 def run_search(plan: SearchPlan, spec: SubgraphSpec) -> SearchResult:
@@ -108,21 +159,21 @@ def run_search(plan: SearchPlan, spec: SubgraphSpec) -> SearchResult:
     U = build_collapsed(spec, hub, plan.phi)
     final = evolve(U, plan.initial, plan.m)
     a = final.amplitudes
-    p_unmarked = float(abs(a[0]) ** 2 + abs(a[1]) ** 2)
-    p_marked = float(abs(a[2]) ** 2 + abs(a[3]) ** 2)
-    p_null = float(np.sum(np.abs(a[4:]) ** 2))
+    p = np.abs(a) ** 2
     overlap = float(abs(np.vdot(plan.r0, a)) ** 2)
-    return SearchResult(final_state=final, p_marked=p_marked, p_null=p_null,
-                        p_unmarked=p_unmarked, overlap_r0=overlap)
+    return SearchResult(final_state=final, p_marked=float(p[2] + p[3]),
+                        p_null=float(p[4:].sum()), p_unmarked=float(p[0] + p[1]),
+                        overlap_r0=overlap)
 
 
 def sample_measurement(result: SearchResult, seed: int, shots: int) -> dict[str, int]:
     """Multinomial measurement of (marked, unmarked, null); seed-deterministic."""
     if shots < 1 or seed < 0:
         raise SpecError(f"need shots >= 1 and seed >= 0, got shots={shots}, seed={seed}")
-    probs = np.array([result.p_marked, result.p_unmarked, result.p_null], dtype=float)
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
+    probs = [max(p, 0.0) for p in (result.p_marked, result.p_unmarked, result.p_null)]
+    total = probs[0] + probs[1] + probs[2]
+    if not total > 0.0:         # all zero or NaN: nothing to normalise
+        raise SpecError(f"cannot sample (p_marked, p_unmarked, p_null) = {tuple(probs)}")
     rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs)
+    counts = rng.multinomial(shots, [p / total for p in probs])
     return {"marked": int(counts[0]), "unmarked": int(counts[1]), "null": int(counts[2])}

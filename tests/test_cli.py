@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import starwalk
-from starwalk.cli import (EXIT_NUMERICS, EXIT_OK, EXIT_ORACLE, EXIT_SPEC,
+from starwalk.cli import (EXIT_NUMERICS, EXIT_OK, EXIT_ORACLE, EXIT_PIPE, EXIT_SPEC,
                           ORACLE_MAX_STATES, main)
 
 
@@ -263,6 +263,27 @@ class TestArgParsing:
                     "--out", str(tmp_path / "s")]) == EXIT_NUMERICS
         assert "norm drifted" in capsys.readouterr().err
 
+    def test_precision_envelope_edge(self, tmp_path):
+        # bolo still runs at N = 1e21; at 1e22 the norm drifts by 1.9e-6
+        assert run(["search", "bolo", "--n", str(10 ** 21),
+                    "--out", str(tmp_path / "a")]) == EXIT_OK
+        assert run(["search", "bolo", "--n", str(10 ** 22),
+                    "--out", str(tmp_path / "b")]) == EXIT_NUMERICS
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "bolo", "--n", "1000", "--shots", "10"],
+        ["sweep", "bolo", "--n", "100..1000", "--points", "3"],
+        ["tolerance", "grover", "--n", "10000", "--delta-grid", "0,0.01"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_lambda_as_separate_token(self, argv, tmp_path):
+        for stem, lam in (("apart", ["--lambda", "-1,0"]), ("joined", ["--lambda=-1,0"])):
+            for fmt in ("csv", "json"):
+                out = tmp_path / f"{stem}_{fmt}"
+                assert run(argv + lam + ["--format", fmt, "--out", str(out)]) == EXIT_OK
+        for suffix in ("_csv.csv", "_csv.json", "_json.json"):
+            outputs = [(tmp_path / (stem + suffix)).read_bytes() for stem in ("apart", "joined")]
+            assert outputs[0] == outputs[1], suffix
+
     def test_numerics_exit_code(self, monkeypatch, tmp_path):
         # force a numerical diagnostic through the analyze path
         import starwalk.cli as cli
@@ -272,6 +293,30 @@ class TestArgParsing:
             raise NumericsError("synthetic")
         monkeypatch.setattr(cli.spectral, "spectral_report", boom)
         assert run(["analyze", "grover", "--out", str(tmp_path / "x")]) == EXIT_NUMERICS
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", [
+        ["demo"],
+        ["search", "bolo", "--n", "1000", "--shots", "100"],
+    ], ids=lambda argv: argv[0])
+    def test_reader_gone_leaves_no_traceback(self, argv, buffered, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(starwalk.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:        # each print reaches the pipe, not only the exit flush
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)      # the reader closes before the first line arrives
+        try:
+            proc = subprocess.run([sys.executable, "-m", "starwalk.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  cwd=tmp_path, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""
+        assert proc.returncode == EXIT_PIPE
 
 
 # One cheap, valid invocation per subcommand; the fuzzer mutates its argv.

@@ -405,6 +405,30 @@ class TestEvolution:
             stepped = sw.apply(U, stepped)
         assert np.max(np.abs(sw.evolve(U, s, 300).amplitudes - stepped.amplitudes)) < 1e-12
 
+    @staticmethod
+    def _walk(name):
+        """A collapsed operator at N = 1000, phi = 0.4 and a random unit state."""
+        spec = (random_spec(np.random.default_rng(11)) if name == "random"
+                else sw.load_spec(name))
+        U = sw.build_collapsed(spec, sw.hub_coefficients(1000), 0.4)
+        return U, random_collapsed_state(np.random.default_rng(12), spec)
+
+    @pytest.mark.parametrize("name", ["grover", "bolo", "random"])
+    def test_squaring_matches_literal_stepping(self, name):
+        U, s = self._walk(name)
+        x = s.amplitudes
+        for m in range(301):
+            assert np.max(np.abs(sw.evolve(U, s, m).amplitudes - x)) < 1e-12, m
+            x = U.matrix @ x
+
+    @pytest.mark.parametrize("name", ["grover", "bolo", "random"])
+    def test_squaring_matches_full_matrix_power(self, name):
+        U, s = self._walk(name)
+        steps = sorted({0, 1, 2, 3} | {2 ** k + d for k in range(2, 22) for d in (-1, 0, 1)})
+        for m in steps:
+            reference = np.linalg.matrix_power(U.matrix, m) @ s.amplitudes
+            assert np.max(np.abs(sw.evolve(U, s, m).amplitudes - reference)) < 1e-12, m
+
     def test_precision_envelope(self, bolo_spec):
         # past N ~ 1e21 the m-step phases exhaust double precision; at 1e30
         # p_marked would come out near 0.59 instead of 0.75

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import re
 import sys
@@ -44,3 +45,15 @@ def test_runtime_imports_are_the_declared_dependencies():
                 for d in deps}
     imported = _third_party_imports()
     assert set(imported) == declared, imported
+
+
+def test_traced_functions_exist():
+    # the benchmark's span tracer wraps functions by name; a renamed or removed
+    # one would break every traced run, so check the names without importing it
+    with open(os.path.join(ROOT, "perfbench", "spans.py")) as fh:
+        tree = ast.parse(fh.read())
+    (layers,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"]]
+    missing = [f"starwalk.{module}.{func}" for module, func in ast.literal_eval(layers)
+               if not callable(getattr(importlib.import_module(f"starwalk.{module}"), func, None))]
+    assert not missing

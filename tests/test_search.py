@@ -1,12 +1,18 @@
 import cmath
+import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import starwalk as sw
+from starwalk import search
 from starwalk.graph import IN, MARKED_IN, MARKED_OUT, OUT
 from starwalk.spectral import embed_left, embed_right
+
+from test_spectral import _decoupled_spec
 
 
 class TestInitialState:
@@ -82,6 +88,74 @@ class TestPlanSearch:
     def test_rejects_unknown_lambda(self, bolo_spec):
         with pytest.raises(ValueError, match="not an eigenvalue"):
             sw.plan_search(bolo_spec, 100, lambda0=0.2 + 0.2j)
+
+
+class TestSearchTargetMemo:
+    """The N-independent part of a plan is computed once per spec and group."""
+
+    def test_one_entry_per_group(self):
+        spec = sw.load_spec("bolo")
+        for N in (100, 10 ** 6, 10 ** 12):
+            sw.plan_search(spec, N)
+            sw.plan_search(spec, N, M=3, lambda0=-1.0 + 0j)
+            sw.plan_search(spec, N, lambda0=-1.0 + 1e-9j)     # the same group
+        assert len(search._TARGETS[spec].groups) == 1
+        sw.plan_search(spec, 100, lambda0=1.0 + 0j)
+        assert len(search._TARGETS[spec].groups) == 2
+
+    def test_auto_and_explicit_best_give_identical_plans(self):
+        spec = sw.load_spec("bolo")
+        auto = sw.plan_search(spec, 10 ** 6, M=2)
+        explicit = sw.plan_search(spec, 10 ** 6, M=2, lambda0=auto.lambda0)
+        for field in dataclasses.fields(sw.SearchPlan):
+            a, b = getattr(auto, field.name), getattr(explicit, field.name)
+            if field.name == "initial":
+                assert a.basis == b.basis and np.array_equal(a.amplitudes, b.amplitudes)
+            elif field.name == "r0":
+                assert a is b
+            else:
+                assert a == b, field.name
+
+    def test_r0_is_read_only(self, bolo_spec):
+        r0 = sw.plan_search(bolo_spec, 1000).r0
+        with pytest.raises(ValueError, match="read-only"):
+            r0[2] = 0.0
+
+    def test_constant_family_raises_every_time_and_is_not_cached(self):
+        spec = _decoupled_spec()
+        for _ in range(2):
+            with pytest.raises(sw.SpecError, match="constant-family"):
+                sw.plan_search(spec, 100, lambda0=cmath.exp(0.5j))
+        assert spec not in search._TARGETS
+        sw.plan_search(spec, 100)
+        assert cmath.exp(0.5j) not in search._TARGETS[spec].groups
+
+    def test_best_target_checked_on_the_first_plan_only(self, monkeypatch):
+        calls = []
+
+        def counting(classifications, *args, **kwargs):
+            calls.append(classifications)
+            return sw.best_target(classifications, *args, **kwargs)
+        monkeypatch.setattr(search, "best_target", counting)
+        a, b = sw.load_spec("bolo"), sw.load_spec("bolo")
+        for N in (100, 10 ** 6, 10 ** 12):
+            sw.plan_search(a, N)
+            sw.plan_search(b, N, M=3)
+        assert len(calls) == 2
+
+    def test_entry_released_with_spec(self):
+        a, b = sw.load_spec("grover"), sw.load_spec("grover")
+        gc.collect()            # specs other tests left in cycles go first
+        before = len(search._TARGETS)
+        sw.plan_search(a, 100)
+        sw.plan_search(b, 100)
+        assert len(search._TARGETS) == before + 2
+        ref = weakref.ref(a)
+        del a
+        gc.collect()
+        assert ref() is None
+        assert len(search._TARGETS) == before + 1
+        assert b in search._TARGETS
 
 
 class TestRunSearch:
@@ -181,3 +255,10 @@ class TestSampleMeasurement:
                               p_unmarked=0.0, overlap_r0=1.0)
         with pytest.raises(ValueError):
             sw.sample_measurement(res, seed=0, shots=0)
+
+    @pytest.mark.parametrize("p", [(0.0, 0.0, 0.0), (math.nan, 0.5, 0.5)])
+    def test_rejects_no_positive_total(self, p):
+        res = sw.SearchResult(final_state=None, p_marked=p[0], p_null=p[1],
+                              p_unmarked=p[2], overlap_r0=1.0)
+        with pytest.raises(sw.SpecError, match="cannot sample"):
+            sw.sample_measurement(res, seed=0, shots=10)
