@@ -93,8 +93,9 @@ class SubgraphSpec:
     same vertex, which encodes arms that return in a single step).
 
     A spec is immutable (vertex matrices are read-only), so data derived from
-    it, such as ``vertex_columns`` and the spectral classification, is
-    computed once per spec and kept.
+    it, such as ``vertex_columns``, ``basis``, the vertex part of the collapsed
+    operator's unitarity residual and the spectral classification, is computed
+    once per spec and kept.
     """
     vertices: tuple[Vertex, ...]
     attachment: str
@@ -118,6 +119,7 @@ class SubgraphSpec:
 
         consumed: dict[str, str] = {}
         produced: dict[str, str] = {}
+        gram_sq = 0.0
         for v in self.vertices:
             m = v.matrix
             if m.shape != (len(v.ports_out), len(v.ports_in)) or m.shape[0] != m.shape[1]:
@@ -130,6 +132,7 @@ class SubgraphSpec:
             res = _unitarity_residual(m)
             if not res <= VERTEX_UNITARITY_TOL:
                 raise SpecError(f"vertex {v.id}: scattering matrix not unitary (residual {res:.2e})")
+            gram_sq += res * res
             for lab in v.ports_in:
                 if lab in consumed:
                     raise SpecError(f"state {lab!r} consumed by both {consumed[lab]} and {v.id}")
@@ -149,6 +152,10 @@ class SubgraphSpec:
             raise SpecError("|0,1> must be consumed by the attachment vertex")
         if produced[MARKED_IN] != self.attachment:
             raise SpecError("|1,0> must be produced by the attachment vertex")
+        # Each state has one producer, so the vertex columns of a collapsed
+        # operator split into per-vertex blocks on disjoint rows: their part of
+        # ||U^H U - I||_F^2 is the sum of the vertices' own.
+        object.__setattr__(self, "_vertex_residual_sq", gram_sq)
 
     # -- convenience --------------------------------------------------------
     @property
@@ -179,6 +186,11 @@ class SubgraphSpec:
             base[np.ix_(rows, cols)] += v.matrix
         base.flags.writeable = False
         return base
+
+    @cached_property
+    def basis(self) -> "EdgeBasis":
+        """The collapsed edge basis, one object per spec."""
+        return EdgeBasis(self.interior)
 
     # -- (de)serialization --------------------------------------------------
     @classmethod
@@ -390,7 +402,7 @@ class EdgeBasis:
 
 
 def collapsed_basis(spec: SubgraphSpec) -> EdgeBasis:
-    return EdgeBasis(spec.interior)
+    return spec.basis
 
 
 def full_basis(spec: SubgraphSpec, N: int, M: int) -> EdgeBasis:
@@ -400,12 +412,20 @@ def full_basis(spec: SubgraphSpec, N: int, M: int) -> EdgeBasis:
 
 @dataclass(frozen=True, eq=False)
 class UnitaryOperator:
-    """Dense one-step operator bound to an ordered edge basis."""
+    """Dense one-step operator bound to an ordered edge basis.
+
+    ``residual`` is ||U^H U - I||_F.  A builder that knows it from the matrix's
+    structure passes it (``build_collapsed``); otherwise it is computed densely.
+    """
     matrix: np.ndarray
     basis: EdgeBasis
+    residual: float | None = None
 
     def __post_init__(self):
-        res = _unitarity_residual(self.matrix)
+        res = self.residual
+        if res is None:
+            res = _unitarity_residual(self.matrix)
+            object.__setattr__(self, "residual", res)
         if not res <= OPERATOR_UNITARITY_TOL:      # NaN entries fail here too
             raise SpecError(f"constructed operator not unitary (residual {res:.2e})")
 
@@ -444,10 +464,11 @@ def collapsed_coefficients(eps, x: float = math.pi, y: float = 0.0):
     return _hub_form(eps, eps, x, y)[2:]
 
 
-def _assemble_collapsed(spec: SubgraphSpec, R_L, R_R, T, phi: float) -> np.ndarray:
+def _assemble_collapsed(spec: SubgraphSpec, R_L, R_R, T, reflect: complex) -> np.ndarray:
+    """The collapsed matrix with unmarked-edge reflection ``reflect`` = e^{i phi}."""
     out, in_, marked_out, marked_in = range(4)      # positions of RESERVED_LABELS
     U = spec.vertex_columns.copy()
-    U[in_, out] = cmath.exp(1j * phi)
+    U[in_, out] = reflect
     U[out, in_] = R_L
     U[marked_out, in_] = T
     U[marked_out, marked_in] = R_R
@@ -464,14 +485,38 @@ def collapsed_matrix(spec: SubgraphSpec, eps, phi: float,
     """
     check_phases(phi=phi, x=x, y=y)
     R_L, R_R, T = collapsed_coefficients(eps, x=x, y=y)
-    return _assemble_collapsed(spec, R_L, R_R, T, phi)
+    return _assemble_collapsed(spec, R_L, R_R, T, cmath.exp(1j * phi))
+
+
+def _hub_residual_sq(R_L, R_R, T, reflect: complex) -> float:
+    """The hub columns' part of ||U^H U - I||_F^2 for a collapsed operator.
+
+    |out> -> |in> (``reflect``), |in> -> (|out>, |0,1>) (R_L, T) and
+    |1,0> -> (|0,1>, |out>) (R_R, T) write no row a vertex column writes, so
+    their Gram block is on its own: three diagonal entries and the one
+    |in>/|1,0> entry conj(R_L) T + conj(T) R_R, which appears twice.
+    """
+    TT = T.real * T.real + T.imag * T.imag
+    d_out = reflect.real * reflect.real + reflect.imag * reflect.imag - 1.0
+    d_in = R_L.real * R_L.real + R_L.imag * R_L.imag + TT - 1.0
+    d_marked = R_R.real * R_R.real + R_R.imag * R_R.imag + TT - 1.0
+    off = R_L.conjugate() * T + T.conjugate() * R_R
+    return d_out * d_out + d_in * d_in + d_marked * d_marked + 2.0 * (
+        off.real * off.real + off.imag * off.imag)
 
 
 def build_collapsed(spec: SubgraphSpec, hub: HubModel, phi: float) -> UnitaryOperator:
-    """Symmetry-collapsed time-step operator for the given spec and hub."""
+    """Symmetry-collapsed time-step operator for the given spec and hub.
+
+    Its unitarity residual is exact from the block structure: the spec's
+    vertex part (kept per spec) plus the hub part in closed form, with no
+    O(d^3) product.
+    """
     check_phases(phi=phi)
-    U = _assemble_collapsed(spec, hub.R_L, hub.R_R, hub.T, phi)
-    return UnitaryOperator(matrix=U, basis=collapsed_basis(spec))
+    reflect = cmath.exp(1j * phi)
+    U = _assemble_collapsed(spec, hub.R_L, hub.R_R, hub.T, reflect)
+    res_sq = spec._vertex_residual_sq + _hub_residual_sq(hub.R_L, hub.R_R, hub.T, reflect)
+    return UnitaryOperator(U, spec.basis, math.sqrt(res_sq))     # NaN stays NaN
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +622,7 @@ def restrict_full_state(state: StateVector) -> tuple[StateVector, float]:
 
 def apply(U: UnitaryOperator | FullWalk, s: StateVector) -> StateVector:
     """One time step."""
-    if U.basis != s.basis:
+    if U.basis is not s.basis and U.basis != s.basis:
         raise SpecError("operator/state basis mismatch")
     return StateVector(amplitudes=U.step(s.amplitudes), basis=s.basis)
 
@@ -593,7 +638,7 @@ def evolve(U: UnitaryOperator | FullWalk, s: StateVector, m: int) -> StateVector
     m times.  Raises NumericsError when the norm drifts by more than
     NORM_DRIFT_TOL (relative): the result would be silently wrong.
     """
-    if U.basis != s.basis:
+    if U.basis is not s.basis and U.basis != s.basis:
         raise SpecError("operator/state basis mismatch")
     if m < 0:
         raise ValueError("step count must be nonnegative")
@@ -602,12 +647,14 @@ def evolve(U: UnitaryOperator | FullWalk, s: StateVector, m: int) -> StateVector
         for _ in range(m):
             amp = U.step(amp)
     else:
+        # ndarray.dot makes the same BLAS calls as @ with less dispatch
         powers = [U.matrix]                # U^(2^j) for every bit j of m
         while 1 << len(powers) <= m:
-            powers.append(powers[-1] @ powers[-1])
+            p = powers[-1]
+            powers.append(p.dot(p))
         for j in reversed(range(len(powers))):
             if m >> j & 1:
-                amp = powers[j] @ amp
+                amp = powers[j].dot(amp)
     n0 = math.sqrt(np.vdot(s.amplitudes, s.amplitudes).real)
     drift = abs(math.sqrt(np.vdot(amp, amp).real) - n0) / n0 if n0 else 0.0
     if not drift <= NORM_DRIFT_TOL:

@@ -13,6 +13,7 @@ computed once per loaded spec and eigenvalue group and served from a memo.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -25,7 +26,6 @@ from .graph import (
     SubgraphSpec,
     build_collapsed,
     check_star,
-    collapsed_basis,
     evolve,
     hub_coefficients,
 )
@@ -72,13 +72,18 @@ def initial_state(spec: SubgraphSpec, N: int, M: int, branch: int, phi: float) -
     O(sqrt(M/N)).
     """
     check_star(N, M)
-    alpha = branch * np.exp(0.5j * phi) / math.sqrt(2.0)
+    return _initial_state(spec, N, M, branch, phi)
+
+
+def _initial_state(spec: SubgraphSpec, N: int, M: int, branch: int, phi: float) -> StateVector:
+    """``initial_state`` for a star already checked."""
+    alpha = branch * cmath.exp(0.5j * phi) / math.sqrt(2.0)
     beta = 1.0 / math.sqrt(2.0)
     wL = math.sqrt((N - M) / N)
     wR = math.sqrt(M / N)
     amp = np.zeros(spec.dim_collapsed, dtype=complex)
     amp[:4] = beta * wL, alpha * wL, beta * wR, alpha * wR
-    return StateVector(amplitudes=amp, basis=collapsed_basis(spec))
+    return StateVector(amplitudes=amp, basis=spec.basis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,19 +131,22 @@ def _search_target(spec: SubgraphSpec, lambda0) -> _Target:
     Either form resolves to an eigenvalue group first, so the memo holds at most
     one target per group; "auto" runs best_target's checks on its first call.
     """
+    auto = isinstance(lambda0, str) and lambda0 == "auto"
     memo = _TARGETS.get(spec)
-    if memo is None:
+    if auto and memo is not None and memo.best is not None:
+        return memo.best
+    new = memo is None
+    if new:
         memo = _SpecTargets()
-    if isinstance(lambda0, str) and lambda0 == "auto":
-        if memo.best is None:
-            classifications = right_classifications(spec)
-            lam, _, _ = best_target(classifications)
-            chosen = next(cl for cl in classifications if cl.lambda0 == lam)
-            memo.best = _group_target(memo, chosen, spec.dim_collapsed)
-        target = memo.best
+    if auto:
+        classifications = right_classifications(spec)
+        lam, _, _ = best_target(classifications)
+        chosen = next(cl for cl in classifications if cl.lambda0 == lam)
+        memo.best = target = _group_target(memo, chosen, spec.dim_collapsed)
     else:
         target = _group_target(memo, classify_right(spec, complex(lambda0)), spec.dim_collapsed)
-    _TARGETS.setdefault(spec, memo)     # a new spec's memo is kept once it holds a target
+    if new:
+        _TARGETS[spec] = memo       # a new spec's memo is kept once it holds a target
     return target
 
 
@@ -149,7 +157,7 @@ def plan_search(spec: SubgraphSpec, N: int, M: int = 1, lambda0="auto") -> Searc
     m = math.floor(math.pi * math.sqrt(N / M) / (2.0 * t.c))
     return SearchPlan(lambda0=t.lambda0, phi=t.phi, branch=t.branch, c=t.c,
                       N=int(N), M=int(M), m=m,
-                      initial=initial_state(spec, N, M, t.branch, t.phi),
+                      initial=_initial_state(spec, N, M, t.branch, t.phi),
                       predicted_success=t.predicted_success, r0=t.r0)
 
 
@@ -159,11 +167,10 @@ def run_search(plan: SearchPlan, spec: SubgraphSpec) -> SearchResult:
     U = build_collapsed(spec, hub, plan.phi)
     final = evolve(U, plan.initial, plan.m)
     a = final.amplitudes
-    p = np.abs(a) ** 2
-    overlap = float(abs(np.vdot(plan.r0, a)) ** 2)
-    return SearchResult(final_state=final, p_marked=float(p[2] + p[3]),
-                        p_null=float(p[4:].sum()), p_unmarked=float(p[0] + p[1]),
-                        overlap_r0=overlap)
+    p = (np.abs(a) ** 2).tolist()
+    return SearchResult(final_state=final, p_marked=p[2] + p[3], p_null=sum(p[4:], 0.0),
+                        p_unmarked=p[0] + p[1],
+                        overlap_r0=abs(complex(np.vdot(plan.r0, a))) ** 2)
 
 
 def sample_measurement(result: SearchResult, seed: int, shots: int) -> dict[str, int]:
@@ -174,6 +181,7 @@ def sample_measurement(result: SearchResult, seed: int, shots: int) -> dict[str,
     total = probs[0] + probs[1] + probs[2]
     if not total > 0.0:         # all zero or NaN: nothing to normalise
         raise SpecError(f"cannot sample (p_marked, p_unmarked, p_null) = {tuple(probs)}")
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, [p / total for p in probs])
-    return {"marked": int(counts[0]), "unmarked": int(counts[1]), "null": int(counts[2])}
+    # the stream of default_rng(seed), without its argument dispatch
+    rng = np.random.Generator(np.random.PCG64(seed))
+    marked, unmarked, null = rng.multinomial(shots, [p / total for p in probs]).tolist()
+    return {"marked": marked, "unmarked": unmarked, "null": null}

@@ -347,6 +347,12 @@ def _offset(mu, center):
                       mu.real * center.real + mu.imag * center.imag)
 
 
+def _merged(a, b) -> np.ndarray:
+    """Sorted distinct values of a and b: np.union1d without its numpy.ma import."""
+    v = np.sort(np.concatenate((np.ravel(a), np.ravel(b))))
+    return v[np.concatenate(([True], v[1:] != v[:-1]))]
+
+
 @dataclass(frozen=True, eq=False)
 class SecularFunction:
     """D(z, eps) = det(U(eps) - z) / det(U(0) - z) from the eps = 0 poles.
@@ -451,9 +457,9 @@ class SecularFunction:
         step = math.sqrt(eps_values.max()) / RAMP_STEPS
         apart = np.abs(self.centers[:, None] - self.centers)
         first = min(step, 0.1 * apart[apart > 0].min(initial=step))
-        ramp = np.union1d(np.geomspace(first, step, 2 + int(math.log2(step / first))),
-                          step * np.arange(1, RAMP_STEPS + 1))
-        path = np.union1d(eps_values, ramp ** 2)
+        ramp = _merged(np.geomspace(first, step, 2 + int(math.log2(step / first))),
+                       step * np.arange(1, RAMP_STEPS + 1))
+        path = _merged(eps_values, ramp ** 2)
         seeds = self._seeds(path[0], roots)
         known = [np.zeros_like(seeds), self._solve(path[0], seeds, seeds, roots)]
         path = np.concatenate(([0.0], path))
@@ -549,7 +555,10 @@ def monodromy(spec: SubgraphSpec, phi: float, rho: float = 1e-4,
 CASE_CONSTANT = "constant"        # case i: the whole family stays put
 CASE_DRIFT = "single-drift"       # case ii: one branch drifts at O(eps)
 CASE_PAIRED = "paired"            # case iii: lambda0 e^{+-ic sqrt(eps)} pair
-DEFAULT_EPS_GRID = tuple(np.logspace(-6, -2, 9))
+# Small eps: the secular roots are exact there and c*sqrt(eps) dominates the
+# split, also for a weakly coupled family next to a close neighbour, whose
+# higher orders take over at larger eps and bias the fitted c.
+DEFAULT_EPS_GRID = tuple(np.logspace(-10, -6, 9))
 
 
 @dataclass(frozen=True)

@@ -36,10 +36,11 @@ def haar_unitary(rng, n: int) -> np.ndarray:
     return q * (d / np.abs(d)).conj()
 
 
-def random_spec(rng, max_arms: int = 3) -> sw.SubgraphSpec:
+def random_spec(rng, max_arms: int = 3, arms: int | None = None) -> sw.SubgraphSpec:
     """Random valid subgraph: attachment vertex with a Haar-random scattering
-    matrix feeding 1..max_arms phase-reflector arms."""
-    arms = int(rng.integers(1, max_arms + 1))
+    matrix feeding 1..max_arms phase-reflector arms (exactly ``arms`` if given)."""
+    if arms is None:
+        arms = int(rng.integers(1, max_arms + 1))
     ins = ("0->1",) + tuple(f"a{i}->1" for i in range(arms))
     outs = ("1->0",) + tuple(f"1->a{i}" for i in range(arms))
     verts = [sw.Vertex("1", ins, outs, haar_unitary(rng, arms + 1))]

@@ -123,7 +123,7 @@ def test_c05_pairing_form(grover_spec, bolo_spec):
         ]
         for spec, lam, c in targets:
             phi, _ = sw.matched_phi(lam)
-            fit = sw.pairing_fit(spec, phi, lam)   # default grid [1e-6, 1e-2]
+            fit = sw.pairing_fit(spec, phi, lam)   # default grid [1e-10, 1e-6]
             assert fit.case == "paired"
             assert abs(fit.c_fit - c) < 1e-3
             assert fit.residual_slope >= 0.9

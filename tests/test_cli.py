@@ -384,31 +384,35 @@ class TestSpecCompiledOnce:
         assert len(decompositions) == 1
 
     @staticmethod
-    def _scipy_loaded_after(argvs) -> list[str]:
-        """Whether scipy is in sys.modules of a fresh interpreter after
+    def _loaded_after(argvs, modules=("scipy", "numpy.ma")) -> list[tuple[bool, ...]]:
+        """Which of ``modules`` are in sys.modules of a fresh interpreter, after
         ``import starwalk.cli`` and after each argv run through ``main``."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(starwalk.__file__)))
         code = ("import sys, starwalk.cli\n"
-                "print('SCIPY', 'scipy' in sys.modules)\n"
+                f"mods = {modules!r}\n"
+                "print('LOADED', *(m in sys.modules for m in mods))\n"
                 f"for argv in {argvs!r}:\n"
                 "    assert starwalk.cli.main(argv) == 0, argv\n"
-                "    print('SCIPY', 'scipy' in sys.modules)\n")
+                "    print('LOADED', *(m in sys.modules for m in mods))\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True)
-        return [line.split()[1] for line in proc.stdout.splitlines() if line.startswith("SCIPY")]
+        return [tuple(word == "True" for word in line.split()[1:])
+                for line in proc.stdout.splitlines() if line.startswith("LOADED")]
 
     def test_import_leaves_scipy_optimize_out(self):
-        assert self._scipy_loaded_after([]) == ["False"]
+        assert self._loaded_after([]) == [(False, False)]
 
     def test_analyze_leaves_scipy_optimize_out(self, tmp_path):
-        assert self._scipy_loaded_after(
-            [["analyze", "bolo", "--out", str(tmp_path / "rep")]]) == ["False"] * 2
+        assert self._loaded_after(
+            [["analyze", "bolo", "--out", str(tmp_path / "rep")]]) == [(False, False)] * 2
 
     def test_every_subcommand_leaves_scipy_out(self, tmp_path):
+        """Neither scipy nor numpy.ma (which np.unique pulls in) is imported."""
         out = ["--out", str(tmp_path / "x")]
-        argvs = [["search", "bolo", "--n", "1000", "--shots", "100"] + out,
+        argvs = [["analyze", "bolo"] + out,
+                 ["search", "bolo", "--n", "1000", "--shots", "100"] + out,
                  ["sweep", "grover", "--n", "100..1000000", "--log", "--points", "3"] + out,
                  ["tolerance", "grover", "--n", "10000"] + out,
                  ["oracle-check", "bolo", "--n", "64", "--steps", "20"],
                  ["demo"]]
-        assert self._scipy_loaded_after(argvs) == ["False"] * 6
+        assert self._loaded_after(argvs) == [(False, False)] * 7

@@ -1,6 +1,7 @@
 """Graph core: hub coefficients, operator builders, lift/restrict, evolution."""
 import cmath
 import copy
+import dataclasses
 import json
 import math
 import warnings
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starwalk as sw
+from starwalk import graph
 from starwalk.graph import collapsed_coefficients
 
 from conftest import random_collapsed_state, random_spec
@@ -198,6 +200,52 @@ def literal_full_matrix(spec, N, M, phi):
                 for ii, lab_out in enumerate(v.ports_out):
                     U[pos[name[lab_out]], pos[name[lab_in]]] += v.matrix[ii, jj]
     return U
+
+
+class TestStructuredUnitarity:
+    """build_collapsed's residual: vertex part per spec, hub part in closed form."""
+
+    @staticmethod
+    def _specs():
+        return ([sw.load_spec("grover"), sw.load_spec("bolo")]
+                + [random_spec(np.random.default_rng(seed), max_arms=5) for seed in range(4)])
+
+    @pytest.mark.parametrize("x, y", [(math.pi, 0.0), (2.5, 0.3), (1.0, 2.0)])
+    def test_equals_dense_residual(self, x, y):
+        for spec in self._specs():
+            for N, M in ((2, 1), (7, 3), (10 ** 6, 1), (10 ** 12, 5)):
+                hub = sw.hub_coefficients(N, M=M, x=x, y=y)
+                for phi in (0.0, 0.7, -2.9):
+                    U = sw.build_collapsed(spec, hub, phi)
+                    assert abs(U.residual - graph._unitarity_residual(U.matrix)) <= 1e-15
+
+    @pytest.mark.parametrize("bad", [
+        lambda h: dataclasses.replace(h, R_L=h.R_L * 1.01),
+        lambda h: dataclasses.replace(h, T=complex(math.nan, 0.0)),
+        lambda h: dataclasses.replace(h, R_R=math.inf),
+    ], ids=["R_L-scaled", "T-nan", "R_R-inf"])
+    def test_non_unitary_hub_rejected(self, bolo_spec, bad):
+        hub = bad(sw.hub_coefficients(1000, M=2, x=2.5, y=0.3))
+        with pytest.raises(sw.SpecError, match="not unitary"):
+            sw.build_collapsed(bolo_spec, hub, 0.4)
+
+    def test_no_dense_product(self, monkeypatch):
+        specs = self._specs()
+
+        def dense(m):
+            raise AssertionError("dense U^H U formed")
+        monkeypatch.setattr(graph, "_unitarity_residual", dense)
+        for spec in specs:
+            U = sw.build_collapsed(spec, sw.hub_coefficients(10 ** 9, M=3), 1.1)
+            assert U.residual < 1e-14
+        with pytest.raises(AssertionError, match="dense"):     # the patch is live
+            sw.UnitaryOperator(U.matrix, U.basis)
+
+    def test_one_basis_per_spec(self, bolo_spec):
+        plan = sw.plan_search(bolo_spec, 10 ** 4)
+        U = sw.build_collapsed(bolo_spec, sw.hub_coefficients(10 ** 4), plan.phi)
+        assert U.basis is plan.initial.basis is sw.collapsed_basis(bolo_spec)
+        assert sw.evolve(U, plan.initial, 3).basis is U.basis
 
 
 class TestBuildFull:
@@ -428,6 +476,18 @@ class TestEvolution:
         for m in steps:
             reference = np.linalg.matrix_power(U.matrix, m) @ s.amplitudes
             assert np.max(np.abs(sw.evolve(U, s, m).amplitudes - reference)) < 1e-12, m
+
+    @pytest.mark.parametrize("name", ["grover", "bolo", "random"])
+    def test_squaring_is_bitwise_the_matmul_product(self, name):
+        U, s = self._walk(name)
+        for m in (1, 5, 1000, 2 ** 20 + 7):
+            powers, reference = [U.matrix], s.amplitudes
+            while 1 << len(powers) <= m:
+                powers.append(powers[-1] @ powers[-1])
+            for j in reversed(range(len(powers))):
+                if m >> j & 1:
+                    reference = powers[j] @ reference
+            assert np.array_equal(sw.evolve(U, s, m).amplitudes, reference), m
 
     def test_precision_envelope(self, bolo_spec):
         # past N ~ 1e21 the m-step phases exhaust double precision; at 1e30

@@ -12,6 +12,7 @@ from starwalk import search
 from starwalk.graph import IN, MARKED_IN, MARKED_OUT, OUT
 from starwalk.spectral import embed_left, embed_right
 
+from conftest import random_spec
 from test_spectral import _decoupled_spec
 
 
@@ -143,6 +144,27 @@ class TestSearchTargetMemo:
             sw.plan_search(b, N, M=3)
         assert len(calls) == 2
 
+    def test_hit_writes_nothing(self, monkeypatch):
+        class Counting(weakref.WeakKeyDictionary):
+            writes = 0
+
+            def __setitem__(self, key, value):
+                Counting.writes += 1
+                super().__setitem__(key, value)
+
+            def setdefault(self, key, default=None):
+                Counting.writes += 1
+                return super().setdefault(key, default)
+        monkeypatch.setattr(search, "_TARGETS", Counting())
+        spec = sw.load_spec("bolo")
+        sw.plan_search(spec, 100)
+        sw.plan_search(spec, 100, lambda0=1.0 + 0j)
+        assert Counting.writes == 1
+        for N in (1000, 10 ** 6):
+            sw.plan_search(spec, N)
+            sw.plan_search(spec, N, lambda0=1.0 + 0j)
+        assert Counting.writes == 1
+
     def test_entry_released_with_spec(self):
         a, b = sw.load_spec("grover"), sw.load_spec("grover")
         gc.collect()            # specs other tests left in cycles go first
@@ -173,6 +195,18 @@ class TestRunSearch:
         res = sw.run_search(plan, grover_spec)
         assert res.p_marked >= floor
         assert res.p_null < 1e-20      # nothing to leak into: no interior states
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_masses_from_one_pass(self, seed):
+        # at most 6 interior states, which numpy sums in order as Python does
+        spec = random_spec(np.random.default_rng(seed), max_arms=3)
+        plan = sw.plan_search(spec, 10 ** 5, M=2)
+        res = sw.run_search(plan, spec)
+        a = res.final_state.amplitudes
+        p = np.abs(a) ** 2
+        masses = (res.p_marked, res.p_null, res.p_unmarked, res.overlap_r0)
+        assert all(type(v) is float for v in masses)
+        assert masses == (p[2] + p[3], p[4:].sum(), p[0] + p[1], abs(np.vdot(plan.r0, a)) ** 2)
 
     def test_zero_steps_returns_initial_mass(self, grover_spec):
         plan = sw.plan_search(grover_spec, 100)
@@ -234,6 +268,15 @@ class TestSampleMeasurement:
         b = sw.sample_measurement(res, seed=42, shots=1000)
         assert a == b
         assert sum(a.values()) == 1000
+
+    def test_stream_is_default_rng(self, bolo_spec):
+        res = sw.run_search(sw.plan_search(bolo_spec, 10 ** 4), bolo_spec)
+        probs = [res.p_marked, res.p_unmarked, res.p_null]
+        for seed in range(51):
+            want = np.random.default_rng(seed).multinomial(1000, [p / sum(probs) for p in probs])
+            counts = sw.sample_measurement(res, seed=seed, shots=1000)
+            assert list(counts.values()) == want.tolist()
+            assert all(type(v) is int for v in counts.values())
 
     def test_frequencies_match_probabilities(self, bolo_spec):
         plan = sw.plan_search(bolo_spec, 10 ** 4)
