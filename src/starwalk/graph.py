@@ -58,6 +58,12 @@ def _unitarity_residual(m: np.ndarray) -> float:
     return math.sqrt(np.vdot(g, g).real)
 
 
+def _check_unitary(residual: float) -> None:
+    """The one operator unitarity rule: ||U^H U - I||_F <= OPERATOR_UNITARITY_TOL."""
+    if not residual <= OPERATOR_UNITARITY_TOL:      # NaN entries fail here too
+        raise SpecError(f"constructed operator not unitary (residual {residual:.2e})")
+
+
 # ---------------------------------------------------------------------------
 # Subgraph description
 # ---------------------------------------------------------------------------
@@ -336,18 +342,18 @@ def hub_coefficients(N: int, M: int = 1, x: float = math.pi, y: float = 0.0) -> 
     check_phases(x=x, y=y)
     if math.cos(x - y) >= 1.0 - 1e-15:
         raise SpecError(f"hub family undefined: cos(x-y) must be < 1 (x={x}, y={y})")
-    hub = HubModel(*_hub_form(1.0 / N, M / N, x, y))
-    _check_hub_invariants(hub, N, y)
-    return hub
+    form = _hub_form(1.0 / N, M / N, x, y)
+    _check_hub_invariants(*form, N, y)
+    return HubModel(*form)
 
 
-def _check_hub_invariants(hub: HubModel, N: int, y: float, tol: float = 1e-12) -> None:
-    r, t = hub.r, hub.t
+def _check_hub_invariants(r, t, R_L, R_R, T, N: int, y: float, tol: float = 1e-12) -> None:
+    """The hub's five unitarity identities, on the (r, t, R_L, R_R, T) of ``_hub_form``."""
     c1 = abs(abs(r) ** 2 + (N - 1) * abs(t) ** 2 - 1.0)
     c2 = abs(2.0 * (r.conjugate() * t).real + (N - 2) * abs(t) ** 2)
-    c3 = abs(abs(hub.R_R) ** 2 + abs(hub.T) ** 2 - 1.0)
-    c4 = abs(abs(hub.R_L) ** 2 + abs(hub.T) ** 2 - 1.0)
-    c5 = abs(hub.T ** 2 - hub.R_R * hub.R_L - cmath.exp(2j * y))
+    c3 = abs(abs(R_R) ** 2 + abs(T) ** 2 - 1.0)
+    c4 = abs(abs(R_L) ** 2 + abs(T) ** 2 - 1.0)
+    c5 = abs(T ** 2 - R_R * R_L - cmath.exp(2j * y))
     worst = max(c1, c2, c3, c4, c5)
     if not worst <= tol:
         raise NumericsError(f"hub coefficient invariants violated (worst residual {worst:.2e})")
@@ -426,8 +432,7 @@ class UnitaryOperator:
         if res is None:
             res = _unitarity_residual(self.matrix)
             object.__setattr__(self, "residual", res)
-        if not res <= OPERATOR_UNITARITY_TOL:      # NaN entries fail here too
-            raise SpecError(f"constructed operator not unitary (residual {res:.2e})")
+        _check_unitary(res)
 
     def step(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
@@ -464,11 +469,21 @@ def collapsed_coefficients(eps, x: float = math.pi, y: float = 0.0):
     return _hub_form(eps, eps, x, y)[2:]
 
 
-def _assemble_collapsed(spec: SubgraphSpec, R_L, R_R, T, reflect: complex) -> np.ndarray:
-    """The collapsed matrix with unmarked-edge reflection ``reflect`` = e^{i phi}."""
+def _with_reflector(spec: SubgraphSpec, reflect: complex) -> np.ndarray:
+    """The spec's vertex columns plus the unmarked-edge reflection |out> -> |in>.
+
+    ``reflect`` = e^{i phi}.  This is every entry of a collapsed operator but
+    the four the hub's (R_L, R_R, T) write, which ``_assemble`` adds.
+    """
+    base = spec.vertex_columns.copy()
+    base[1, 0] = reflect        # |out> -> |in>
+    return base
+
+
+def _assemble(base: np.ndarray, R_L, R_R, T) -> np.ndarray:
+    """A copy of ``base`` (see ``_with_reflector``) with the hub's four entries."""
     out, in_, marked_out, marked_in = range(4)      # positions of RESERVED_LABELS
-    U = spec.vertex_columns.copy()
-    U[in_, out] = reflect
+    U = base.copy()
     U[out, in_] = R_L
     U[marked_out, in_] = T
     U[marked_out, marked_in] = R_R
@@ -485,7 +500,7 @@ def collapsed_matrix(spec: SubgraphSpec, eps, phi: float,
     """
     check_phases(phi=phi, x=x, y=y)
     R_L, R_R, T = collapsed_coefficients(eps, x=x, y=y)
-    return _assemble_collapsed(spec, R_L, R_R, T, cmath.exp(1j * phi))
+    return _assemble(_with_reflector(spec, cmath.exp(1j * phi)), R_L, R_R, T)
 
 
 def _hub_residual_sq(R_L, R_R, T, reflect: complex) -> float:
@@ -514,9 +529,14 @@ def build_collapsed(spec: SubgraphSpec, hub: HubModel, phi: float) -> UnitaryOpe
     """
     check_phases(phi=phi)
     reflect = cmath.exp(1j * phi)
-    U = _assemble_collapsed(spec, hub.R_L, hub.R_R, hub.T, reflect)
-    res_sq = spec._vertex_residual_sq + _hub_residual_sq(hub.R_L, hub.R_R, hub.T, reflect)
-    return UnitaryOperator(U, spec.basis, math.sqrt(res_sq))     # NaN stays NaN
+    U = _assemble(_with_reflector(spec, reflect), hub.R_L, hub.R_R, hub.T)
+    return UnitaryOperator(U, spec.basis,
+                           _collapsed_residual(spec, hub.R_L, hub.R_R, hub.T, reflect))
+
+
+def _collapsed_residual(spec: SubgraphSpec, R_L, R_R, T, reflect: complex) -> float:
+    """||U^H U - I||_F of a collapsed operator: the spec's vertex part plus the hub's."""
+    return math.sqrt(spec._vertex_residual_sq + _hub_residual_sq(R_L, R_R, T, reflect))
 
 
 # ---------------------------------------------------------------------------
@@ -630,34 +650,60 @@ def apply(U: UnitaryOperator | FullWalk, s: StateVector) -> StateVector:
 def evolve(U: UnitaryOperator | FullWalk, s: StateVector, m: int) -> StateVector:
     """m time steps (m >= 0).
 
-    A dense operator is applied by squaring on the state instead of forming
-    U^m: the matrix is squared floor(log2 m) times, and the state is
-    multiplied by the power held at each set bit of m, top bit first.  That is
-    the factor order of the binary-powering product U^m, so rounding in the
-    squared powers cancels as it does there.  The matrix-free full walk steps
-    m times.  Raises NumericsError when the norm drifts by more than
+    A dense operator is applied by ``_power``, which also refuses a walk whose
+    operator is too far from unitary for m steps; the matrix-free full walk
+    steps m times.  Raises NumericsError when the norm drifts by more than
     NORM_DRIFT_TOL (relative): the result would be silently wrong.
     """
     if U.basis is not s.basis and U.basis != s.basis:
         raise SpecError("operator/state basis mismatch")
     if m < 0:
         raise ValueError("step count must be nonnegative")
-    amp = s.amplitudes
     if isinstance(U, FullWalk):
+        amp = s.amplitudes
         for _ in range(m):
             amp = U.step(amp)
+        _check_drift(s.amplitudes, amp, m)
     else:
-        # ndarray.dot makes the same BLAS calls as @ with less dispatch
-        powers = [U.matrix]                # U^(2^j) for every bit j of m
-        while 1 << len(powers) <= m:
-            p = powers[-1]
-            powers.append(p.dot(p))
-        for j in reversed(range(len(powers))):
-            if m >> j & 1:
-                amp = powers[j].dot(amp)
-    n0 = math.sqrt(np.vdot(s.amplitudes, s.amplitudes).real)
+        amp = _power(U.matrix, s.amplitudes, m, U.residual)
+    return StateVector(amplitudes=amp, basis=s.basis)
+
+
+def _power(matrix: np.ndarray, x: np.ndarray, m: int, residual: float) -> np.ndarray:
+    """matrix^m x by squaring on the state; ``residual`` is ||U^H U - I||_F.
+
+    The matrix is squared floor(log2 m) times, and the state is multiplied by
+    the power held at each set bit of m, top bit first: the factor order of
+    the binary-powering product U^m, so rounding in the squared powers cancels
+    as it does there.  m * residual >= 1 raises NumericsError before any
+    squaring: past it the stored operator alone can scale amplitudes by
+    e^{+-1/2} (and its powers can overflow), norm-conserving or not.  Then
+    the norm-drift check.  A float64 matrix and state stay float64.
+    """
+    if m < 0:
+        raise ValueError("step count must be nonnegative")
+    if not m * residual < 1.0:
+        raise NumericsError(f"{m:.3g} steps times the operator's unitarity residual "
+                            f"{residual:.2e} is {m * residual:.2e}, not below 1: the "
+                            f"operator's own non-unitarity can swamp the result")
+    bits = bin(m)[2:]                  # top bit first
+    # ndarray.dot makes the same BLAS calls as @ with less dispatch
+    powers = [matrix]                  # U^(2^j) for every bit j of m
+    for _ in range(len(bits) - 1):
+        p = powers[-1]
+        powers.append(p.dot(p))
+    amp = x
+    for p, bit in zip(reversed(powers), bits):
+        if bit == "1":
+            amp = p.dot(amp)
+    _check_drift(x, amp, m)
+    return amp
+
+
+def _check_drift(x: np.ndarray, amp: np.ndarray, m: int) -> None:
+    """NumericsError when m steps took x to amp with a relative norm change past NORM_DRIFT_TOL."""
+    n0 = math.sqrt(np.vdot(x, x).real)
     drift = abs(math.sqrt(np.vdot(amp, amp).real) - n0) / n0 if n0 else 0.0
     if not drift <= NORM_DRIFT_TOL:
         raise NumericsError(f"norm drifted by {drift:.2e} (relative) over {m} steps, past "
                             f"{NORM_DRIFT_TOL:g}: this many steps exhaust double precision")
-    return StateVector(amplitudes=amp, basis=s.basis)

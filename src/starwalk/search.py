@@ -7,9 +7,11 @@ dial the unmarked-edge reflection phase so a left eigenvalue sits exactly at
 lambda0, prepare the accessible uniform superposition, iterate the walk for
 m = floor(pi*sqrt(N/M)/(2c)) steps, and read out the mass on the marked edge.
 
-The search target, everything of a plan that does not depend on N or M
-(lambda0, c, phi, branch, the active vector r0 and the predicted success), is
-computed once per loaded spec and eigenvalue group and served from a memo.
+The search target, everything of a search that does not depend on N or M
+(lambda0, c, phi, branch, the active vector r0, the predicted success and the
+step template: the collapsed operator but for the hub's four entries, and the
+start's |in> factor), is computed once per loaded spec and eigenvalue group
+and served from a memo.
 """
 from __future__ import annotations
 
@@ -24,10 +26,15 @@ from .graph import (
     SpecError,
     StateVector,
     SubgraphSpec,
-    build_collapsed,
+    _assemble,
+    _check_hub_invariants,
+    _check_unitary,
+    _collapsed_residual,
+    _hub_form,
+    _power,
+    _with_reflector,
+    check_phases,
     check_star,
-    evolve,
-    hub_coefficients,
 )
 from .spectral import (
     RightClassification,
@@ -72,29 +79,38 @@ def initial_state(spec: SubgraphSpec, N: int, M: int, branch: int, phi: float) -
     O(sqrt(M/N)).
     """
     check_star(N, M)
-    return _initial_state(spec, N, M, branch, phi)
+    return StateVector(_start(spec.dim_collapsed, N, M, _alpha(branch, phi)), spec.basis)
 
 
-def _initial_state(spec: SubgraphSpec, N: int, M: int, branch: int, phi: float) -> StateVector:
-    """``initial_state`` for a star already checked."""
-    alpha = branch * cmath.exp(0.5j * phi) / math.sqrt(2.0)
+def _alpha(branch: int, phi: float) -> complex:
+    return branch * cmath.exp(0.5j * phi) / math.sqrt(2.0)
+
+
+def _start(dim: int, N: int, M: int, alpha: complex) -> np.ndarray:
+    """``initial_state``'s amplitudes, for a star already checked."""
     beta = 1.0 / math.sqrt(2.0)
     wL = math.sqrt((N - M) / N)
     wR = math.sqrt(M / N)
-    amp = np.zeros(spec.dim_collapsed, dtype=complex)
+    amp = np.zeros(dim, dtype=complex)
     amp[:4] = beta * wL, alpha * wL, beta * wR, alpha * wR
-    return StateVector(amplitudes=amp, basis=spec.basis)
+    return amp
 
 
 @dataclass(frozen=True, eq=False)
 class _Target:
-    """The N-independent part of a plan: one active eigenvalue group's data."""
+    """The N- and M-independent part of a search: one active eigenvalue group's
+    plan data and the step template ``run_search`` assembles from."""
     lambda0: complex
     c: float
     phi: float
     branch: int
     r0: np.ndarray              # read-only
     predicted_success: float
+    reflect: complex            # e^{i phi}
+    alpha: complex              # the start's |in> factor
+    # _with_reflector(spec, reflect), read-only; float64 for a real walk (a
+    # real spec at phi = 0, where alpha is real too)
+    base: np.ndarray
 
 
 @dataclass(eq=False)
@@ -109,7 +125,8 @@ class _SpecTargets:
 _TARGETS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _group_target(memo: _SpecTargets, chosen: RightClassification, dim: int) -> _Target:
+def _group_target(memo: _SpecTargets, chosen: RightClassification,
+                  spec: SubgraphSpec) -> _Target:
     target = memo.groups.get(chosen.lambda0)
     if target is None:
         if chosen.c is None:
@@ -117,10 +134,16 @@ def _group_target(memo: _SpecTargets, chosen: RightClassification, dim: int) -> 
                 f"lambda0={chosen.lambda0} has no active right eigenvector "
                 f"(constant-family case); it cannot drive a search")
         phi, branch = matched_phi(chosen.lambda0)
-        r0 = embed_right(chosen.active_vector, dim)
+        r0 = embed_right(chosen.active_vector, spec.dim_collapsed)
         r0.flags.writeable = False
+        reflect, alpha = cmath.exp(1j * phi), _alpha(branch, phi)
+        base = _with_reflector(spec, reflect)
+        if not base.imag.any() and alpha.imag == 0.0:
+            base = base.real.copy()
+        base.flags.writeable = False
         target = _Target(lambda0=chosen.lambda0, c=chosen.c, phi=phi, branch=branch, r0=r0,
-                         predicted_success=float(abs(r0[2]) ** 2 + abs(r0[3]) ** 2))
+                         predicted_success=float(abs(r0[2]) ** 2 + abs(r0[3]) ** 2),
+                         reflect=reflect, alpha=alpha, base=base)
         memo.groups[chosen.lambda0] = target
     return target
 
@@ -142,34 +165,67 @@ def _search_target(spec: SubgraphSpec, lambda0) -> _Target:
         classifications = right_classifications(spec)
         lam, _, _ = best_target(classifications)
         chosen = next(cl for cl in classifications if cl.lambda0 == lam)
-        memo.best = target = _group_target(memo, chosen, spec.dim_collapsed)
+        memo.best = target = _group_target(memo, chosen, spec)
     else:
-        target = _group_target(memo, classify_right(spec, complex(lambda0)), spec.dim_collapsed)
+        target = _group_target(memo, classify_right(spec, complex(lambda0)), spec)
     if new:
         _TARGETS[spec] = memo       # a new spec's memo is kept once it holds a target
     return target
 
 
 def plan_search(spec: SubgraphSpec, N: int, M: int = 1, lambda0="auto") -> SearchPlan:
-    """Build a SearchPlan for the given star size, choosing lambda0 if "auto"."""
+    """Build a SearchPlan for the given star size, choosing lambda0 if "auto".
+
+    The initial amplitudes are read-only, so a real walk's start stays real
+    for ``run_search``, which then drops its imaginary parts.
+    """
     check_star(N, M)
     t = _search_target(spec, lambda0)
     m = math.floor(math.pi * math.sqrt(N / M) / (2.0 * t.c))
-    return SearchPlan(lambda0=t.lambda0, phi=t.phi, branch=t.branch, c=t.c,
-                      N=int(N), M=int(M), m=m,
-                      initial=_initial_state(spec, N, M, t.branch, t.phi),
+    amp = _start(spec.dim_collapsed, N, M, t.alpha)
+    amp.flags.writeable = False
+    plan = SearchPlan(lambda0=t.lambda0, phi=t.phi, branch=t.branch, c=t.c,
+                      N=int(N), M=int(M), m=m, initial=StateVector(amp, spec.basis),
                       predicted_success=t.predicted_success, r0=t.r0)
+    # not a field: dataclasses.replace and hand-built plans go without it
+    object.__setattr__(plan, "_target", t)
+    return plan
 
 
 def run_search(plan: SearchPlan, spec: SubgraphSpec) -> SearchResult:
-    """Evolve the planned initial state m steps and report the mass split."""
-    hub = hub_coefficients(plan.N, M=plan.M)
-    U = build_collapsed(spec, hub, plan.phi)
-    final = evolve(U, plan.initial, plan.m)
-    a = final.amplitudes
+    """Evolve the planned initial state m steps and report the mass split.
+
+    Checks what ``hub_coefficients``, ``build_collapsed`` and ``evolve``
+    check.  A plan from ``plan_search`` on this spec runs from its target's
+    template, a real walk in float64 cast to complex at the end; any other
+    plan takes the same steps in complex arithmetic from its own phi and start.
+    """
+    N, M = plan.N, plan.M
+    check_star(N, M)
+    r, t, R_L, R_R, T = _hub_form(1.0 / N, M / N, math.pi, 0.0)
+    _check_hub_invariants(r, t, R_L, R_R, T, N, 0.0)
+    start = plan.initial
+    target = getattr(plan, "_target", None)
+    if target is not None and start.basis is spec.basis:     # planned on this spec
+        reflect, base = target.reflect, target.base
+    else:
+        check_phases(phi=plan.phi)
+        reflect = cmath.exp(1j * plan.phi)
+        base = _with_reflector(spec, reflect)
+    residual = _collapsed_residual(spec, R_L, R_R, T, reflect)
+    _check_unitary(residual)
+    if start.basis is not spec.basis and start.basis != spec.basis:
+        raise SpecError("operator/state basis mismatch")
+    if base.dtype == np.float64:
+        # the standard hub's coefficients are real: their imaginary parts are 0
+        U = _assemble(base, R_L.real, R_R.real, T.real)
+        # alpha is real too, so the read-only start's imaginary parts are 0
+        a = _power(U, start.amplitudes.real, plan.m, residual).astype(complex)
+    else:
+        a = _power(_assemble(base, R_L, R_R, T), start.amplitudes, plan.m, residual)
     p = (np.abs(a) ** 2).tolist()
-    return SearchResult(final_state=final, p_marked=p[2] + p[3], p_null=sum(p[4:], 0.0),
-                        p_unmarked=p[0] + p[1],
+    return SearchResult(final_state=StateVector(a, start.basis), p_marked=p[2] + p[3],
+                        p_null=sum(p[4:], 0.0), p_unmarked=p[0] + p[1],
                         overlap_r0=abs(complex(np.vdot(plan.r0, a))) ** 2)
 
 

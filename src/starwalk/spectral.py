@@ -580,9 +580,17 @@ def pairing_fit(spec: SubgraphSpec, phi: float, lambda0: complex,
     or a balanced hub, whose pole cancels), one, or two (a left and a right pole
     together).  A pair's phase split on the grid is fit to 2c*sqrt(eps) (+ higher
     orders); the log-log slope of the remainder |lambda+- - lambda0 e^{+-ic sqrt(eps)}|
-    is >= 0.9 for a genuine O(eps) remainder.
+    is >= 0.9 for a genuine O(eps) remainder.  A caller's ``eps_grid`` needs
+    finite, positive values, at least three of them distinct (one per fitted
+    order); anything else is a SpecError.
     """
-    grid = tuple(sorted(eps_grid)) if eps_grid is not None else DEFAULT_EPS_GRID
+    if eps_grid is None:
+        grid = DEFAULT_EPS_GRID
+    else:
+        grid = tuple(sorted(eps_grid))
+        if not (all(math.isfinite(e) and e > 0 for e in grid) and len(set(grid)) >= 3):
+            raise SpecError(f"eps_grid needs finite positive values, at least three of them "
+                            f"distinct, got {list(grid)!r}")
     sec = secular_function(spec, phi, x=x, y=y)
     lam0, moving = sec.family(lambda0)
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 import starwalk
 from starwalk.cli import (EXIT_NUMERICS, EXIT_OK, EXIT_ORACLE, EXIT_PIPE, EXIT_SPEC,
                           ORACLE_MAX_STATES, main)
+
+from conftest import random_spec
 
 
 def run(argv):
@@ -269,6 +272,27 @@ class TestArgParsing:
                     "--out", str(tmp_path / "a")]) == EXIT_OK
         assert run(["search", "bolo", "--n", str(10 ** 22),
                     "--out", str(tmp_path / "b")]) == EXIT_NUMERICS
+
+    @pytest.mark.parametrize("k", [50, 60, 100])
+    def test_non_unitarity_guard_exits_3(self, k, tmp_path, capsys):
+        # bolo's float eigenvalue at -1 has modulus 1 - 4.2e-17: over 1.8e25
+        # steps the marked side decays to p_marked 1.7e-17 (exact: 0.75)
+        # while the norm holds, so the drift check alone cannot see it
+        assert run(["search", "bolo", "--n", str(10 ** k),
+                    "--out", str(tmp_path / "s")]) == EXIT_NUMERICS
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "unitarity residual" in err
+
+    def test_powers_never_overflow(self, tmp_path, capsys):
+        # squared 67 times, this walk's powers overflow: numpy's RuntimeWarnings
+        # and a NaN norm unless the run is refused first
+        spec = random_spec(np.random.default_rng(2), arms=3)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec.to_dict()))
+        assert run(["search", str(path), "--n", str(10 ** 40),
+                    "--out", str(tmp_path / "s")]) == EXIT_NUMERICS
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "nan" not in err
 
     @pytest.mark.parametrize("argv", [
         ["search", "bolo", "--n", "1000", "--shots", "10"],

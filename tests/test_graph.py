@@ -497,6 +497,18 @@ class TestEvolution:
         res = sw.run_search(sw.plan_search(bolo_spec, 10 ** 12), bolo_spec)
         assert abs(res.p_marked - 0.75) < 1e-6
 
+    def test_refuses_m_times_residual_of_one(self, bolo_spec):
+        U = sw.build_collapsed(bolo_spec, sw.hub_coefficients(1000), 0.4)
+        s = random_collapsed_state(np.random.default_rng(7), bolo_spec)
+        m = math.ceil(1.0 / U.residual)
+        with pytest.raises(sw.NumericsError, match="unitarity residual"):
+            sw.evolve(U, s, m)
+        # the check comes before any squaring: these powers would overflow,
+        # and the RuntimeWarning is an error under pytest
+        huge = np.full((2, 2), 1e200)
+        with pytest.raises(sw.NumericsError, match="not below 1"):
+            graph._power(huge, np.ones(2), 10, 0.1)
+
     def test_norm_conservation_long_run(self, bolo_spec):
         hub = sw.hub_coefficients(997)
         U = sw.build_collapsed(bolo_spec, hub, 0.4)

@@ -233,6 +233,123 @@ class TestRunSearch:
             assert abs(p - math.sin(0.5 * m * theta) ** 2) < 1e-12
 
 
+def _public_composition(plan, spec):
+    """run_search's walk, composed from the public graph functions."""
+    U = sw.build_collapsed(spec, sw.hub_coefficients(plan.N, M=plan.M), plan.phi)
+    return sw.evolve(U, plan.initial, plan.m).amplitudes
+
+
+@pytest.fixture
+def power_dtypes(monkeypatch) -> list:
+    """The dtype of the operator each search._power call squares."""
+    dtypes = []
+    real = search._power
+
+    def spy(matrix, *args):
+        dtypes.append(matrix.dtype)
+        return real(matrix, *args)
+    monkeypatch.setattr(search, "_power", spy)
+    return dtypes
+
+
+class TestStepTemplate:
+    """run_search from the target's template against the public composition."""
+
+    @pytest.mark.parametrize("arms", [1, 2, 3])
+    def test_complex_walks_are_bitwise_the_public_composition(self, arms, power_dtypes):
+        spec = random_spec(np.random.default_rng(arms), arms=arms)
+        for N in (10 ** k for k in range(2, 13)):
+            for M in (1, 3):
+                plan = sw.plan_search(spec, N, M=M)
+                res = sw.run_search(plan, spec)
+                assert np.array_equal(res.final_state.amplitudes, _public_composition(plan, spec))
+        assert set(power_dtypes) == {np.dtype(complex)}
+
+    @pytest.mark.parametrize("name", ["grover", "bolo"])
+    def test_real_walks_square_in_float64(self, name, power_dtypes):
+        spec = sw.load_spec(name)
+        for cl in sw.right_classifications(spec):
+            if cl.c is None:
+                continue
+            # lambda0 = +-1 matches at phi = 0; bolo's (1 +- 2 sqrt(2) i)/3 does not
+            want = np.dtype(np.float64 if cl.lambda0.imag == 0 else complex)
+            for N in (10 ** k for k in range(2, 13)):
+                for M in (1, 3):
+                    plan = sw.plan_search(spec, N, M=M, lambda0=cl.lambda0)
+                    res = sw.run_search(plan, spec)
+                    a = res.final_state.amplitudes
+                    assert a.dtype == complex and power_dtypes[-1] == want
+                    assert np.max(np.abs(a - _public_composition(plan, spec))) <= 2e-15
+        assert np.dtype(np.float64) in power_dtypes
+
+    def test_plans_outside_the_template_take_complex_steps(self, power_dtypes):
+        spec = sw.load_spec("bolo")
+        plan = sw.plan_search(spec, 10 ** 6, M=3)
+        hand_built = sw.SearchPlan(**{f.name: getattr(plan, f.name)
+                                      for f in dataclasses.fields(sw.SearchPlan)})
+        detuned = dataclasses.replace(plan, phi=0.4)
+        moved = dataclasses.replace(plan, initial=sw.initial_state(spec, 10 ** 6, 3, +1, 0.0))
+        assert plan.branch == -1         # so the branch +1 start is another one
+        for p in (hand_built, detuned, moved):
+            res = sw.run_search(p, spec)
+            assert np.array_equal(res.final_state.amplitudes, _public_composition(p, spec))
+        # the template belongs to the spec object that planned it
+        other = sw.load_spec("bolo")
+        res = sw.run_search(plan, other)
+        assert np.array_equal(res.final_state.amplitudes, _public_composition(plan, other))
+        assert power_dtypes == [np.dtype(complex)] * 4
+
+    def test_checks_kept(self, grover_spec, bolo_spec):
+        plan = sw.plan_search(grover_spec, 100)
+        with pytest.raises(sw.SpecError, match="basis mismatch"):
+            sw.run_search(plan, bolo_spec)
+        with pytest.raises(sw.SpecError, match="phase phi"):
+            sw.run_search(dataclasses.replace(plan, phi=math.nan), grover_spec)
+        with pytest.raises(ValueError, match="nonnegative"):
+            sw.run_search(dataclasses.replace(plan, m=-1), grover_spec)
+        with pytest.raises(sw.SpecError, match="1 <= M < N"):
+            sw.run_search(dataclasses.replace(plan, M=100), grover_spec)
+
+    def test_template_and_start_are_read_only(self, bolo_spec):
+        plan = sw.plan_search(bolo_spec, 1000)
+        target = search._TARGETS[bolo_spec].best
+        assert target.base.dtype == np.float64
+        for array in (target.base, plan.initial.amplitudes):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+
+class TestNonUnitarityGuard:
+    """m * ||U^H U - I||_F >= 1 is refused before any squaring."""
+
+    def test_bolo_refused_past_the_envelope(self, bolo_spec):
+        for k in range(22, 301):
+            with pytest.raises(sw.NumericsError):
+                sw.run_search(sw.plan_search(bolo_spec, 10 ** k), bolo_spec)
+
+    def test_grover_runs_to_the_largest_star(self, grover_spec):
+        # grover's entries are exact, so its residual is 0
+        for k in range(12, 301):
+            res = sw.run_search(sw.plan_search(grover_spec, 10 ** k), grover_spec)
+            assert abs(res.p_marked - 1.0) <= 1e-6, k
+
+    @pytest.mark.parametrize("arms", [1, 2, 3])
+    def test_seeded_specs_succeed_or_refuse(self, arms):
+        # a RuntimeWarning (overflow in the powers) is an error under pytest
+        for seed in range(3):
+            spec = random_spec(np.random.default_rng(seed), arms=arms)
+            refused = 0
+            for k in range(2, 301):
+                for M in (1, 3):
+                    try:
+                        res = sw.run_search(sw.plan_search(spec, 10 ** k, M=M), spec)
+                    except sw.NumericsError:
+                        refused += 1
+                    else:
+                        assert 0.0 <= res.p_marked <= 1.0 + 1e-6
+            assert refused > 0
+
+
 class TestEffectiveTwoLevelBlock:
     def test_block_form_of_walk_on_active_pair(self, bolo_spec):
         """On span{l0, r0} the walk acts as lambda0 * rotation by c*sqrt(eps):

@@ -572,6 +572,12 @@ class TestPairingFit:
         fit = sw.pairing_fit(spec, 0.0, cmath.exp(0.5j))
         assert fit.case == CASE_CONSTANT
 
+    @pytest.mark.parametrize("grid", [[1e-6], [1e-6, 1e-6], [0.0, 1e-6], [math.nan, 1e-6],
+                                      [1e-7, 1e-6, -1e-6], [1e-8, 1e-7, math.inf]])
+    def test_degenerate_grid_rejected(self, bolo_spec, grid):
+        with pytest.raises(sw.SpecError, match="eps_grid"):
+            sw.pairing_fit(bolo_spec, 0.0, -1.0 + 0j, eps_grid=grid)
+
     def test_balanced_case_flagged(self, grover_spec):
         # phi = pi puts lambda0^2 + e^{i phi} = 0 at lambda0 = 1: no net flow
         fit = sw.pairing_fit(grover_spec, math.pi, 1.0 + 0j)
