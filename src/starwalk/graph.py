@@ -194,6 +194,15 @@ class SubgraphSpec:
         return base
 
     @cached_property
+    def _real_columns(self) -> np.ndarray | None:
+        """``vertex_columns`` as float64 when every entry is real, else None (read-only)."""
+        if self.vertex_columns.imag.any():
+            return None
+        real = self.vertex_columns.real.copy()
+        real.flags.writeable = False
+        return real
+
+    @cached_property
     def basis(self) -> "EdgeBasis":
         """The collapsed edge basis, one object per spec."""
         return EdgeBasis(self.interior)
@@ -469,21 +478,16 @@ def collapsed_coefficients(eps, x: float = math.pi, y: float = 0.0):
     return _hub_form(eps, eps, x, y)[2:]
 
 
-def _with_reflector(spec: SubgraphSpec, reflect: complex) -> np.ndarray:
-    """The spec's vertex columns plus the unmarked-edge reflection |out> -> |in>.
+def _assemble(columns: np.ndarray, reflect, R_L, R_R, T) -> np.ndarray:
+    """A copy of a spec's vertex columns with the five hub entries written.
 
-    ``reflect`` = e^{i phi}.  This is every entry of a collapsed operator but
-    the four the hub's (R_L, R_R, T) write, which ``_assemble`` adds.
+    ``reflect`` = e^{i phi} is the unmarked-edge reflection |out> -> |in>;
+    (R_L, R_R, T) are the collapsed hub's.  ``columns`` is ``vertex_columns``
+    or, for a real walk, its float64 copy.
     """
-    base = spec.vertex_columns.copy()
-    base[1, 0] = reflect        # |out> -> |in>
-    return base
-
-
-def _assemble(base: np.ndarray, R_L, R_R, T) -> np.ndarray:
-    """A copy of ``base`` (see ``_with_reflector``) with the hub's four entries."""
     out, in_, marked_out, marked_in = range(4)      # positions of RESERVED_LABELS
-    U = base.copy()
+    U = columns.copy()
+    U[in_, out] = reflect
     U[out, in_] = R_L
     U[marked_out, in_] = T
     U[marked_out, marked_in] = R_R
@@ -500,7 +504,7 @@ def collapsed_matrix(spec: SubgraphSpec, eps, phi: float,
     """
     check_phases(phi=phi, x=x, y=y)
     R_L, R_R, T = collapsed_coefficients(eps, x=x, y=y)
-    return _assemble(_with_reflector(spec, cmath.exp(1j * phi)), R_L, R_R, T)
+    return _assemble(spec.vertex_columns, cmath.exp(1j * phi), R_L, R_R, T)
 
 
 def _hub_residual_sq(R_L, R_R, T, reflect: complex) -> float:
@@ -529,7 +533,7 @@ def build_collapsed(spec: SubgraphSpec, hub: HubModel, phi: float) -> UnitaryOpe
     """
     check_phases(phi=phi)
     reflect = cmath.exp(1j * phi)
-    U = _assemble(_with_reflector(spec, reflect), hub.R_L, hub.R_R, hub.T)
+    U = _assemble(spec.vertex_columns, reflect, hub.R_L, hub.R_R, hub.T)
     return UnitaryOperator(U, spec.basis,
                            _collapsed_residual(spec, hub.R_L, hub.R_R, hub.T, reflect))
 
@@ -667,6 +671,29 @@ def evolve(U: UnitaryOperator | FullWalk, s: StateVector, m: int) -> StateVector
     else:
         amp = _power(U.matrix, s.amplitudes, m, U.residual)
     return StateVector(amplitudes=amp, basis=s.basis)
+
+
+def _walk(spec: SubgraphSpec, N: int, M: int, phi: float, x: np.ndarray, m: int) -> np.ndarray:
+    """U^m x for the collapsed standard-hub walk at (N, M, phi).
+
+    The one propagation of a search and of a detuning sweep: it checks what
+    ``hub_coefficients``, ``build_collapsed`` and ``evolve`` check, with the
+    unitarity residual in closed form.  A real walk (real vertex columns,
+    e^{i phi} and x) squares in float64 and is cast to complex at the end.
+    """
+    check_star(N, M)
+    check_phases(phi=phi)
+    r, t, R_L, R_R, T = _hub_form(1.0 / N, M / N, math.pi, 0.0)
+    _check_hub_invariants(r, t, R_L, R_R, T, N, 0.0)
+    reflect = cmath.exp(1j * phi)
+    residual = _collapsed_residual(spec, R_L, R_R, T, reflect)
+    _check_unitary(residual)
+    real = spec._real_columns
+    if real is not None and reflect.imag == 0.0 and not x.imag.any():
+        # the standard hub's coefficients are real: their imaginary parts are 0
+        U = _assemble(real, reflect.real, R_L.real, R_R.real, T.real)
+        return _power(U, x.real, m, residual).astype(complex)
+    return _power(_assemble(spec.vertex_columns, reflect, R_L, R_R, T), x, m, residual)
 
 
 def _power(matrix: np.ndarray, x: np.ndarray, m: int, residual: float) -> np.ndarray:

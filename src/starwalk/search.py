@@ -9,9 +9,9 @@ m = floor(pi*sqrt(N/M)/(2c)) steps, and read out the mass on the marked edge.
 
 The search target, everything of a search that does not depend on N or M
 (lambda0, c, phi, branch, the active vector r0, the predicted success and the
-step template: the collapsed operator but for the hub's four entries, and the
 start's |in> factor), is computed once per loaded spec and eigenvalue group
-and served from a memo.
+and served from a memo; the detuning sweep reads it too.  The walk itself is
+``graph._walk``, the one propagation of the collapsed operator.
 """
 from __future__ import annotations
 
@@ -22,20 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import (
-    SpecError,
-    StateVector,
-    SubgraphSpec,
-    _assemble,
-    _check_hub_invariants,
-    _check_unitary,
-    _collapsed_residual,
-    _hub_form,
-    _power,
-    _with_reflector,
-    check_phases,
-    check_star,
-)
+from .graph import SpecError, StateVector, SubgraphSpec, _walk, check_star
 from .spectral import (
     RightClassification,
     best_target,
@@ -99,18 +86,14 @@ def _start(dim: int, N: int, M: int, alpha: complex) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _Target:
     """The N- and M-independent part of a search: one active eigenvalue group's
-    plan data and the step template ``run_search`` assembles from."""
+    plan data."""
     lambda0: complex
     c: float
     phi: float
     branch: int
     r0: np.ndarray              # read-only
     predicted_success: float
-    reflect: complex            # e^{i phi}
     alpha: complex              # the start's |in> factor
-    # _with_reflector(spec, reflect), read-only; float64 for a real walk (a
-    # real spec at phi = 0, where alpha is real too)
-    base: np.ndarray
 
 
 @dataclass(eq=False)
@@ -136,14 +119,9 @@ def _group_target(memo: _SpecTargets, chosen: RightClassification,
         phi, branch = matched_phi(chosen.lambda0)
         r0 = embed_right(chosen.active_vector, spec.dim_collapsed)
         r0.flags.writeable = False
-        reflect, alpha = cmath.exp(1j * phi), _alpha(branch, phi)
-        base = _with_reflector(spec, reflect)
-        if not base.imag.any() and alpha.imag == 0.0:
-            base = base.real.copy()
-        base.flags.writeable = False
         target = _Target(lambda0=chosen.lambda0, c=chosen.c, phi=phi, branch=branch, r0=r0,
                          predicted_success=float(abs(r0[2]) ** 2 + abs(r0[3]) ** 2),
-                         reflect=reflect, alpha=alpha, base=base)
+                         alpha=_alpha(branch, phi))
         memo.groups[chosen.lambda0] = target
     return target
 
@@ -176,53 +154,29 @@ def _search_target(spec: SubgraphSpec, lambda0) -> _Target:
 def plan_search(spec: SubgraphSpec, N: int, M: int = 1, lambda0="auto") -> SearchPlan:
     """Build a SearchPlan for the given star size, choosing lambda0 if "auto".
 
-    The initial amplitudes are read-only, so a real walk's start stays real
-    for ``run_search``, which then drops its imaginary parts.
+    The initial amplitudes are read-only, so a real walk's start stays real.
     """
     check_star(N, M)
     t = _search_target(spec, lambda0)
     m = math.floor(math.pi * math.sqrt(N / M) / (2.0 * t.c))
     amp = _start(spec.dim_collapsed, N, M, t.alpha)
     amp.flags.writeable = False
-    plan = SearchPlan(lambda0=t.lambda0, phi=t.phi, branch=t.branch, c=t.c,
+    return SearchPlan(lambda0=t.lambda0, phi=t.phi, branch=t.branch, c=t.c,
                       N=int(N), M=int(M), m=m, initial=StateVector(amp, spec.basis),
                       predicted_success=t.predicted_success, r0=t.r0)
-    # not a field: dataclasses.replace and hand-built plans go without it
-    object.__setattr__(plan, "_target", t)
-    return plan
 
 
 def run_search(plan: SearchPlan, spec: SubgraphSpec) -> SearchResult:
     """Evolve the planned initial state m steps and report the mass split.
 
-    Checks what ``hub_coefficients``, ``build_collapsed`` and ``evolve``
-    check.  A plan from ``plan_search`` on this spec runs from its target's
-    template, a real walk in float64 cast to complex at the end; any other
-    plan takes the same steps in complex arithmetic from its own phi and start.
+    The walk is ``graph._walk`` at the plan's (N, M, phi), with its checks.  It
+    depends on the plan's fields only: a real walk (a real spec at phi = 0 from
+    a real start, such as grover and bolo at lambda0 = +-1) squares in float64.
     """
-    N, M = plan.N, plan.M
-    check_star(N, M)
-    r, t, R_L, R_R, T = _hub_form(1.0 / N, M / N, math.pi, 0.0)
-    _check_hub_invariants(r, t, R_L, R_R, T, N, 0.0)
     start = plan.initial
-    target = getattr(plan, "_target", None)
-    if target is not None and start.basis is spec.basis:     # planned on this spec
-        reflect, base = target.reflect, target.base
-    else:
-        check_phases(phi=plan.phi)
-        reflect = cmath.exp(1j * plan.phi)
-        base = _with_reflector(spec, reflect)
-    residual = _collapsed_residual(spec, R_L, R_R, T, reflect)
-    _check_unitary(residual)
     if start.basis is not spec.basis and start.basis != spec.basis:
         raise SpecError("operator/state basis mismatch")
-    if base.dtype == np.float64:
-        # the standard hub's coefficients are real: their imaginary parts are 0
-        U = _assemble(base, R_L.real, R_R.real, T.real)
-        # alpha is real too, so the read-only start's imaginary parts are 0
-        a = _power(U, start.amplitudes.real, plan.m, residual).astype(complex)
-    else:
-        a = _power(_assemble(base, R_L, R_R, T), start.amplitudes, plan.m, residual)
+    a = _walk(spec, plan.N, plan.M, plan.phi, start.amplitudes, plan.m)
     p = (np.abs(a) ** 2).tolist()
     return SearchResult(final_state=StateVector(a, start.basis), p_marked=p[2] + p[3],
                         p_null=sum(p[4:], 0.0), p_unmarked=p[0] + p[1],

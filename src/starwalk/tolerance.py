@@ -16,27 +16,19 @@ the chosen right eigenvalue lambda0, the pair is detuned by a phase gap delta
 """
 from __future__ import annotations
 
+import cmath
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (
-    NumericsError,
-    SpecError,
-    StateVector,
-    SubgraphSpec,
-    build_collapsed,
-    check_star,
-    evolve,
-    hub_coefficients,
-)
+from .graph import NumericsError, SpecError, SubgraphSpec, _walk, check_star
+from .search import _search_target
 from .spectral import (
     NEWTON_MAX,
     classify_right,
     embed_left,
-    embed_right,
     left_active,
     matched_phi,
     secular_function,
@@ -81,15 +73,17 @@ def tuning_t(delta: float, c: float, N: int, M: int = 1) -> float:
 
 
 def predicted_success_naive(t: float) -> float:
-    """Peak success on the naive schedule m = floor(pi/(2c sqrt(eps)))."""
-    if t < 0:
+    """Peak success on the naive schedule m = floor(pi/(2c sqrt(eps))); 0 at t = inf."""
+    if not t >= 0:
         raise ValueError("t must be nonnegative")
+    if t == math.inf:           # sin(inf) has no value; the limit is 0
+        return 0.0
     return float(math.sin(0.5 * math.pi * math.sqrt(1.0 + t)) ** 2 / (1.0 + t))
 
 
 def predicted_success_compensated(t: float) -> float:
     """Peak success on the compensated schedule m = floor(pi/(2c sqrt((1+t) eps)))."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be nonnegative")
     return float(1.0 / (1.0 + t))
 
@@ -105,6 +99,7 @@ def locate_double_root(spec: SubgraphSpec, phi: float, lambda0: complex) -> comp
     critical point s'(z*) = 0, eps0 = -1/(2 s(z*)).  Newton on s' at
     z = lambda0*e^{i theta} starts at theta = delta/2, between lambda0 and the
     nearest left pole lambda0*e^{i delta}, which picks the family; delta = 0 gives 0.
+    A non-finite iterate (the secular sums overflow at huge N) raises NumericsError.
     """
     cl = classify_right(spec, lambda0)
     if cl.c is None:
@@ -115,12 +110,18 @@ def locate_double_root(spec: SubgraphSpec, phi: float, lambda0: complex) -> comp
     if delta == 0.0:
         return 0j
     theta = complex(0.5 * delta)
-    for _ in range(NEWTON_MAX):
-        _, ds, d2s = sec.s(theta, center)
-        step = complex(ds / d2s)
-        theta -= step
-        if abs(step) <= 1e-14 * abs(theta):
-            return complex(-0.5 / sec.s(theta, center)[0])
+    with np.errstate(all="ignore"):     # overflow shows as a non-finite value below
+        for _ in range(NEWTON_MAX):
+            _, ds, d2s = sec.s(theta, center)
+            step = complex(ds / d2s)
+            theta -= step
+            if not cmath.isfinite(theta):
+                break
+            if abs(step) <= 1e-14 * abs(theta):
+                eps0 = complex(-0.5 / sec.s(theta, center)[0])
+                if cmath.isfinite(eps0):
+                    return eps0
+                break
     raise NumericsError(f"double-root Newton did not converge (step {abs(step):.2e}, phi={phi})")
 
 
@@ -133,18 +134,13 @@ def tolerance_sweep(spec: SubgraphSpec, N: int, M: int, lambda0: complex,
     """Measured vs predicted success across a grid of detunings.
 
     Success here is |<r0|U^m|l0>|^2 — the quantity the tuning theory bounds —
-    recorded on both the naive and the compensated schedule.
+    recorded on both the naive and the compensated schedule.  (lambda0, c,
+    branch, r0) come from the search target; the walk is ``graph._walk``.
     """
-    cl = classify_right(spec, lambda0)
-    if cl.c is None:
-        raise ValueError(f"lambda0={lambda0} has no active right eigenvector")
-    c = cl.c
-    lam0 = cl.lambda0
+    target = _search_target(spec, lambda0)
+    lam0, c, r0 = target.lambda0, target.c, target.r0
+    check_star(N, M)
     eps = M / N
-    dim = spec.dim_collapsed
-    r0 = embed_right(cl.active_vector, dim)
-    _, branch = matched_phi(lam0)
-    hub = hub_coefficients(N, M=M)
 
     deltas = [float(delta) for delta in delta_grid]
     if not all(math.isfinite(delta) for delta in deltas):
@@ -156,16 +152,15 @@ def tolerance_sweep(spec: SubgraphSpec, N: int, M: int, lambda0: complex,
         t = tuning_t(delta, c, N, M)
         m_naive = math.floor(math.pi / (2.0 * c * math.sqrt(eps)))
         m_comp = math.floor(math.pi / (2.0 * c * math.sqrt((1.0 + t) * eps)))
-        U = build_collapsed(spec, hub, phi)
-        l0 = StateVector(embed_left(left_active(phi, branch), dim), U.basis)
-        psi_comp = evolve(U, l0, m_comp)             # t >= 0, so m_comp <= m_naive
-        psi_naive = evolve(U, psi_comp, m_naive - m_comp)
+        l0 = embed_left(left_active(phi, target.branch), spec.dim_collapsed)
+        psi_comp = _walk(spec, N, M, phi, l0, m_comp)     # t >= 0, so m_comp <= m_naive
+        psi_naive = _walk(spec, N, M, phi, psi_comp, m_naive - m_comp)
         eps0 = locate_double_root(spec, phi, lam0) if locate_eps0 else complex("nan")
         profiles.append(ToleranceProfile(
             N=int(N), M=int(M), delta=delta, t=t, epsilon0=eps0,
             m_naive=m_naive, m_compensated=m_comp,
-            P_measured_naive=float(abs(np.vdot(r0, psi_naive.amplitudes)) ** 2),
-            P_measured_comp=float(abs(np.vdot(r0, psi_comp.amplitudes)) ** 2),
+            P_measured_naive=float(abs(np.vdot(r0, psi_naive)) ** 2),
+            P_measured_comp=float(abs(np.vdot(r0, psi_comp)) ** 2),
             P_predicted_naive=predicted_success_naive(t),
             P_predicted_comp=predicted_success_compensated(t),
             extrapolated=extrapolated,

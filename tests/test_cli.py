@@ -157,6 +157,15 @@ class TestTolerance:
                 assert abs(row["epsilon0_re"] / law - 1.0) < 0.01
 
 
+    def test_huge_detuning_predicts_zero(self, tmp_path):
+        # t overflows to inf; its t -> inf limit is 0, not a math domain error
+        assert run(["tolerance", "grover", "--n", "1000000", "--delta-grid", "1e300",
+                    "--out", str(tmp_path / "tol")]) == EXIT_OK
+        (row,) = json.loads((tmp_path / "tol.json").read_text())["profiles"]
+        assert row["t"] == math.inf
+        assert row["P_predicted_naive"] == 0.0 and row["P_predicted_comp"] == 0.0
+
+
 class TestOracleCheck:
     def test_bolo_passes(self, capsys):
         assert run(["oracle-check", "bolo", "--n", "16", "--steps", "200"]) == EXIT_OK
@@ -282,6 +291,14 @@ class TestArgParsing:
                     "--out", str(tmp_path / "s")]) == EXIT_NUMERICS
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "unitarity residual" in err
+
+    def test_huge_star_tolerance_exits_3(self, tmp_path, capsys):
+        # the secular sums overflow in the double-root Newton: one diagnostic
+        # line, no numpy RuntimeWarning (an error under pytest)
+        assert run(["tolerance", "grover", "--n", str(10 ** 300),
+                    "--out", str(tmp_path / "t")]) == EXIT_NUMERICS
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "double-root" in err
 
     def test_powers_never_overflow(self, tmp_path, capsys):
         # squared 67 times, this walk's powers overflow: numpy's RuntimeWarnings

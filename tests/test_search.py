@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import starwalk as sw
-from starwalk import search
+from starwalk import graph, search
 from starwalk.graph import IN, MARKED_IN, MARKED_OUT, OUT
 from starwalk.spectral import embed_left, embed_right
 
@@ -241,19 +241,19 @@ def _public_composition(plan, spec):
 
 @pytest.fixture
 def power_dtypes(monkeypatch) -> list:
-    """The dtype of the operator each search._power call squares."""
+    """The dtype of the operator each graph._power call squares."""
     dtypes = []
-    real = search._power
+    real = graph._power
 
     def spy(matrix, *args):
         dtypes.append(matrix.dtype)
         return real(matrix, *args)
-    monkeypatch.setattr(search, "_power", spy)
+    monkeypatch.setattr(graph, "_power", spy)
     return dtypes
 
 
 class TestStepTemplate:
-    """run_search from the target's template against the public composition."""
+    """run_search through graph._walk against the public composition."""
 
     @pytest.mark.parametrize("arms", [1, 2, 3])
     def test_complex_walks_are_bitwise_the_public_composition(self, arms, power_dtypes):
@@ -282,22 +282,29 @@ class TestStepTemplate:
                     assert np.max(np.abs(a - _public_composition(plan, spec))) <= 2e-15
         assert np.dtype(np.float64) in power_dtypes
 
-    def test_plans_outside_the_template_take_complex_steps(self, power_dtypes):
+    def test_the_walk_depends_on_the_plan_fields_only(self, power_dtypes):
         spec = sw.load_spec("bolo")
         plan = sw.plan_search(spec, 10 ** 6, M=3)
         hand_built = sw.SearchPlan(**{f.name: getattr(plan, f.name)
                                       for f in dataclasses.fields(sw.SearchPlan)})
-        detuned = dataclasses.replace(plan, phi=0.4)
-        moved = dataclasses.replace(plan, initial=sw.initial_state(spec, 10 ** 6, 3, +1, 0.0))
+        runs = [sw.run_search(plan, spec), sw.run_search(hand_built, spec),
+                sw.run_search(dataclasses.replace(plan), spec),
+                sw.run_search(plan, sw.load_spec("bolo"))]
+        for res in runs[1:]:
+            assert np.array_equal(res.final_state.amplitudes, runs[0].final_state.amplitudes)
+        # a real spec at phi = 0 from a real start: each is a real walk
+        assert power_dtypes == [np.dtype(np.float64)] * 4
         assert plan.branch == -1         # so the branch +1 start is another one
-        for p in (hand_built, detuned, moved):
-            res = sw.run_search(p, spec)
-            assert np.array_equal(res.final_state.amplitudes, _public_composition(p, spec))
-        # the template belongs to the spec object that planned it
-        other = sw.load_spec("bolo")
-        res = sw.run_search(plan, other)
-        assert np.array_equal(res.final_state.amplitudes, _public_composition(plan, other))
-        assert power_dtypes == [np.dtype(complex)] * 4
+        moved = dataclasses.replace(plan, initial=sw.initial_state(spec, 10 ** 6, 3, +1, 0.0))
+        detuned = dataclasses.replace(plan, phi=0.4)
+        turned = dataclasses.replace(plan, initial=sw.initial_state(spec, 10 ** 6, 3, +1, 0.4))
+        for p, want in ((moved, np.float64), (detuned, complex), (turned, complex)):
+            a = sw.run_search(p, spec).final_state.amplitudes
+            assert a.dtype == complex and power_dtypes[-1] == np.dtype(want)
+            if want is complex:
+                assert np.array_equal(a, _public_composition(p, spec))
+            else:
+                assert np.max(np.abs(a - _public_composition(p, spec))) <= 2e-15
 
     def test_checks_kept(self, grover_spec, bolo_spec):
         plan = sw.plan_search(grover_spec, 100)
@@ -310,13 +317,17 @@ class TestStepTemplate:
         with pytest.raises(sw.SpecError, match="1 <= M < N"):
             sw.run_search(dataclasses.replace(plan, M=100), grover_spec)
 
-    def test_template_and_start_are_read_only(self, bolo_spec):
+    def test_start_and_real_columns_are_read_only(self, bolo_spec):
         plan = sw.plan_search(bolo_spec, 1000)
-        target = search._TARGETS[bolo_spec].best
-        assert target.base.dtype == np.float64
-        for array in (target.base, plan.initial.amplitudes):
+        sw.run_search(plan, bolo_spec)
+        columns = bolo_spec._real_columns
+        assert columns.dtype == np.float64
+        assert np.array_equal(columns, bolo_spec.vertex_columns)
+        for array in (columns, plan.initial.amplitudes):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
+        # a complex-entry spec has no float64 copy
+        assert random_spec(np.random.default_rng(1), arms=1)._real_columns is None
 
 
 class TestNonUnitarityGuard:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import starwalk as sw
+from starwalk.spectral import embed_left, embed_right
 from starwalk.tolerance import SMALL_ANGLE_GUARD
 
 
@@ -50,6 +51,18 @@ class TestTuningParameter:
             sw.predicted_success_naive(-0.1)
         with pytest.raises(ValueError):
             sw.predicted_success_compensated(-0.1)
+
+    def test_infinite_t_is_the_limit(self):
+        # a huge detuning overflows t to inf; both predictions go to 0
+        assert sw.tuning_t(1e300, 1.0, 10 ** 6) == math.inf
+        assert sw.predicted_success_naive(math.inf) == 0.0
+        assert sw.predicted_success_compensated(math.inf) == 0.0
+
+    def test_rejects_nan_t(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sw.predicted_success_naive(math.nan)
+        with pytest.raises(ValueError, match="nonnegative"):
+            sw.predicted_success_compensated(math.nan)
 
 
 class TestLocateDoubleRoot:
@@ -174,6 +187,36 @@ class TestToleranceSweep:
         r = sw.tolerance_sweep(grover_spec, 4, 1, 1.0 + 0j, [3.05])[0]
         assert r.m_compensated == 0 and r.m_naive == 3
         assert r.P_measured_comp == 0.0
+
+    @pytest.mark.parametrize("name", ["grover", "bolo"])
+    def test_rows_are_the_public_composition(self, name):
+        # a detuned walk is complex and bit-identical to build_collapsed + evolve;
+        # at delta = 0 and lambda0 = +-1 the walk is real and squares in float64
+        spec = sw.load_spec(name)
+        dim = spec.dim_collapsed
+        real_rows = 0
+        for cl in sw.right_classifications(spec):
+            if cl.c is None:
+                continue
+            r0 = embed_right(cl.active_vector, dim)
+            _, branch = sw.matched_phi(cl.lambda0)
+            for N, M in ((100, 1), (10 ** 4, 3), (10 ** 8, 1)):
+                rows = sw.tolerance_sweep(spec, N, M, cl.lambda0, [0.0, 0.003, -0.02],
+                                          locate_eps0=False)
+                for row in rows:
+                    phi = sw.detuned_phase(cl.lambda0, row.delta)
+                    U = sw.build_collapsed(spec, sw.hub_coefficients(N, M), phi)
+                    l0 = sw.StateVector(embed_left(sw.left_active(phi, branch), dim), U.basis)
+                    comp = sw.evolve(U, l0, row.m_compensated)
+                    naive = sw.evolve(U, comp, row.m_naive - row.m_compensated)
+                    want = np.array([abs(np.vdot(r0, s.amplitudes)) ** 2 for s in (naive, comp)])
+                    got = np.array([row.P_measured_naive, row.P_measured_comp])
+                    if phi == 0.0:
+                        real_rows += 1
+                        assert np.max(np.abs(got - want)) <= 2e-15
+                    else:
+                        assert np.array_equal(got, want)
+        assert real_rows > 0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_detuning(self, grover_spec, bad):
