@@ -356,15 +356,15 @@ def hub_coefficients(N: int, M: int = 1, x: float = math.pi, y: float = 0.0) -> 
     return HubModel(*form)
 
 
-def _check_hub_invariants(r, t, R_L, R_R, T, N: int, y: float, tol: float = 1e-12) -> None:
-    """The hub's five unitarity identities, on the (r, t, R_L, R_R, T) of ``_hub_form``."""
+def _check_hub_invariants(r, t, R_L, R_R, T, N: int, y: float) -> None:
+    """The hub's five unitarity identities to 1e-12, on the (r, t, R_L, R_R, T) of ``_hub_form``."""
     c1 = abs(abs(r) ** 2 + (N - 1) * abs(t) ** 2 - 1.0)
     c2 = abs(2.0 * (r.conjugate() * t).real + (N - 2) * abs(t) ** 2)
     c3 = abs(abs(R_R) ** 2 + abs(T) ** 2 - 1.0)
     c4 = abs(abs(R_L) ** 2 + abs(T) ** 2 - 1.0)
     c5 = abs(T ** 2 - R_R * R_L - cmath.exp(2j * y))
     worst = max(c1, c2, c3, c4, c5)
-    if not worst <= tol:
+    if not worst <= 1e-12:
         raise NumericsError(f"hub coefficient invariants violated (worst residual {worst:.2e})")
 
 

@@ -64,7 +64,7 @@ def _gauge(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def eigendecompose(U, residual_tol: float = RESIDUAL_TOL) -> EigenSystem:
+def eigendecompose(U) -> EigenSystem:
     """Eigenvalues and an orthonormal eigenbasis of a unitary matrix.
 
     The input must be unitary.  It is turned by e^{-i beta} so that the centre
@@ -73,7 +73,7 @@ def eigendecompose(U, residual_tol: float = RESIDUAL_TOL) -> EigenSystem:
     with the eigenvectors of U, and ``eigh`` gives an orthonormal eigenbasis,
     degenerate clusters included.  The eigenvalues are the Rayleigh quotients
     of U in that basis.  Non-square, empty or non-finite input raises SpecError;
-    a residual above ``residual_tol`` means the input is not unitary.
+    a residual above ``RESIDUAL_TOL`` means the input is not unitary.
     """
     A = np.asarray(getattr(U, "matrix", U), dtype=complex)   # an operator or a bare matrix
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
@@ -89,10 +89,10 @@ def eigendecompose(U, residual_tol: float = RESIDUAL_TOL) -> EigenSystem:
     _, Z = np.linalg.eigh(0.5 * (H + H.conj().T))
     vals = np.einsum("ij,ij->j", Z.conj(), A @ Z)
     res = _max_residual(A, vals, Z)
-    if res > residual_tol:
+    if res > RESIDUAL_TOL:
         cond = np.linalg.cond(A)
         raise NumericsError(
-            f"eigendecomposition residual {res:.2e} exceeds {residual_tol:.1e} "
+            f"eigendecomposition residual {res:.2e} exceeds {RESIDUAL_TOL:.1e} "
             f"(matrix condition number {cond:.2e})")
     return EigenSystem(eigenvalues=vals, eigenvectors=_gauge(Z))
 
@@ -121,10 +121,10 @@ def _snap(z: complex) -> complex:
                    0.0 if abs(z.imag) < ROUNDOFF else z.imag)
 
 
-def group_eigenvalues(sys: EigenSystem, tol: float = CLUSTER_TOL) -> list[EigenvalueGroup]:
+def group_eigenvalues(sys: EigenSystem) -> list[EigenvalueGroup]:
     """Cluster eigenvalues into lambda0 families by single-linkage on the circle.
 
-    Two clusters whose representatives end up closer than 2*tol are reported as
+    Two clusters whose representatives lie within 2*CLUSTER_TOL are reported as
     ambiguous rather than silently merged.  A representative's round-off-level
     parts are set to +0, so +-1 carry no sign of the eigensolver's rounding.
     """
@@ -135,11 +135,11 @@ def group_eigenvalues(sys: EigenSystem, tol: float = CLUSTER_TOL) -> list[Eigenv
     clusters: list[list[int]] = [[int(order[0])]]
     for k in range(1, n):
         i = int(order[k])
-        if abs(vals[i] - vals[clusters[-1][-1]]) <= tol:
+        if abs(vals[i] - vals[clusters[-1][-1]]) <= CLUSTER_TOL:
             clusters[-1].append(i)
         else:
             clusters.append([i])
-    if len(clusters) > 1 and abs(vals[clusters[0][0]] - vals[clusters[-1][-1]]) <= tol:
+    if len(clusters) > 1 and abs(vals[clusters[0][0]] - vals[clusters[-1][-1]]) <= CLUSTER_TOL:
         clusters[0] = clusters.pop() + clusters[0]
 
     groups = []
@@ -151,10 +151,10 @@ def group_eigenvalues(sys: EigenSystem, tol: float = CLUSTER_TOL) -> list[Eigenv
     for a in range(len(groups)):
         for b in range(a + 1, len(groups)):
             gap = abs(groups[a].lambda0 - groups[b].lambda0)
-            if gap < 2 * tol:
+            if gap < 2 * CLUSTER_TOL:
                 raise NumericsError(
                     f"ambiguous eigenvalue clustering: groups at {groups[a].lambda0:.9f} "
-                    f"and {groups[b].lambda0:.9f} are {gap:.2e} apart (< 2*tol)")
+                    f"and {groups[b].lambda0:.9f} are {gap:.2e} apart (< 2*CLUSTER_TOL)")
     return sorted(groups, key=lambda g: round(float(np.angle(g.lambda0)), 12))
 
 
@@ -372,6 +372,7 @@ class SecularFunction:
     centers: np.ndarray      # per root, the pole it leaves
     alpha: np.ndarray        # (root, pole): _offset(pole, center of root)
     fixed: np.ndarray        # bound eigenvalues, with multiplicity
+    contacts: np.ndarray     # (active, dim_right): r_j conj(r_j[0]) per active right vector
     hub0: tuple[complex, complex]    # (R_L0, R_R0)
     x: float
     y: float
@@ -404,6 +405,18 @@ class SecularFunction:
 
     def z(self, theta, roots=slice(None)) -> np.ndarray:
         return self.centers[roots] * np.exp(1j * np.asarray(theta))
+
+    def vectors(self, eps, theta, roots) -> np.ndarray:
+        """Unit eigenvectors of U(eps) at the roots ``theta`` of ``roots`` (columns gauged
+        like eigendecompose's): v = (U(0) - z)^{-1} (q_1|out> + q_2|0,1>), q = (T g_R,
+        -(1 + a g_L)), has v[out] = q_1 sum_+-p 1/(2(p - z)), v[in] = q_1 g_L, right side
+        q_2 sum_j r_j conj(r_j[0])/(lambda_j - z); each 1/(mu - z) in ``sides``' offset form."""
+        (gL,), (gR,) = self.sides(theta, self.alpha[roots])
+        inv = (1.0 - 1j / np.tan(0.5 * (self.alpha[roots] - theta[:, None]))) / (2.0 * self.poles)
+        R_L, _, T = collapsed_coefficients(eps, x=self.x, y=self.y)
+        q1, q2 = T * gR, -(1.0 + (R_L - self.hub0[0]) * gL)
+        return _gauge(np.column_stack((0.5 * q1 * (inv[:, 0] + inv[:, 1]), q1 * gL,
+                                       q2[:, None] * (inv[:, 2:] @ self.contacts))).T)
 
     def family(self, lambda0: complex) -> tuple[complex, np.ndarray]:
         """(lam0, roots): the eigenvalue of U(0) nearest lambda0 and the roots leaving it."""
@@ -489,6 +502,7 @@ def secular_function(spec: SubgraphSpec, phi: float, x: float = math.pi,
     return SecularFunction(
         poles=poles, residues=residues, centers=centers, alpha=_offset(poles, centers[:, None]),
         fixed=np.array([cl.lambda0 for cl in classes for _ in range(cl.n_bound)], dtype=complex),
+        contacts=np.array([cl.active_vector * cl.active_vector[0].conjugate() for cl in active]),
         hub0=(R_L0, R_R0), x=float(x), y=float(y))
 
 
@@ -526,15 +540,13 @@ def _cycles_of(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(cycles)
 
 
-def monodromy(spec: SubgraphSpec, phi: float, rho: float = 1e-4,
-              steps: int = 240) -> MonodromyReport:
-    """Follow every eigenvalue of U(eps) along eps = rho*e^{i t}, t: 0 -> 2pi.
+def monodromy(spec: SubgraphSpec, phi: float) -> MonodromyReport:
+    """Follow every eigenvalue of U(eps) along eps = rho*e^{i t}, t: 0 -> 2pi, rho = 1e-4.
 
-    The secular roots are continued over ``steps`` equal steps (a collision
-    raises NumericsError); the bound eigenvalues, listed last, are fixed points.
+    The secular roots are continued over 240 equal steps (a collision raises
+    NumericsError); the bound eigenvalues, listed last, are fixed points.
     """
-    if steps < 180:
-        raise ValueError("need steps >= 180 for reliable continuation")
+    rho, steps = 1e-4, 240
     sec = secular_function(spec, phi)
     t = 2.0 * math.pi * np.arange(steps + 1) / steps
     theta = sec.roots([rho])[0]
@@ -622,31 +634,29 @@ def paired_vectors(spec: SubgraphSpec, phi: float, lambda0: complex, eps: float,
                    x: float = math.pi, y: float = 0.0):
     """The two paired eigenvalues/vectors of U(eps) split off lambda0.
 
-    The eigenvalues are the two secular roots leaving lambda0, the vectors those
-    of the dense U(eps) nearest to them.  Returns (lam_plus, v_plus, lam_minus,
-    v_minus) ordered by the sign of the phase offset from lambda0.
+    The eigenvalues are the two secular roots leaving lambda0, the vectors their
+    kernel vectors (``SecularFunction.vectors``), with no matrix of U(eps).
+    Returns (lam_plus, v_plus, lam_minus, v_minus) ordered by the sign of the
+    phase offset from lambda0.
     """
     sec = secular_function(spec, phi, x=x, y=y)
     lam0, moving = sec.family(lambda0)
     if len(moving) < 2:
         raise ValueError(f"lambda0={lam0} is a singleton family: nothing pairs")
     theta = sec.roots([eps], moving)[0]
-    lams = sec.z(theta, moving)[np.argsort(-theta.real)]
-    sys = eigendecompose(collapsed_matrix(spec, eps, phi, x=x, y=y))
-    i_plus, i_minus = (int(np.argmin(np.abs(sys.eigenvalues - lam))) for lam in lams)
-    return (complex(lams[0]), sys.eigenvectors[:, i_plus],
-            complex(lams[1]), sys.eigenvectors[:, i_minus])
+    order = np.argsort(-theta.real)
+    lams, vecs = sec.z(theta, moving)[order], sec.vectors(eps, theta[order], moving[order])
+    return complex(lams[0]), vecs[:, 0], complex(lams[1]), vecs[:, 1]
 
 
 # ---------------------------------------------------------------------------
 # Best search eigenvalue
 # ---------------------------------------------------------------------------
 
-def best_target(classifications: list[RightClassification],
-                tol: float = 1e-9) -> tuple[complex, float, int]:
+def best_target(classifications: list[RightClassification]) -> tuple[complex, float, int]:
     """Pick the active eigenvalue with the largest coupling constant.
 
-    Verifies the sum rule sum_j c_j^2 = 2 over all active eigenvalues (a
+    Verifies the sum rule sum_j c_j^2 = 2 to 1e-9 over all active eigenvalues (a
     violation indicates mis-classification upstream) and the guaranteed bound
     max c >= sqrt(2/d) with d the number of active vectors.
     """
@@ -654,10 +664,10 @@ def best_target(classifications: list[RightClassification],
     if not actives:
         raise ValueError("no active eigenvectors: nothing couples to the hub")
     total = sum(cl.c ** 2 for cl in actives)
-    if abs(total - 2.0) > tol:
+    if abs(total - 2.0) > 1e-9:
         raise NumericsError(
             f"sum of c^2 over active eigenvalues is {total!r}, expected 2 "
-            f"(tolerance {tol:.1e}); classification is inconsistent")
+            "(tolerance 1.0e-09); classification is inconsistent")
     d = len(actives)
     best = max(actives, key=lambda cl: cl.c)
     if best.c < math.sqrt(2.0 / d) - 1e-12:
@@ -670,8 +680,7 @@ def best_target(classifications: list[RightClassification],
 # Report assembly (used by the CLI)
 # ---------------------------------------------------------------------------
 
-def spectral_report(spec: SubgraphSpec, phi: float | None = None,
-                    rho: float = 1e-4, eps_grid=None) -> dict:
+def spectral_report(spec: SubgraphSpec, phi: float | None = None) -> dict:
     """Full spectral report: groups, classifications, c table, pairing, monodromy."""
     classifications = right_classifications(spec)
     lam_best, c_best, d = best_target(classifications)
@@ -682,8 +691,8 @@ def spectral_report(spec: SubgraphSpec, phi: float | None = None,
         if cl.c is None:
             continue
         p = matched_phi(cl.lambda0)[0] if phi is None else phi
-        fits.append(pairing_fit(spec, p, cl.lambda0, eps_grid=eps_grid))
-    mono = monodromy(spec, phi_used, rho=rho)
+        fits.append(pairing_fit(spec, p, cl.lambda0))
+    mono = monodromy(spec, phi_used)
     return {
         "right_basis": list(collapsed_basis(spec).labels[2:]),
         "groups": [

@@ -59,7 +59,7 @@ class ToleranceProfile:
 def detuned_phase(lambda0: complex, delta: float) -> float:
     """Reflector phase that puts the left eigenvalue at lambda0*e^{i delta}."""
     if abs(delta) >= SMALL_ANGLE_GUARD:
-        logger.warning("detuning |delta|=%.3f is outside the small-angle regime "
+        logger.warning("detuning |delta|=%.3g is outside the small-angle regime "
                        "(predictions are extrapolated)", abs(delta))
     phi0, _ = matched_phi(lambda0)
     return phi0 + 2.0 * delta
@@ -172,23 +172,19 @@ def paired_mix_angle(spec: SubgraphSpec, N: int, M: int, lambda0: complex,
                      delta: float) -> float:
     """Measured sin^2(2*omega) from the detuned paired eigenvectors.
 
-    omega is the mixing angle of the eigenvector v on the root z leaving lambda0
-    between l0 and r0; the tuning theory predicts sin^2(2*omega) = 1/(1+t).
-    v = (U(0) - z)^{-1} (q_1|out> + q_2|0,1>) with q = (T g_R, -(1 + a g_L)), so
-    <l0|v> = q_1/(sqrt(2)(p - z)) (p: the left pole by lambda0) and
-    <r0|v> = conj(<0,1|r0>) q_2/(lambda0 - z), where |<0,1|r0>|^2 = c^2/2.
+    omega is the mixing angle between l0 and r0 of the eigenvector on the root
+    leaving lambda0 (``SecularFunction.vectors``); the tuning theory predicts
+    sin^2(2*omega) = 1/(1+t).
     """
     check_star(N, M)
     cl = classify_right(spec, lambda0)
     if cl.c is None:
         raise ValueError("lambda0 has no active right eigenvector")
-    sec = secular_function(spec, detuned_phase(cl.lambda0, delta))
+    phi = detuned_phase(cl.lambda0, delta)
+    sec = secular_function(spec, phi)
     k = 2 + int(np.argmin(np.abs(sec.poles[2:] - cl.lambda0)))     # the root of lambda0
-    p = sec.poles[int(np.argmin(np.abs(sec.alpha[k, :2])))]
-    theta = sec.roots([M / N], [k])[0]
-    (gL,), (gR,) = sec.sides(theta, sec.alpha[[k]])
-    a, _, T2 = sec.changes(M / N)
-    z = complex(sec.z(theta, [k])[0])
-    left = abs(T2 * gR[0] ** 2) / (2.0 * abs(p - z) ** 2)
-    right = abs(1.0 + a * gL[0]) ** 2 * cl.c ** 2 / (2.0 * abs(cl.lambda0 - z) ** 2)
+    branch = (1, -1)[int(np.argmin(np.abs(sec.alpha[k, :2])))]      # poles +-e^{i phi/2}
+    v = sec.vectors(M / N, sec.roots([M / N], [k])[0], [k])[:, 0]
+    left = abs(np.vdot(left_active(phi, branch), v[:2])) ** 2
+    right = abs(np.vdot(cl.active_vector, v[2:])) ** 2
     return float(4.0 * left * right / (left + right) ** 2)

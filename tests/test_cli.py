@@ -165,6 +165,16 @@ class TestTolerance:
         assert row["t"] == math.inf
         assert row["P_predicted_naive"] == 0.0 and row["P_predicted_comp"] == 0.0
 
+    def test_huge_detuning_warns_in_one_short_line(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(starwalk.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "starwalk.cli", "tolerance", "grover", "--n", "1000000",
+             "--delta-grid", "1e300", "--out", str(tmp_path / "tol")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert proc.returncode == EXIT_OK
+        (line,) = proc.stderr.splitlines()
+        assert "small-angle" in line and len(line) < 200
+
 
 class TestOracleCheck:
     def test_bolo_passes(self, capsys):

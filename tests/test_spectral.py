@@ -8,6 +8,7 @@ import pytest
 
 import starwalk as sw
 from starwalk import spectral
+from starwalk.graph import collapsed_coefficients
 from starwalk.spectral import (
     CASE_CONSTANT,
     CASE_DRIFT,
@@ -536,10 +537,6 @@ class TestMonodromy:
             rep = sw.monodromy(spec, phi)
             assert set(rep.cycle_lengths) <= {1, 2}
 
-    def test_rejects_too_few_steps(self, grover_spec):
-        with pytest.raises(ValueError):
-            sw.monodromy(grover_spec, 0.0, steps=50)
-
 
 # ---------------------------------------------------------------------------
 # Pairing fit and paired vectors
@@ -638,6 +635,38 @@ class TestPairedVectors:
         phi, _ = sw.matched_phi(-1.0 + 0j)
         with pytest.raises(ValueError, match="singleton"):
             sw.paired_vectors(bolo_spec, phi, (1 + 2j * math.sqrt(2)) / 3, 1e-4)
+
+    def test_no_eigendecomposition_once_classified(self, bolo_spec, decompositions):
+        phi, _ = sw.matched_phi(-1.0 + 0j)
+        sw.right_classifications(bolo_spec)
+        decompositions.clear()
+        sw.paired_vectors(bolo_spec, phi, -1.0 + 0j, 1e-4)
+        assert decompositions == []
+
+    @pytest.mark.parametrize("x, y", [(math.pi, 0.0), (2.5, 0.3), (1.0, 2.0)])
+    def test_match_dense_eigenvectors(self, x, y):
+        """Every paired family, with a left pole put on its lambda0: the secular
+        vectors are eigenvectors of the dense U(eps), equal to its own up to a phase."""
+        rng = np.random.default_rng(5)
+        specs = [sw.load_spec("grover"), sw.load_spec("bolo")] + [random_spec(rng) for _ in range(3)]
+        R_L0 = collapsed_coefficients(0.0, x=x, y=y)[0]
+        checked = 0
+        for spec in specs:
+            for cl in sw.right_classifications(spec, x=x):
+                if cl.c is None:
+                    continue
+                phi = cmath.phase(cl.lambda0 ** 2 / R_L0) % (2.0 * math.pi)
+                for eps in (1e-12, 1e-8, 1e-4, 1e-2):
+                    lp, vp, lm, vm = sw.paired_vectors(spec, phi, cl.lambda0, eps, x=x, y=y)
+                    U = sw.collapsed_matrix(spec, eps, phi, x=x, y=y)
+                    dense = sw.eigendecompose(U)
+                    for lam, v in ((lp, vp), (lm, vm)):
+                        assert np.linalg.norm(U @ v - lam * v) <= 1e-13
+                        assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
+                        w = dense.eigenvectors[:, np.argmin(np.abs(dense.eigenvalues - lam))]
+                        assert 1.0 - abs(np.vdot(w, v)) <= 1e-12
+                        checked += 1
+        assert checked == 2 * 4 * 26        # 26 active families, at every hub
 
 
 # ---------------------------------------------------------------------------

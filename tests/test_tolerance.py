@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import starwalk as sw
-from starwalk.spectral import embed_left, embed_right
+from starwalk.spectral import embed_left, embed_right, left_active
 from starwalk.tolerance import SMALL_ANGLE_GUARD
+
+from conftest import random_spec
 
 
 class TestDetunedPhase:
@@ -245,3 +247,30 @@ class TestMixingAngle:
         t = sw.tuning_t(delta, 1.0, 10 ** 4)
         val = sw.paired_mix_angle(grover_spec, 10 ** 4, 1, -1.0 + 0j, delta)
         assert abs(val - 1.0 / (1.0 + t)) < 0.02
+
+    def test_matches_dense_eigenvector(self, grover_spec, bolo_spec):
+        """sin^2(2 omega) of the dense eigenvector nearest the root leaving lambda0,
+        for families with no bound partner, down to t ~ 1e8 (N = 1e10, delta = 0.3)."""
+        rng = np.random.default_rng(3)
+        checked = 0
+        for spec in [random_spec(rng) for _ in range(4)] + [grover_spec, bolo_spec]:
+            for cl in sw.right_classifications(spec):
+                if cl.c is None or cl.n_bound:
+                    continue
+                r0 = embed_right(cl.active_vector, spec.dim_collapsed)
+                for N in (10 ** 4, 10 ** 6, 10 ** 10):
+                    for delta in (1e-3, 1e-2, -2e-2, 0.3):
+                        phi = sw.detuned_phase(cl.lambda0, delta)
+                        sec = sw.secular_function(spec, phi)
+                        k = 2 + int(np.argmin(np.abs(sec.poles[2:] - cl.lambda0)))
+                        root = sec.z(sec.roots([1.0 / N], [k])[0], [k])[0]
+                        dense = sw.eigendecompose(sw.collapsed_matrix(spec, 1.0 / N, phi))
+                        w = dense.eigenvectors[:, np.argmin(np.abs(dense.eigenvalues - root))]
+                        half = cmath.exp(0.5j * phi)
+                        branch = 1 if abs(half - cl.lambda0) < abs(half + cl.lambda0) else -1
+                        l0 = embed_left(left_active(phi, branch), spec.dim_collapsed)
+                        L, R = abs(np.vdot(l0, w)) ** 2, abs(np.vdot(r0, w)) ** 2
+                        val = sw.paired_mix_angle(spec, N, 1, cl.lambda0, delta)
+                        assert abs(val / (4.0 * L * R / (L + R) ** 2) - 1.0) <= 1e-9
+                        checked += 1
+        assert checked == 29 * 12           # 29 families without a bound partner
