@@ -99,9 +99,11 @@ class SubgraphSpec:
     same vertex, which encodes arms that return in a single step).
 
     A spec is immutable (vertex matrices are read-only), so data derived from
-    it, such as ``vertex_columns``, ``basis``, the vertex part of the collapsed
-    operator's unitarity residual and the spectral classification, is computed
-    once per spec and kept.
+    it lives on it and goes away with it: ``vertex_columns``, ``basis`` and the
+    vertex part of the collapsed operator's unitarity residual, and in the
+    private dict ``_derived`` the spectral classification per hub phase and
+    the search targets.  A consumer stores an entry only once it is computed,
+    so a failed computation leaves nothing behind.
     """
     vertices: tuple[Vertex, ...]
     attachment: str
@@ -109,6 +111,7 @@ class SubgraphSpec:
 
     def __post_init__(self):
         self.validate()
+        object.__setattr__(self, "_derived", {})
 
     # -- validation ---------------------------------------------------------
     def validate(self) -> None:
@@ -316,13 +319,36 @@ def _hub_form(e, eps, x: float, y: float) -> tuple[complex, ...]:
     """
     e, eps = complex(e), complex(eps)
     w = cmath.sqrt(eps - eps * eps)
-    if (abs(math.sin(x - math.pi)) < 1e-15 and abs(math.sin(y)) < 1e-15
-            and math.cos(x) < 0 and math.cos(y) > 0):
+    if _standard(x, y):
         return -1.0 + 2.0 * e, 2.0 * e, 1.0 - 2.0 * eps, -1.0 + 2.0 * eps, 2.0 * w
     k = 2.0 * math.cos(x - y) * cmath.exp(1j * y)
     s = cmath.sqrt(1.0 - 4.0 * math.sin(x - y) ** 2 * (e - e * e))
     a = (1.0 - 2.0 * e) * cmath.exp(1j * x)
     return a / s, -k * e / s, (a - k * (1.0 - eps - e)) / s, (a - k * (eps - e)) / s, -k * w / s
+
+
+def _standard(x: float, y: float) -> bool:
+    """Whether the hub phases (x, y) are the standard hub's (pi, 0)."""
+    return (abs(math.sin(x - math.pi)) < 1e-15 and abs(math.sin(y)) < 1e-15
+            and math.cos(x) < 0 and math.cos(y) > 0)
+
+
+def _hub_changes(eps, x: float, y: float) -> tuple[complex, complex, complex]:
+    """(R_L - R_L0, R_R - R_R0, T^2) of ``collapsed_coefficients`` at eps, in closed form.
+
+    R_L = (1-2e)(e^{ix} - k)/s and R_R = (1-2e)e^{ix}/s at e = eps: both changes carry
+    f = (1-2e)/s - 1 = (-2e + (1 - s))/s, 1 - s = 4sin^2(x-y)(e - e^2)/(1 + s), so nothing
+    cancels where 1 - 2eps rounds to 1.  The standard hub's are (-2eps, 2eps, 4(eps - eps^2)).
+    """
+    e = complex(eps)
+    g = e - e * e
+    if _standard(x, y):
+        return -2.0 * e, 2.0 * e, 4.0 * g
+    k, u = 2.0 * math.cos(x - y) * cmath.exp(1j * y), cmath.exp(1j * x)
+    d = 4.0 * math.sin(x - y) ** 2 * g
+    s = cmath.sqrt(1.0 - d)
+    f = (-2.0 * e + d / (1.0 + s)) / s
+    return (u - k) * f, u * f, k * k * g / (s * s)
 
 
 def check_star(N: int, M: int = 1) -> None:

@@ -10,15 +10,14 @@ m = floor(pi*sqrt(N/M)/(2c)) steps, and read out the mass on the marked edge.
 The search target, everything of a search that does not depend on N or M
 (lambda0, c, phi, branch, the active vector r0, the predicted success and the
 start's |in> factor), is computed once per loaded spec and eigenvalue group
-and served from a memo; the detuning sweep reads it too.  The walk itself is
+and kept on the spec; the detuning sweep reads it too.  The walk itself is
 ``graph._walk``, the one propagation of the collapsed operator.
 """
 from __future__ import annotations
 
 import cmath
 import math
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,21 +95,9 @@ class _Target:
     alpha: complex              # the start's |in> factor
 
 
-@dataclass(eq=False)
-class _SpecTargets:
-    groups: dict[complex, _Target] = field(default_factory=dict)   # by group lambda0
-    best: _Target | None = None     # the "auto" choice, once made
-
-
-# Search targets per loaded spec, kept like the classification memo in
-# spectral: weakly keyed on the spec object, so an entry goes away with its
-# spec.  A failed lookup (SpecError, NumericsError) caches nothing.
-_TARGETS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _group_target(memo: _SpecTargets, chosen: RightClassification,
-                  spec: SubgraphSpec) -> _Target:
-    target = memo.groups.get(chosen.lambda0)
+def _group_target(spec: SubgraphSpec, chosen: RightClassification) -> _Target:
+    key = ("target", chosen.lambda0)
+    target = spec._derived.get(key)
     if target is None:
         if chosen.c is None:
             raise SpecError(
@@ -119,36 +106,26 @@ def _group_target(memo: _SpecTargets, chosen: RightClassification,
         phi, branch = matched_phi(chosen.lambda0)
         r0 = embed_right(chosen.active_vector, spec.dim_collapsed)
         r0.flags.writeable = False
-        target = _Target(lambda0=chosen.lambda0, c=chosen.c, phi=phi, branch=branch, r0=r0,
-                         predicted_success=float(abs(r0[2]) ** 2 + abs(r0[3]) ** 2),
-                         alpha=_alpha(branch, phi))
-        memo.groups[chosen.lambda0] = target
+        target = spec._derived[key] = _Target(
+            lambda0=chosen.lambda0, c=chosen.c, phi=phi, branch=branch, r0=r0,
+            predicted_success=float(abs(r0[2]) ** 2 + abs(r0[3]) ** 2),
+            alpha=_alpha(branch, phi))
     return target
 
 
 def _search_target(spec: SubgraphSpec, lambda0) -> _Target:
     """The target of ``lambda0`` ("auto" or a group's eigenvalue), computed once.
 
-    Either form resolves to an eigenvalue group first, so the memo holds at most
-    one target per group; "auto" runs best_target's checks on its first call.
+    Kept on the spec per eigenvalue group, as ``("target", group lambda0)``, and
+    as "auto", whose best_target checks run once; a failed lookup stores none.
     """
-    auto = isinstance(lambda0, str) and lambda0 == "auto"
-    memo = _TARGETS.get(spec)
-    if auto and memo is not None and memo.best is not None:
-        return memo.best
-    new = memo is None
-    if new:
-        memo = _SpecTargets()
-    if auto:
-        classifications = right_classifications(spec)
-        lam, _, _ = best_target(classifications)
-        chosen = next(cl for cl in classifications if cl.lambda0 == lam)
-        memo.best = target = _group_target(memo, chosen, spec)
-    else:
-        target = _group_target(memo, classify_right(spec, complex(lambda0)), spec)
-    if new:
-        _TARGETS[spec] = memo       # a new spec's memo is kept once it holds a target
-    return target
+    if isinstance(lambda0, str) and lambda0 == "auto":
+        target = spec._derived.get("auto")
+        if target is None:
+            lam, _, _ = best_target(right_classifications(spec))
+            target = spec._derived["auto"] = _search_target(spec, lam)
+        return target
+    return _group_target(spec, classify_right(spec, complex(lambda0)))
 
 
 def plan_search(spec: SubgraphSpec, N: int, M: int = 1, lambda0="auto") -> SearchPlan:

@@ -6,8 +6,7 @@ Spectral analysis of the collapsed walk operator.
   transform, with a fixed phase gauge;
 * clustering of unit-circle eigenvalues into lambda0 families;
 * classification of right-block eigenspaces into bound (hub-blind) and active
-  (hub-contacting) parts with the coupling constant c, computed once per
-  loaded spec;
+  (hub-contacting) parts with the coupling constant c, kept on the loaded spec;
 * the secular function det(U(eps) - z)/det(U(0) - z) of the cached (lambda0, c) table,
   whose roots give the pairing lambda0*exp(+-ic*sqrt(eps)) and the monodromy of a loop
   of eps around 0; the dense affine check and the best search eigenvalue.
@@ -17,7 +16,6 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +24,7 @@ from .graph import (
     NumericsError,
     SpecError,
     SubgraphSpec,
+    _hub_changes,
     check_phases,
     collapsed_basis,
     collapsed_coefficients,
@@ -52,14 +51,19 @@ class EigenSystem:
     eigenvectors: np.ndarray
 
 
+GAUGE_TIE = 1e-9         # moduli this close (relative) to a column's largest tie for its gauge
+
+
 def _gauge(vecs: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude component is real positive."""
+    """Normalise each column and turn its largest-magnitude component real positive: the
+    first of those within GAUGE_TIE, not a rounding pick (paired vectors' |out>, |in>)."""
     out = vecs.copy()
     for k in range(out.shape[1]):
         v = out[:, k]
         v /= np.linalg.norm(v)
-        i = int(np.argmax(np.abs(v)))
-        ph = v[i] / abs(v[i])
+        mod = np.abs(v)
+        i = int(np.argmax(mod >= (1.0 - GAUGE_TIE) * mod.max()))
+        ph = v[i] / mod[i]
         out[:, k] = v * ph.conjugate()
     return out
 
@@ -88,18 +92,13 @@ def eigendecompose(U) -> EigenSystem:
     H = 1j * np.linalg.solve(eye + B, eye - B)
     _, Z = np.linalg.eigh(0.5 * (H + H.conj().T))
     vals = np.einsum("ij,ij->j", Z.conj(), A @ Z)
-    res = _max_residual(A, vals, Z)
+    res = float(np.max(np.linalg.norm(A @ Z - Z * vals, axis=0)))
     if res > RESIDUAL_TOL:
         cond = np.linalg.cond(A)
         raise NumericsError(
             f"eigendecomposition residual {res:.2e} exceeds {RESIDUAL_TOL:.1e} "
             f"(matrix condition number {cond:.2e})")
     return EigenSystem(eigenvalues=vals, eigenvectors=_gauge(Z))
-
-
-def _max_residual(A: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> float:
-    R = A @ vecs - vecs * vals[np.newaxis, :]
-    return float(np.max(np.linalg.norm(R, axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +214,7 @@ def _classify_group(sys: EigenSystem, g: EigenvalueGroup) -> RightClassification
         basis.flags.writeable = False
         return RightClassification(lambda0=g.lambda0, bound_basis=basis,
                                    active_vector=None, c=None)
-    active = basis @ vh[0].conj()
-    active /= np.linalg.norm(active)
-    i = int(np.argmax(np.abs(active)))
-    active = active * (active[i].conjugate() / abs(active[i]))
+    active = _gauge((basis @ vh[0].conj())[:, None])[:, 0]
     bound = basis @ vh[1:].conj().T
     c = math.sqrt(2.0) * abs(active[1])         # sqrt(2)*|<1,0|r0>|
     active.flags.writeable = bound.flags.writeable = False
@@ -233,23 +229,17 @@ def _classify(spec: SubgraphSpec, x: float) -> tuple[RightClassification, ...]:
     return tuple(_classify_group(sys, g) for g in group_eigenvalues(sys))
 
 
-# Classifications per loaded spec, then per hub phase x.  A spec is immutable,
-# so an entry never goes stale; it goes away with its spec.  Keyed on the spec
-# object (weakly), never on id(spec): ids are reused after garbage collection.
-_CLASSIFIED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def right_classifications(spec: SubgraphSpec, x: float = math.pi) -> list[RightClassification]:
     """Classification of every eigenvalue group of the right block.
 
-    Computed on the first call for a given ``(spec, x)`` and served from a memo
-    afterwards, since it does not depend on N or M; a failed classification
-    (SpecError, NumericsError) is not kept.
+    It does not depend on N or M: computed on the first call for a given
+    ``(spec, x)`` and kept on the spec (``("classes", x)`` in its ``_derived``);
+    a failed classification (SpecError, NumericsError) is not kept.
     """
-    cached = _CLASSIFIED.get(spec, {}).get(x)
+    key = ("classes", x)
+    cached = spec._derived.get(key)
     if cached is None:
-        cached = _classify(spec, x)
-        _CLASSIFIED.setdefault(spec, {})[x] = cached
+        cached = spec._derived[key] = _classify(spec, x)
     return list(cached)
 
 
@@ -373,14 +363,13 @@ class SecularFunction:
     alpha: np.ndarray        # (root, pole): _offset(pole, center of root)
     fixed: np.ndarray        # bound eigenvalues, with multiplicity
     contacts: np.ndarray     # (active, dim_right): r_j conj(r_j[0]) per active right vector
-    hub0: tuple[complex, complex]    # (R_L0, R_R0)
     x: float
     y: float
 
     def changes(self, eps):
-        """(a, b, T^2): T enters squared, so no branch of sqrt(eps - eps^2) is chosen."""
-        R_L, R_R, T = collapsed_coefficients(eps, x=self.x, y=self.y)
-        return R_L - self.hub0[0], R_R - self.hub0[1], T * T
+        """(a, b, T^2) in closed form: T enters squared, so no branch of sqrt(eps - eps^2)
+        is chosen, and a, b keep full relative precision however small eps is."""
+        return _hub_changes(eps, self.x, self.y)
 
     def sides(self, theta, alpha, order: int = 0):
         """([g_L, g_L', ...], [g_R, g_R', ...]) with ``alpha`` = _offset(poles, center)."""
@@ -413,8 +402,8 @@ class SecularFunction:
         q_2 sum_j r_j conj(r_j[0])/(lambda_j - z); each 1/(mu - z) in ``sides``' offset form."""
         (gL,), (gR,) = self.sides(theta, self.alpha[roots])
         inv = (1.0 - 1j / np.tan(0.5 * (self.alpha[roots] - theta[:, None]))) / (2.0 * self.poles)
-        R_L, _, T = collapsed_coefficients(eps, x=self.x, y=self.y)
-        q1, q2 = T * gR, -(1.0 + (R_L - self.hub0[0]) * gL)
+        T = collapsed_coefficients(eps, x=self.x, y=self.y)[2]
+        q1, q2 = T * gR, -(1.0 + self.changes(eps)[0] * gL)
         return _gauge(np.column_stack((0.5 * q1 * (inv[:, 0] + inv[:, 1]), q1 * gL,
                                        q2[:, None] * (inv[:, 2:] @ self.contacts))).T)
 
@@ -503,7 +492,7 @@ def secular_function(spec: SubgraphSpec, phi: float, x: float = math.pi,
         poles=poles, residues=residues, centers=centers, alpha=_offset(poles, centers[:, None]),
         fixed=np.array([cl.lambda0 for cl in classes for _ in range(cl.n_bound)], dtype=complex),
         contacts=np.array([cl.active_vector * cl.active_vector[0].conjugate() for cl in active]),
-        hub0=(R_L0, R_R0), x=float(x), y=float(y))
+        x=float(x), y=float(y))
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +595,8 @@ def pairing_fit(spec: SubgraphSpec, phi: float, lambda0: complex,
     sec = secular_function(spec, phi, x=x, y=y)
     lam0, moving = sec.family(lambda0)
 
-    balanced = abs(lam0 * lam0 + cmath.exp(1j * phi) * sec.hub0[0]) < 1e-9
+    R_L0 = collapsed_coefficients(0.0, x=x, y=y)[0]
+    balanced = abs(lam0 * lam0 + cmath.exp(1j * phi) * R_L0) < 1e-9
     if balanced:
         logger.warning("lambda0^2 + e^{i phi} = 0 at lambda0=%s: no net probability "
                        "flow across the hub; pairing is not claimed", lam0)

@@ -37,6 +37,7 @@ from .spectral import (
 logger = logging.getLogger(__name__)
 
 SMALL_ANGLE_GUARD = math.pi / 4
+PHASE_UNRESOLVED = 2.0 ** 52        # floats this large are 1 rad or more apart
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,9 @@ def tolerance_sweep(spec: SubgraphSpec, N: int, M: int, lambda0: complex,
 
     Success here is |<r0|U^m|l0>|^2 — the quantity the tuning theory bounds —
     recorded on both the naive and the compensated schedule.  (lambda0, c,
-    branch, r0) come from the search target; the walk is ``graph._walk``.
+    branch, r0) come from the search target; the walk is ``graph._walk``.  A
+    detuning is a phase: it is reduced mod 2pi to [-pi, pi] and reported so,
+    but from ``PHASE_UNRESOLVED`` up, where a float names no phase, kept.
     """
     target = _search_target(spec, lambda0)
     lam0, c, r0 = target.lambda0, target.c, target.r0
@@ -147,6 +150,8 @@ def tolerance_sweep(spec: SubgraphSpec, N: int, M: int, lambda0: complex,
         raise SpecError(f"detunings must be finite, got {deltas}")
     profiles = []
     for delta in deltas:
+        if abs(delta) < PHASE_UNRESOLVED:       # exact, and a no-op inside [-pi, pi]
+            delta = math.remainder(delta, 2.0 * math.pi)
         phi = detuned_phase(lam0, delta)
         extrapolated = abs(delta) >= SMALL_ANGLE_GUARD
         t = tuning_t(delta, c, N, M)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ from starwalk.cli import (EXIT_NUMERICS, EXIT_OK, EXIT_ORACLE, EXIT_PIPE, EXIT_S
                           ORACLE_MAX_STATES, main)
 
 from conftest import random_spec
+from test_graph import BAD_WIRING, bad_wiring
 
 
 def run(argv):
@@ -62,6 +64,20 @@ class TestAnalyze:
         assert run(["analyze", str(tmp_path / "nope.json"),
                     "--out", str(tmp_path / "x")]) == EXIT_SPEC
 
+    @pytest.mark.parametrize("name", sorted(BAD_WIRING))
+    def test_bad_wiring_exits_2(self, tmp_path, capsys, name):
+        data, message = bad_wiring(name)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert run(["analyze", str(bad), "--out", str(tmp_path / "x")]) == EXIT_SPEC
+        assert re.search(message, capsys.readouterr().err)
+
+    def test_spec_not_json_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        assert run(["analyze", str(bad), "--out", str(tmp_path / "x")]) == EXIT_SPEC
+        assert "is not valid JSON" in capsys.readouterr().err
+
 
 class TestSearch:
     def test_bolo_million(self, tmp_path, capsys):
@@ -106,6 +122,11 @@ class TestSweep:
             row = dict(zip(header, line.split(",")))
             N = int(row["N"])
             assert float(row["p_marked"]) >= 1.0 - 5.0 / math.sqrt(N)
+
+    def test_single_n_gives_one_row(self, tmp_path):
+        assert run(["sweep", "grover", "--n", "400", "--out", str(tmp_path / "sw")]) == EXIT_OK
+        header, row = (tmp_path / "sw.csv").read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["N"] == "400"
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

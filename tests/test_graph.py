@@ -679,3 +679,73 @@ class TestSpecSerialization:
                     sw.Vertex("2", ("a",), ("a",), np.array([[1.0]])),
                 ),
                 "1", ("a",))
+
+
+def _vertex(vid, ports_in, ports_out):
+    return {"id": vid, "ports_in": ports_in, "ports_out": ports_out,
+            "matrix": np.eye(len(ports_in)).tolist()}
+
+
+# Spec descriptions that break one wiring rule each, with the message that names it.
+BAD_WIRING = {
+    "duplicate_vertex_ids": (
+        [_vertex("1", ["0->1"], ["1->0"]), _vertex("1", ["a"], ["a"])], ["a"],
+        r"duplicate vertex ids: \['1', '1'\]"),
+    "duplicate_interior_labels": (
+        [_vertex("1", ["0->1", "a"], ["1->0", "a"])], ["a", "a"],
+        "duplicate interior labels"),
+    "state_produced_twice": (
+        [_vertex("1", ["0->1"], ["a"]), _vertex("2", ["a"], ["a"])], ["a"],
+        "state 'a' produced by both 1 and 2"),
+    "marked_out_consumed_elsewhere": (
+        [_vertex("1", ["a"], ["1->0"]), _vertex("2", ["0->1"], ["a"])], ["a"],
+        r"\|0,1> must be consumed by the attachment vertex"),
+    "marked_in_produced_elsewhere": (
+        [_vertex("1", ["0->1"], ["a"]), _vertex("2", ["a"], ["1->0"])], ["a"],
+        r"\|1,0> must be produced by the attachment vertex"),
+}
+
+
+def bad_wiring(name: str) -> tuple[dict, str]:
+    """(description, message pattern) of one BAD_WIRING case, attached at vertex "1"."""
+    vertices, interior, message = BAD_WIRING[name]
+    return {"vertices": vertices, "attachment": "1", "interior": interior}, message
+
+
+class TestInputChecks:
+    """Each rejection names what is wrong, with the documented error type."""
+
+    @pytest.mark.parametrize("name", sorted(BAD_WIRING))
+    def test_bad_wiring_rejected(self, name):
+        data, message = bad_wiring(name)
+        with pytest.raises(sw.SpecError, match=message):
+            sw.SubgraphSpec.from_dict(data)
+
+    def test_malformed_vertex_matrix(self):
+        with pytest.raises(sw.SpecError, match="vertex 1: malformed matrix"):
+            sw.Vertex("1", ("0->1",), ("1->0",), [[1.0, [2.0, 3.0]]])
+
+    def test_spec_file_not_json(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        with pytest.raises(sw.SpecError, match="is not valid JSON"):
+            sw.load_spec(str(path))
+
+    def test_lift_needs_a_collapsed_state(self, grover_spec):
+        full = sw.lift_collapsed_state(sw.initial_state(grover_spec, 8, 1, 1, 0.0), 8)
+        with pytest.raises(sw.SpecError, match="expected a collapsed-basis state"):
+            sw.lift_collapsed_state(full, 8)
+
+    def test_restrict_needs_a_full_state(self, grover_spec):
+        with pytest.raises(sw.SpecError, match="expected a full-basis state"):
+            sw.restrict_full_state(sw.initial_state(grover_spec, 8, 1, 1, 0.0))
+
+    def test_evolve_basis_mismatch(self, grover_spec, bolo_spec):
+        U = sw.build_collapsed(grover_spec, sw.hub_coefficients(100), 0.0)
+        with pytest.raises(sw.SpecError, match="operator/state basis mismatch"):
+            sw.evolve(U, sw.initial_state(bolo_spec, 100, 1, 1, 0.0), 3)
+
+    def test_evolve_negative_steps(self, grover_spec):
+        U = sw.build_collapsed(grover_spec, sw.hub_coefficients(100), 0.0)
+        with pytest.raises(ValueError, match="step count must be nonnegative"):
+            sw.evolve(U, sw.initial_state(grover_spec, 100, 1, 1, 0.0), -1)

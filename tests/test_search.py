@@ -91,6 +91,11 @@ class TestPlanSearch:
             sw.plan_search(bolo_spec, 100, lambda0=0.2 + 0.2j)
 
 
+def _targets(spec: sw.SubgraphSpec) -> dict:
+    """The per-group search targets kept on ``spec``, by group lambda0."""
+    return {key[1]: t for key, t in spec._derived.items() if key[0] == "target"}
+
+
 class TestSearchTargetMemo:
     """The N-independent part of a plan is computed once per spec and group."""
 
@@ -100,9 +105,10 @@ class TestSearchTargetMemo:
             sw.plan_search(spec, N)
             sw.plan_search(spec, N, M=3, lambda0=-1.0 + 0j)
             sw.plan_search(spec, N, lambda0=-1.0 + 1e-9j)     # the same group
-        assert len(search._TARGETS[spec].groups) == 1
+        assert len(_targets(spec)) == 1
+        assert spec._derived["auto"] is next(iter(_targets(spec).values()))
         sw.plan_search(spec, 100, lambda0=1.0 + 0j)
-        assert len(search._TARGETS[spec].groups) == 2
+        assert len(_targets(spec)) == 2
 
     def test_auto_and_explicit_best_give_identical_plans(self):
         spec = sw.load_spec("bolo")
@@ -127,9 +133,9 @@ class TestSearchTargetMemo:
         for _ in range(2):
             with pytest.raises(sw.SpecError, match="constant-family"):
                 sw.plan_search(spec, 100, lambda0=cmath.exp(0.5j))
-        assert spec not in search._TARGETS
+        assert _targets(spec) == {} and "auto" not in spec._derived
         sw.plan_search(spec, 100)
-        assert cmath.exp(0.5j) not in search._TARGETS[spec].groups
+        assert cmath.exp(0.5j) not in _targets(spec)
 
     def test_best_target_checked_on_the_first_plan_only(self, monkeypatch):
         calls = []
@@ -144,8 +150,8 @@ class TestSearchTargetMemo:
             sw.plan_search(b, N, M=3)
         assert len(calls) == 2
 
-    def test_hit_writes_nothing(self, monkeypatch):
-        class Counting(weakref.WeakKeyDictionary):
+    def test_hit_writes_nothing(self):
+        class Counting(dict):
             writes = 0
 
             def __setitem__(self, key, value):
@@ -155,29 +161,27 @@ class TestSearchTargetMemo:
             def setdefault(self, key, default=None):
                 Counting.writes += 1
                 return super().setdefault(key, default)
-        monkeypatch.setattr(search, "_TARGETS", Counting())
         spec = sw.load_spec("bolo")
+        object.__setattr__(spec, "_derived", Counting())
         sw.plan_search(spec, 100)
         sw.plan_search(spec, 100, lambda0=1.0 + 0j)
-        assert Counting.writes == 1
+        assert Counting.writes == 4     # the classification, two targets, "auto"
         for N in (1000, 10 ** 6):
             sw.plan_search(spec, N)
             sw.plan_search(spec, N, lambda0=1.0 + 0j)
-        assert Counting.writes == 1
+        assert Counting.writes == 4
 
     def test_entry_released_with_spec(self):
         a, b = sw.load_spec("grover"), sw.load_spec("grover")
-        gc.collect()            # specs other tests left in cycles go first
-        before = len(search._TARGETS)
         sw.plan_search(a, 100)
         sw.plan_search(b, 100)
-        assert len(search._TARGETS) == before + 2
+        assert _targets(a).keys() == _targets(b).keys() and len(_targets(b)) == 1
+        assert _targets(a) != _targets(b)           # one target object per loaded spec
         ref = weakref.ref(a)
         del a
         gc.collect()
         assert ref() is None
-        assert len(search._TARGETS) == before + 1
-        assert b in search._TARGETS
+        assert len(_targets(b)) == 1 and "auto" in b._derived
 
 
 class TestRunSearch:

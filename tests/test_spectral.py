@@ -275,7 +275,7 @@ class TestClassifyRight:
 
 
 class TestClassificationMemo:
-    """The right-block classification is computed once per (spec, x)."""
+    """The right-block classification is computed once per (spec, x) and kept on the spec."""
 
     def test_one_decomposition_across_entry_points(self, decompositions):
         spec = sw.load_spec("bolo")
@@ -301,25 +301,24 @@ class TestClassificationMemo:
                 with pytest.raises(ValueError):
                     cl.active_vector[0] = 0.0
 
-    def test_entry_per_loaded_spec_released_with_it(self):
+    def test_entry_per_loaded_spec_released_with_it(self, decompositions):
         a, b = sw.load_spec("grover"), sw.load_spec("grover")
-        gc.collect()            # specs other tests left in cycles go first
-        before = len(spectral._CLASSIFIED)
-        sw.right_classifications(a)
-        sw.right_classifications(b)
-        assert len(spectral._CLASSIFIED) == before + 2
+        for _ in range(2):
+            sw.right_classifications(a)
+            sw.right_classifications(b)
+        assert len(decompositions) == 2             # each load classifies once
+        assert ("classes", math.pi) in a._derived and ("classes", math.pi) in b._derived
         ref = weakref.ref(a)
         del a
         gc.collect()
         assert ref() is None
-        assert len(spectral._CLASSIFIED) == before + 1
-        assert b in spectral._CLASSIFIED
+        assert ("classes", math.pi) in b._derived
 
     def test_other_hub_phase_has_own_entry(self):
         spec = sw.load_spec("bolo")
         standard = sw.right_classifications(spec)
         other = sw.right_classifications(spec, x=2.0)
-        assert set(spectral._CLASSIFIED[spec]) == {math.pi, 2.0}
+        assert set(spec._derived) == {("classes", math.pi), ("classes", 2.0)}
         uncached = spectral._classify(spec, 2.0)
         assert [cl.c for cl in other] == [cl.c for cl in uncached]
         assert [cl.lambda0 for cl in other] != [cl.lambda0 for cl in standard]
@@ -333,7 +332,7 @@ class TestClassificationMemo:
         with pytest.raises(sw.NumericsError):
             sw.right_classifications(spec)
         monkeypatch.undo()
-        assert spec not in spectral._CLASSIFIED
+        assert spec._derived == {}
         assert len(sw.right_classifications(spec)) == 4
 
     @pytest.mark.parametrize("x", [math.nan, math.inf])
@@ -463,6 +462,24 @@ class TestSecularFunction:
                 for z in zs:
                     ref = np.linalg.det(U - z * I) / np.linalg.det(U0 - z * I)
                     assert abs(sec.det_ratio(z, eps) - ref) <= 1e-12 * abs(ref)
+
+    def test_standard_changes_do_not_cancel(self, grover_spec):
+        sec = sw.secular_function(grover_spec, 0.0)
+        for eps in (1e-12, 1e-17, 1e-20):
+            a, b, T2 = sec.changes(eps)
+            assert a == -2 * eps and b == 2 * eps and T2 == 4 * (eps - eps * eps)
+
+    @pytest.mark.parametrize("x, y", [(2.5, 0.3), (1.0, 2.0)])
+    def test_generalized_changes_match_and_scale(self, grover_spec, x, y):
+        sec = sw.secular_function(grover_spec, 0.0, x=x, y=y)
+        eps = 1e-4
+        R_L, R_R, T = collapsed_coefficients(eps, x=x, y=y)
+        R_L0, R_R0, _ = collapsed_coefficients(0.0, x=x, y=y)
+        for got, want in zip(sec.changes(eps), (R_L - R_L0, R_R - R_R0, T * T)):
+            assert abs(got - want) <= 1e-9 * abs(want)
+        # a is linear in eps at small eps: a/eps stays put where 1 - 2eps rounds to 1
+        small = [sec.changes(e)[0] / e for e in (1e-20, 1e-19, 1e-18)]
+        assert max(abs(q - small[0]) for q in small) <= 1e-9 * abs(small[0])
 
     def test_roots_are_the_hub_coupled_eigenvalues(self, bolo_spec):
         phi, _ = sw.matched_phi(-1.0 + 0j)
@@ -646,7 +663,8 @@ class TestPairedVectors:
     @pytest.mark.parametrize("x, y", [(math.pi, 0.0), (2.5, 0.3), (1.0, 2.0)])
     def test_match_dense_eigenvectors(self, x, y):
         """Every paired family, with a left pole put on its lambda0: the secular
-        vectors are eigenvectors of the dense U(eps), equal to its own up to a phase."""
+        vectors are eigenvectors of the dense U(eps), equal to its own with no phase
+        alignment, since |v[out]| = |v[in]| ties are broken by the gauge, not rounding."""
         rng = np.random.default_rng(5)
         specs = [sw.load_spec("grover"), sw.load_spec("bolo")] + [random_spec(rng) for _ in range(3)]
         R_L0 = collapsed_coefficients(0.0, x=x, y=y)[0]
@@ -665,6 +683,7 @@ class TestPairedVectors:
                         assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
                         w = dense.eigenvectors[:, np.argmin(np.abs(dense.eigenvalues - lam))]
                         assert 1.0 - abs(np.vdot(w, v)) <= 1e-12
+                        assert np.linalg.norm(v - w) <= 1e-8        # the same gauge
                         checked += 1
         assert checked == 2 * 4 * 26        # 26 active families, at every hub
 

@@ -220,6 +220,22 @@ class TestToleranceSweep:
                         assert np.array_equal(got, want)
         assert real_rows > 0
 
+    def test_detuning_is_reduced_mod_two_pi(self, grover_spec):
+        near, far = sw.tolerance_sweep(grover_spec, 10 ** 4, 1, -1.0 + 0j,
+                                       [0.01, 0.01 + 2.0 * math.pi], locate_eps0=False)
+        assert abs(far.delta - 0.01) <= 1e-15
+        for name in ("t", "P_predicted_naive", "P_predicted_comp",
+                     "P_measured_naive", "P_measured_comp"):
+            assert abs(getattr(far, name) - getattr(near, name)) <= 1e-12, name
+        assert (far.m_naive, far.m_compensated) == (near.m_naive, near.m_compensated)
+
+    def test_detuning_within_a_turn_kept_exactly(self, grover_spec):
+        grid = [-math.pi, -1.0, -1e-9, 0.0, 0.25, 3.0, math.pi]
+        rows = sw.tolerance_sweep(grover_spec, 10 ** 4, 1, -1.0 + 0j, grid, locate_eps0=False)
+        assert [row.delta for row in rows] == grid
+        c = sw.classify_right(grover_spec, -1.0).c
+        assert [row.t for row in rows] == [sw.tuning_t(d, c, 10 ** 4) for d in grid]
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_detuning(self, grover_spec, bad):
         with pytest.raises(sw.SpecError, match="finite"):
