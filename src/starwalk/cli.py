@@ -190,7 +190,7 @@ def cmd_tolerance(args) -> int:
     plan = search_mod.plan_search(spec, N, M=M, lambda0=args.lam)
     lam, c = plan.lambda0, plan.c
     if args.delta_grid == "auto":
-        unit = c * math.sqrt(2.0 / N)
+        unit = c * math.sqrt(2.0 * M / N)
         deltas = [0.0, 0.5 * unit, 1.0 * unit, 1.5 * unit]
     else:
         try:
@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar='auto|"re,im"')
     p.add_argument("--delta-grid", default="auto",
                    help='comma list of detunings, or "auto" for '
-                        "{0, 0.5, 1, 1.5} x c*sqrt(2/N)")
+                        "{0, 0.5, 1, 1.5} x c*sqrt(2M/N), the t = 1/2 boundary at 1")
     p.set_defaults(func=cmd_tolerance)
 
     p = sub.add_parser("oracle-check", help="full vs collapsed regression check",

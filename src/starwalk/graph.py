@@ -101,8 +101,8 @@ class SubgraphSpec:
     A spec is immutable (vertex matrices are read-only), so data derived from
     it lives on it and goes away with it: ``vertex_columns``, ``basis`` and the
     vertex part of the collapsed operator's unitarity residual, and in the
-    private dict ``_derived`` the spectral classification per hub phase and
-    the search targets.  A consumer stores an entry only once it is computed,
+    private dict ``_derived`` the spectral classification and the search
+    targets.  A consumer stores an entry only once it is computed,
     so a failed computation leaves nothing behind.
     """
     vertices: tuple[Vertex, ...]
@@ -309,46 +309,14 @@ class HubModel:
     T: complex
 
 
-def _hub_form(e, eps, x: float, y: float) -> tuple[complex, ...]:
-    """(r, t, R_L, R_R, T) at per-edge weight e = 1/N and marked fraction eps = M/N.
-
-    With k = 2cos(x-y)e^{iy} and s = sqrt(1 - 4sin^2(x-y)(e - e^2)), r = (1-2e)e^{ix}/s
-    and t = -k e/s; R_R = r + (M-1)t, R_L = r + (N-M-1)t and T = t sqrt(M(N-M)) are
-    written in e and eps (either may be complex).  The standard hub (x, y) = (pi, 0)
-    takes its exact form r = -1+2e, t = 2e, R_L = 1-2eps, R_R = -1+2eps.
+def _hub_form(e, eps) -> tuple[complex, ...]:
+    """(r, t, R_L, R_R, T) of the diffusive hub at per-edge weight e = 1/N and marked
+    fraction eps = M/N (either may be complex): r = -1 + 2e, t = 2e, R_L = 1 - 2eps,
+    R_R = -1 + 2eps and T = t sqrt(M(N-M)) = 2 sqrt(eps - eps^2).
     """
     e, eps = complex(e), complex(eps)
-    w = cmath.sqrt(eps - eps * eps)
-    if _standard(x, y):
-        return -1.0 + 2.0 * e, 2.0 * e, 1.0 - 2.0 * eps, -1.0 + 2.0 * eps, 2.0 * w
-    k = 2.0 * math.cos(x - y) * cmath.exp(1j * y)
-    s = cmath.sqrt(1.0 - 4.0 * math.sin(x - y) ** 2 * (e - e * e))
-    a = (1.0 - 2.0 * e) * cmath.exp(1j * x)
-    return a / s, -k * e / s, (a - k * (1.0 - eps - e)) / s, (a - k * (eps - e)) / s, -k * w / s
-
-
-def _standard(x: float, y: float) -> bool:
-    """Whether the hub phases (x, y) are the standard hub's (pi, 0)."""
-    return (abs(math.sin(x - math.pi)) < 1e-15 and abs(math.sin(y)) < 1e-15
-            and math.cos(x) < 0 and math.cos(y) > 0)
-
-
-def _hub_changes(eps, x: float, y: float) -> tuple[complex, complex, complex]:
-    """(R_L - R_L0, R_R - R_R0, T^2) of ``collapsed_coefficients`` at eps, in closed form.
-
-    R_L = (1-2e)(e^{ix} - k)/s and R_R = (1-2e)e^{ix}/s at e = eps: both changes carry
-    f = (1-2e)/s - 1 = (-2e + (1 - s))/s, 1 - s = 4sin^2(x-y)(e - e^2)/(1 + s), so nothing
-    cancels where 1 - 2eps rounds to 1.  The standard hub's are (-2eps, 2eps, 4(eps - eps^2)).
-    """
-    e = complex(eps)
-    g = e - e * e
-    if _standard(x, y):
-        return -2.0 * e, 2.0 * e, 4.0 * g
-    k, u = 2.0 * math.cos(x - y) * cmath.exp(1j * y), cmath.exp(1j * x)
-    d = 4.0 * math.sin(x - y) ** 2 * g
-    s = cmath.sqrt(1.0 - d)
-    f = (-2.0 * e + d / (1.0 + s)) / s
-    return (u - k) * f, u * f, k * k * g / (s * s)
+    T = 2.0 * cmath.sqrt(eps - eps * eps)
+    return -1.0 + 2.0 * e, 2.0 * e, 1.0 - 2.0 * eps, -1.0 + 2.0 * eps, T
 
 
 def check_star(N: int, M: int = 1) -> None:
@@ -359,36 +327,28 @@ def check_star(N: int, M: int = 1) -> None:
         raise SpecError(f"need 1 <= M < N, got M={M!r}, N={N!r}")
 
 
-def check_phases(**phases: float) -> None:
-    """The one phase rule: hub (x, y) and reflector (phi) phases are finite reals."""
-    for name, value in phases.items():
-        if not math.isfinite(value):
-            raise SpecError(f"phase {name} must be finite, got {value!r}")
+def check_phases(phi: float) -> None:
+    """The one phase rule: the reflector phase phi is a finite real."""
+    if not math.isfinite(phi):
+        raise SpecError(f"phase phi must be finite, got {phi!r}")
 
 
-def hub_coefficients(N: int, M: int = 1, x: float = math.pi, y: float = 0.0) -> HubModel:
-    """Hub coefficients for N edges, M marked copies, solution-family phases (x, y).
-
-    ``x=pi, y=0`` selects the standard diffusive hub r = -1 + 2/N, t = 2/N;
-    other phases pick the generalized one-parameter-family solution, defined
-    only when cos(x-y) < 1.
-    """
+def hub_coefficients(N: int, M: int = 1) -> HubModel:
+    """The diffusive hub's coefficients for N edges and M marked copies:
+    r = -1 + 2/N, t = 2/N, and the collapsed ones at eps = M/N."""
     check_star(N, M)
-    check_phases(x=x, y=y)
-    if math.cos(x - y) >= 1.0 - 1e-15:
-        raise SpecError(f"hub family undefined: cos(x-y) must be < 1 (x={x}, y={y})")
-    form = _hub_form(1.0 / N, M / N, x, y)
-    _check_hub_invariants(*form, N, y)
+    form = _hub_form(1.0 / N, M / N)
+    _check_hub_invariants(*form, N)
     return HubModel(*form)
 
 
-def _check_hub_invariants(r, t, R_L, R_R, T, N: int, y: float) -> None:
+def _check_hub_invariants(r, t, R_L, R_R, T, N: int) -> None:
     """The hub's five unitarity identities to 1e-12, on the (r, t, R_L, R_R, T) of ``_hub_form``."""
     c1 = abs(abs(r) ** 2 + (N - 1) * abs(t) ** 2 - 1.0)
     c2 = abs(2.0 * (r.conjugate() * t).real + (N - 2) * abs(t) ** 2)
     c3 = abs(abs(R_R) ** 2 + abs(T) ** 2 - 1.0)
     c4 = abs(abs(R_L) ** 2 + abs(T) ** 2 - 1.0)
-    c5 = abs(T ** 2 - R_R * R_L - cmath.exp(2j * y))
+    c5 = abs(T ** 2 - R_R * R_L - 1.0)
     worst = max(c1, c2, c3, c4, c5)
     if not worst <= 1e-12:
         raise NumericsError(f"hub coefficient invariants violated (worst residual {worst:.2e})")
@@ -491,17 +451,17 @@ class StateVector:
 # Collapsed operator
 # ---------------------------------------------------------------------------
 
-def collapsed_coefficients(eps, x: float = math.pi, y: float = 0.0):
-    """(R_L, R_R, T) of the collapsed hub as analytic functions of epsilon.
+def collapsed_coefficients(eps):
+    """(R_L, R_R, T) of the collapsed hub as analytic functions of eps = M/N.
 
-    The hub's closed form at e = eps: the M = 1 family eps = 1/N, used by
-    ``collapsed_matrix``, ``right_block``, ``secular_function``, ``pairing_fit``,
-    ``paired_vectors`` and ``monodromy``.  For the generalized hub at M > 1 the
-    collapsed coefficients depend on N and M separately (``hub_coefficients``).
-    ``eps`` may be complex.  T takes the principal branch of sqrt(eps - eps^2):
-    negating T flips the sign of the right side, so the spectrum sees T^2 only.
+    They depend on N and M through eps alone, so ``collapsed_coefficients(M/N)``
+    is ``hub_coefficients(N, M)``'s at every M: the eps of ``collapsed_matrix``,
+    ``right_block``, ``secular_function``, ``pairing_fit``, ``paired_vectors``
+    and ``monodromy`` is the search's.  ``eps`` may be complex.  T takes the
+    principal branch of sqrt(eps - eps^2): negating T flips the sign of the
+    right side, so the spectrum sees T^2 only.
     """
-    return _hub_form(eps, eps, x, y)[2:]
+    return _hub_form(eps, eps)[2:]
 
 
 def _assemble(columns: np.ndarray, reflect, R_L, R_R, T) -> np.ndarray:
@@ -521,15 +481,14 @@ def _assemble(columns: np.ndarray, reflect, R_L, R_R, T) -> np.ndarray:
     return U
 
 
-def collapsed_matrix(spec: SubgraphSpec, eps, phi: float,
-                     x: float = math.pi, y: float = 0.0) -> np.ndarray:
+def collapsed_matrix(spec: SubgraphSpec, eps, phi: float) -> np.ndarray:
     """Collapsed one-step matrix at (possibly complex) epsilon.
 
     Returns a bare ndarray: for complex or negative epsilon the matrix is not
     unitary and intentionally skips the UnitaryOperator contract.
     """
-    check_phases(phi=phi, x=x, y=y)
-    R_L, R_R, T = collapsed_coefficients(eps, x=x, y=y)
+    check_phases(phi)
+    R_L, R_R, T = collapsed_coefficients(eps)
     return _assemble(spec.vertex_columns, cmath.exp(1j * phi), R_L, R_R, T)
 
 
@@ -557,7 +516,7 @@ def build_collapsed(spec: SubgraphSpec, hub: HubModel, phi: float) -> UnitaryOpe
     vertex part (kept per spec) plus the hub part in closed form, with no
     O(d^3) product.
     """
-    check_phases(phi=phi)
+    check_phases(phi)
     reflect = cmath.exp(1j * phi)
     U = _assemble(spec.vertex_columns, reflect, hub.R_L, hub.R_R, hub.T)
     return UnitaryOperator(U, spec.basis,
@@ -614,10 +573,9 @@ class FullWalk:
         return UnitaryOperator(dense, self.basis).matrix
 
 
-def build_full(spec: SubgraphSpec, N: int, M: int = 1, phi: float = 0.0,
-               x: float = math.pi, y: float = 0.0) -> FullWalk:
+def build_full(spec: SubgraphSpec, N: int, M: int = 1, phi: float = 0.0) -> FullWalk:
     """Literal N-edge walk operator with M disjoint copies of G (oracle)."""
-    hub = hub_coefficients(N, M=M, x=x, y=y)
+    hub = hub_coefficients(N, M=M)
     # rows [1->0, interior], columns [0->1, interior] of the collapsed base
     interior = list(range(4, spec.dim_collapsed))
     block = spec.vertex_columns[np.ix_([3] + interior, [2] + interior)]
@@ -700,7 +658,7 @@ def evolve(U: UnitaryOperator | FullWalk, s: StateVector, m: int) -> StateVector
 
 
 def _walk(spec: SubgraphSpec, N: int, M: int, phi: float, x: np.ndarray, m: int) -> np.ndarray:
-    """U^m x for the collapsed standard-hub walk at (N, M, phi).
+    """U^m x for the collapsed walk at (N, M, phi).
 
     The one propagation of a search and of a detuning sweep: it checks what
     ``hub_coefficients``, ``build_collapsed`` and ``evolve`` check, with the
@@ -708,15 +666,15 @@ def _walk(spec: SubgraphSpec, N: int, M: int, phi: float, x: np.ndarray, m: int)
     e^{i phi} and x) squares in float64 and is cast to complex at the end.
     """
     check_star(N, M)
-    check_phases(phi=phi)
-    r, t, R_L, R_R, T = _hub_form(1.0 / N, M / N, math.pi, 0.0)
-    _check_hub_invariants(r, t, R_L, R_R, T, N, 0.0)
+    check_phases(phi)
+    r, t, R_L, R_R, T = _hub_form(1.0 / N, M / N)
+    _check_hub_invariants(r, t, R_L, R_R, T, N)
     reflect = cmath.exp(1j * phi)
     residual = _collapsed_residual(spec, R_L, R_R, T, reflect)
     _check_unitary(residual)
     real = spec._real_columns
     if real is not None and reflect.imag == 0.0 and not x.imag.any():
-        # the standard hub's coefficients are real: their imaginary parts are 0
+        # the hub's coefficients are real: their imaginary parts are 0
         U = _assemble(real, reflect.real, R_L.real, R_R.real, T.real)
         return _power(U, x.real, m, residual).astype(complex)
     return _power(_assemble(spec.vertex_columns, reflect, R_L, R_R, T), x, m, residual)

@@ -118,6 +118,8 @@ def _search_target(spec: SubgraphSpec, lambda0) -> _Target:
 
     Kept on the spec per eigenvalue group, as ``("target", group lambda0)``, and
     as "auto", whose best_target checks run once; a failed lookup stores none.
+    A group's exact lambda0 is found by its key; any other request goes through
+    ``classify_right``.
     """
     if isinstance(lambda0, str) and lambda0 == "auto":
         target = spec._derived.get("auto")
@@ -125,7 +127,9 @@ def _search_target(spec: SubgraphSpec, lambda0) -> _Target:
             lam, _, _ = best_target(right_classifications(spec))
             target = spec._derived["auto"] = _search_target(spec, lam)
         return target
-    return _group_target(spec, classify_right(spec, complex(lambda0)))
+    lambda0 = complex(lambda0)
+    target = spec._derived.get(("target", lambda0))
+    return target or _group_target(spec, classify_right(spec, lambda0))
 
 
 def plan_search(spec: SubgraphSpec, N: int, M: int = 1, lambda0="auto") -> SearchPlan:

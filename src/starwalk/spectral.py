@@ -9,7 +9,7 @@ Spectral analysis of the collapsed walk operator.
   (hub-contacting) parts with the coupling constant c, kept on the loaded spec;
 * the secular function det(U(eps) - z)/det(U(0) - z) of the cached (lambda0, c) table,
   whose roots give the pairing lambda0*exp(+-ic*sqrt(eps)) and the monodromy of a loop
-  of eps around 0; the dense affine check and the best search eigenvalue.
+  of eps around 0; the best search eigenvalue.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from .graph import (
     NumericsError,
     SpecError,
     SubgraphSpec,
-    _hub_changes,
     check_phases,
     collapsed_basis,
     collapsed_coefficients,
@@ -161,14 +160,13 @@ def group_eigenvalues(sys: EigenSystem) -> list[EigenvalueGroup]:
 # Right block and bound/active classification
 # ---------------------------------------------------------------------------
 
-def right_block(spec: SubgraphSpec, x: float = math.pi) -> tuple[np.ndarray, tuple[str, ...]]:
+def right_block(spec: SubgraphSpec) -> tuple[np.ndarray, tuple[str, ...]]:
     """The eps=0 operator restricted to the right side.
 
     Basis order [|0,1>, |1,0>, interior...].  At eps=0 the hub does not couple
-    the two sides and returns |1,0> to |0,1> with amplitude R_R(0) (-1 for the
-    standard hub, e^{ix} otherwise).
+    the two sides and returns |1,0> to |0,1> with amplitude R_R(0) = -1.
     """
-    return collapsed_matrix(spec, 0.0, 0.0, x=x)[2:, 2:], collapsed_basis(spec).labels[2:]
+    return collapsed_matrix(spec, 0.0, 0.0)[2:, 2:], collapsed_basis(spec).labels[2:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,31 +220,29 @@ def _classify_group(sys: EigenSystem, g: EigenvalueGroup) -> RightClassification
                                active_vector=active, c=float(c))
 
 
-def _classify(spec: SubgraphSpec, x: float) -> tuple[RightClassification, ...]:
+def _classify(spec: SubgraphSpec) -> tuple[RightClassification, ...]:
     """Decompose the right block once and classify every eigenvalue group."""
-    A, _ = right_block(spec, x=x)
+    A, _ = right_block(spec)
     sys = eigendecompose(A)
     return tuple(_classify_group(sys, g) for g in group_eigenvalues(sys))
 
 
-def right_classifications(spec: SubgraphSpec, x: float = math.pi) -> list[RightClassification]:
+def right_classifications(spec: SubgraphSpec) -> list[RightClassification]:
     """Classification of every eigenvalue group of the right block.
 
-    It does not depend on N or M: computed on the first call for a given
-    ``(spec, x)`` and kept on the spec (``("classes", x)`` in its ``_derived``);
-    a failed classification (SpecError, NumericsError) is not kept.
+    It does not depend on N or M: computed on the first call for a spec and
+    kept on it (``"classes"`` in its ``_derived``); a failed classification
+    (SpecError, NumericsError) is not kept.
     """
-    key = ("classes", x)
-    cached = spec._derived.get(key)
+    cached = spec._derived.get("classes")
     if cached is None:
-        cached = spec._derived[key] = _classify(spec, x)
+        cached = spec._derived["classes"] = _classify(spec)
     return list(cached)
 
 
-def classify_right(spec: SubgraphSpec, lambda0: complex,
-                   x: float = math.pi) -> RightClassification:
+def classify_right(spec: SubgraphSpec, lambda0: complex) -> RightClassification:
     """The classification of the right-block eigenspace nearest to ``lambda0``."""
-    classes = right_classifications(spec, x=x)
+    classes = right_classifications(spec)
     return classes[_nearest([cl.lambda0 for cl in classes], lambda0, "the right block")]
 
 
@@ -291,38 +287,6 @@ def matched_phi(lambda0: complex) -> tuple[float, int]:
 
 
 # ---------------------------------------------------------------------------
-# Affine characteristic polynomial
-# ---------------------------------------------------------------------------
-
-def char_poly_value(spec: SubgraphSpec, z: complex, eps, phi: float) -> complex:
-    """C(z, eps) = det(U(eps) - z I) on the collapsed graph."""
-    A = collapsed_matrix(spec, eps, phi)
-    return complex(np.linalg.det(A - z * np.eye(A.shape[0])))
-
-
-def affine_residual(spec: SubgraphSpec, phi: float, z_samples, eps_samples) -> float:
-    """Max deviation of C(z, eps) from a straight line in eps.
-
-    The line is fixed by the first two eps samples; the residual is the worst
-    prediction error over the remaining samples and all z.  Near machine zero
-    when the characteristic polynomial is affine in eps.
-    """
-    eps_samples = list(eps_samples)
-    if len(eps_samples) < 3:
-        raise ValueError("need at least 3 epsilon samples")
-    e1, e2 = eps_samples[0], eps_samples[1]
-    worst = 0.0
-    for z in z_samples:
-        c1 = char_poly_value(spec, z, e1, phi)
-        c2 = char_poly_value(spec, z, e2, phi)
-        slope = (c2 - c1) / (e2 - e1)
-        for e3 in eps_samples[2:]:
-            pred = c1 + (e3 - e1) * slope
-            worst = max(worst, abs(char_poly_value(spec, z, e3, phi) - pred))
-    return worst
-
-
-# ---------------------------------------------------------------------------
 # Secular function of the eps-dependence
 # ---------------------------------------------------------------------------
 
@@ -351,11 +315,12 @@ class SecularFunction:
     D = 1 + a g_L + b g_R + (a b - T^2) g_L g_R, with (a, b, T) the changes of
     (R_L, R_R, T) from eps = 0, g_L = sum over p = +-sqrt(e^{i phi} R_L0) of
     p/(2 R_L0 (p - z)) and g_R = conj(R_R0) sum over active right eigenvalues of
-    (c^2/2) lambda/(lambda - z); the standard hub has D = 1 + 2 eps s with
-    s = g_R - g_L - 2 g_L g_R.  At z = center*e^{i theta} a pole center*e^{i alpha}
-    enters as (1 - i cot((alpha - theta)/2))/2, so a root by its pole keeps full
-    relative precision; ' is d/dtheta.  Root k leaves pole k; the roots solve the
-    pole-free (1/g_L + a)(1/g_R + b) = T^2: the eigenvalues of U(eps) but the bound.
+    (c^2/2) lambda/(lambda - z); (a, b, T^2) = (-2eps, 2eps, 4(eps - eps^2)) gives
+    D = 1 + 2 eps s with s = g_R - g_L - 2 g_L g_R.  At z = center*e^{i theta} a
+    pole center*e^{i alpha} enters as (1 - i cot((alpha - theta)/2))/2, so a root by
+    its pole keeps full relative precision; ' is d/dtheta.  Root k leaves pole k;
+    the roots solve the pole-free (1/g_L + a)(1/g_R + b) = T^2: the eigenvalues of
+    U(eps) but the bound.
     """
     poles: np.ndarray        # the two left poles, then the active right eigenvalues
     residues: np.ndarray     # (pole, side): g_L, g_R = sum of residue * mu/(mu - z)
@@ -363,13 +328,14 @@ class SecularFunction:
     alpha: np.ndarray        # (root, pole): _offset(pole, center of root)
     fixed: np.ndarray        # bound eigenvalues, with multiplicity
     contacts: np.ndarray     # (active, dim_right): r_j conj(r_j[0]) per active right vector
-    x: float
-    y: float
 
-    def changes(self, eps):
-        """(a, b, T^2) in closed form: T enters squared, so no branch of sqrt(eps - eps^2)
-        is chosen, and a, b keep full relative precision however small eps is."""
-        return _hub_changes(eps, self.x, self.y)
+    @staticmethod
+    def changes(eps):
+        """(a, b, T^2) = (-2eps, 2eps, 4(eps - eps^2)): T enters squared, so no branch of
+        sqrt(eps - eps^2) is chosen, and a, b keep full relative precision however small
+        eps is."""
+        e = complex(eps)
+        return -2.0 * e, 2.0 * e, 4.0 * (e - e * e)
 
     def sides(self, theta, alpha, order: int = 0):
         """([g_L, g_L', ...], [g_R, g_R', ...]) with ``alpha`` = _offset(poles, center)."""
@@ -387,7 +353,7 @@ class SecularFunction:
         return 1.0 + a * gL + b * gR + (a * b - T2) * gL * gR
 
     def s(self, theta, center=1.0):
-        """(s, s', s'') of the standard hub."""
+        """(s, s', s'') of D = 1 + 2 eps s."""
         (L, dL, d2L), (R, dR, d2R) = self.sides(theta, _offset(self.poles, center), order=2)
         return (R - L - 2.0 * L * R, dR - dL - 2.0 * (dL * R + L * dR),
                 d2R - d2L - 2.0 * (d2L * R + 2.0 * dL * dR + L * d2R))
@@ -402,7 +368,7 @@ class SecularFunction:
         q_2 sum_j r_j conj(r_j[0])/(lambda_j - z); each 1/(mu - z) in ``sides``' offset form."""
         (gL,), (gR,) = self.sides(theta, self.alpha[roots])
         inv = (1.0 - 1j / np.tan(0.5 * (self.alpha[roots] - theta[:, None]))) / (2.0 * self.poles)
-        T = collapsed_coefficients(eps, x=self.x, y=self.y)[2]
+        T = collapsed_coefficients(eps)[2]
         q1, q2 = T * gR, -(1.0 + self.changes(eps)[0] * gL)
         return _gauge(np.column_stack((0.5 * q1 * (inv[:, 0] + inv[:, 1]), q1 * gL,
                                        q2[:, None] * (inv[:, 2:] @ self.contacts))).T)
@@ -468,17 +434,12 @@ class SecularFunction:
         return self.track(path, np.sqrt(path), known, roots)[np.searchsorted(path, eps_values)]
 
 
-def secular_function(spec: SubgraphSpec, phi: float, x: float = math.pi,
-                     y: float = 0.0) -> SecularFunction:
-    """The secular function at reflector phase phi and hub phases (x, y).
-
-    Its eps is the M = 1 family eps = 1/N of ``collapsed_coefficients``; the
-    generalized hub at M > 1 depends on N and M separately and is not on it.
-    """
-    check_phases(phi=phi, x=x, y=y)
-    R_L0, R_R0, _ = collapsed_coefficients(0.0, x=x, y=y)
+def secular_function(spec: SubgraphSpec, phi: float) -> SecularFunction:
+    """The secular function at reflector phase phi; its eps is M/N, as in the search."""
+    check_phases(phi)
+    R_L0, R_R0, _ = collapsed_coefficients(0.0)
     p = cmath.exp(0.5j * phi) * cmath.sqrt(R_L0)
-    classes = right_classifications(spec, x=x)
+    classes = right_classifications(spec)
     active = [cl for cl in classes if cl.c is not None]
     right = np.array([cl.lambda0 for cl in active], dtype=complex)
     poles = np.concatenate(([p, -p], right / np.abs(right)))
@@ -491,8 +452,7 @@ def secular_function(spec: SubgraphSpec, phi: float, x: float = math.pi,
     return SecularFunction(
         poles=poles, residues=residues, centers=centers, alpha=_offset(poles, centers[:, None]),
         fixed=np.array([cl.lambda0 for cl in classes for _ in range(cl.n_bound)], dtype=complex),
-        contacts=np.array([cl.active_vector * cl.active_vector[0].conjugate() for cl in active]),
-        x=float(x), y=float(y))
+        contacts=np.array([cl.active_vector * cl.active_vector[0].conjugate() for cl in active]))
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +534,7 @@ class PairingFit:
 
 
 def pairing_fit(spec: SubgraphSpec, phi: float, lambda0: complex,
-                eps_grid=None, x: float = math.pi, y: float = 0.0) -> PairingFit:
+                eps_grid=None) -> PairingFit:
     """Fit the lambda0 family of U(eps) to one of the three structure cases.
 
     The case is the number of secular roots leaving lambda0: none (bound only,
@@ -592,11 +552,10 @@ def pairing_fit(spec: SubgraphSpec, phi: float, lambda0: complex,
         if not (all(math.isfinite(e) and e > 0 for e in grid) and len(set(grid)) >= 3):
             raise SpecError(f"eps_grid needs finite positive values, at least three of them "
                             f"distinct, got {list(grid)!r}")
-    sec = secular_function(spec, phi, x=x, y=y)
+    sec = secular_function(spec, phi)
     lam0, moving = sec.family(lambda0)
 
-    R_L0 = collapsed_coefficients(0.0, x=x, y=y)[0]
-    balanced = abs(lam0 * lam0 + cmath.exp(1j * phi) * R_L0) < 1e-9
+    balanced = abs(lam0 * lam0 + cmath.exp(1j * phi)) < 1e-9
     if balanced:
         logger.warning("lambda0^2 + e^{i phi} = 0 at lambda0=%s: no net probability "
                        "flow across the hub; pairing is not claimed", lam0)
@@ -620,8 +579,7 @@ def pairing_fit(spec: SubgraphSpec, phi: float, lambda0: complex,
                       balanced=balanced)
 
 
-def paired_vectors(spec: SubgraphSpec, phi: float, lambda0: complex, eps: float,
-                   x: float = math.pi, y: float = 0.0):
+def paired_vectors(spec: SubgraphSpec, phi: float, lambda0: complex, eps: float):
     """The two paired eigenvalues/vectors of U(eps) split off lambda0.
 
     The eigenvalues are the two secular roots leaving lambda0, the vectors their
@@ -629,7 +587,7 @@ def paired_vectors(spec: SubgraphSpec, phi: float, lambda0: complex, eps: float,
     Returns (lam_plus, v_plus, lam_minus, v_minus) ordered by the sign of the
     phase offset from lambda0.
     """
-    sec = secular_function(spec, phi, x=x, y=y)
+    sec = secular_function(spec, phi)
     lam0, moving = sec.family(lambda0)
     if len(moving) < 2:
         raise ValueError(f"lambda0={lam0} is a singleton family: nothing pairs")

@@ -12,7 +12,7 @@ the chosen right eigenvalue lambda0, the pair is detuned by a phase gap delta
   success probability: (1/(1+t))*sin^2((pi/2)*sqrt(1+t)) on the naive schedule
   and 1/(1+t) on the compensated schedule;
 * the naive schedule stays above 50% success exactly while t <= 1/2, i.e.
-  delta < c*sqrt(2/N).
+  delta < c*sqrt(2M/N).
 """
 from __future__ import annotations
 

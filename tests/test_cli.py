@@ -163,6 +163,13 @@ class TestTolerance:
         # boundary point (t=1/2) and the 1.5x point (t=9/8)
         assert naive[0] > 0.99 and naive[2] > 0.5 and naive[3] < 0.5
 
+    def test_auto_grid_straddles_the_boundary_at_every_m(self, tmp_path):
+        # {0, 0.5, 1, 1.5} x c*sqrt(2M/N) is t = k^2/2 at any M: the t = 1/2 boundary at 1
+        assert run(["tolerance", "grover", "--n", "1000000", "--m-copies", "3",
+                    "--out", str(tmp_path / "tol")]) == EXIT_OK
+        rows = json.loads((tmp_path / "tol.json").read_text())["profiles"]
+        assert [row["t"] for row in rows] == pytest.approx([0.0, 0.125, 0.5, 1.125], rel=1e-12)
+
     def test_bolo_double_root_follows_the_drift_law(self, tmp_path):
         # +1 and -1 both pair on bolo; each row must follow the -1 family
         assert run(["tolerance", "bolo", "--n", "1000000",

@@ -33,48 +33,25 @@ class TestHubCoefficients:
         assert abs(hub.r) < 1e-15
         assert hub.t == pytest.approx(1.0, abs=1e-15)
 
-    def test_generalized_satisfies_unitarity(self):
-        # oracle: substitute the closed-form r, t into the two unitarity
-        # conditions of the degree-N hub
-        N = 100
-        hub = sw.hub_coefficients(N, x=math.pi / 2, y=0.0)
-        assert abs(abs(hub.r) ** 2 + (N - 1) * abs(hub.t) ** 2 - 1) < 1e-12
-        assert abs(2 * (hub.r.conjugate() * hub.t).real
-                   + (N - 2) * abs(hub.t) ** 2) < 1e-12
-
-    @pytest.mark.parametrize("x", [0.4, math.pi / 2, 2.0, math.pi, 5.0])
-    @pytest.mark.parametrize("y", [-0.9, 0.0, 0.7])
-    def test_identity_grid(self, x, y):
-        if math.cos(x - y) >= 1 - 1e-9:
-            pytest.skip("family undefined at cos(x-y)=1")
-        hub = sw.hub_coefficients(50, x=x, y=y)
-        assert abs(hub.T ** 2 - hub.R_R * hub.R_L - cmath.exp(2j * y)) < 1e-12
-        assert abs(abs(hub.R_R) ** 2 + abs(hub.T) ** 2 - 1) < 1e-12
-        assert abs(abs(hub.R_L) ** 2 + abs(hub.T) ** 2 - 1) < 1e-12
-
     def test_copies_shift_reflections(self):
         hub = sw.hub_coefficients(10, M=3)
         assert hub.R_R == pytest.approx(-1 + 2 * 0.3)
         assert hub.R_L == pytest.approx(1 - 2 * 0.3)
         assert hub.T == pytest.approx(2 * math.sqrt(0.3 - 0.09))
 
-    @pytest.mark.parametrize("x,y", [(math.pi, 0.0), (2.0, 0.3), (1.0, 2.0), (0.4, -0.9)])
-    @pytest.mark.parametrize("N", [2, 10, 1000, 10 ** 12])
-    def test_eps_family_is_the_single_copy_hub(self, N, x, y):
-        # collapsed_coefficients(eps) is the hub's closed form at M = 1, eps = 1/N
-        hub = sw.hub_coefficients(N, 1, x, y)
-        got = collapsed_coefficients(1 / N, x, y)
-        assert max(abs(a - b) for a, b in zip(got, (hub.R_L, hub.R_R, hub.T))) <= 1e-15
+    @pytest.mark.parametrize("N,M", [(N, M) for N in (2, 10, 1000, 10 ** 12)
+                                     for M in (1, 2, 3) if M < N])
+    def test_eps_family_is_the_hub_at_every_m(self, N, M):
+        # the spectral layer's eps is the search's: collapsed_coefficients(M/N)
+        # is hub_coefficients(N, M)'s collapsed part at every M, not only M = 1
+        hub = sw.hub_coefficients(N, M)
+        assert collapsed_coefficients(M / N) == (hub.R_L, hub.R_R, hub.T)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(sw.SpecError):
             sw.hub_coefficients(10, M=10)
         with pytest.raises(sw.SpecError):
             sw.hub_coefficients(10, M=11)
-        with pytest.raises(sw.SpecError):
-            sw.hub_coefficients(10, x=1.0, y=1.0)  # cos(x-y) = 1
-        with pytest.raises(sw.SpecError):
-            sw.hub_coefficients(10, x=math.nan)
 
 
 class TestStarSizeRule:
@@ -142,11 +119,9 @@ class TestBuildCollapsed:
                 "1", ())
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("phase", ["phi", "x", "y"])
-    def test_non_finite_phase_rejected(self, bolo_spec, phase, bad):
-        kw = {"phi": 0.0, "x": math.pi, "y": 0.0, phase: bad}
-        with pytest.raises(sw.SpecError, match=f"phase {phase} must be finite"):
-            sw.collapsed_matrix(bolo_spec, 1e-3, **kw)
+    def test_non_finite_phase_rejected(self, bolo_spec, bad):
+        with pytest.raises(sw.SpecError, match="phase phi must be finite"):
+            sw.collapsed_matrix(bolo_spec, 1e-3, bad)
 
     def test_nan_operator_rejected(self, grover_spec):
         with pytest.raises(sw.SpecError, match="not unitary"):
@@ -210,11 +185,10 @@ class TestStructuredUnitarity:
         return ([sw.load_spec("grover"), sw.load_spec("bolo")]
                 + [random_spec(np.random.default_rng(seed), max_arms=5) for seed in range(4)])
 
-    @pytest.mark.parametrize("x, y", [(math.pi, 0.0), (2.5, 0.3), (1.0, 2.0)])
-    def test_equals_dense_residual(self, x, y):
+    def test_equals_dense_residual(self):
         for spec in self._specs():
             for N, M in ((2, 1), (7, 3), (10 ** 6, 1), (10 ** 12, 5)):
-                hub = sw.hub_coefficients(N, M=M, x=x, y=y)
+                hub = sw.hub_coefficients(N, M=M)
                 for phi in (0.0, 0.7, -2.9):
                     U = sw.build_collapsed(spec, hub, phi)
                     assert abs(U.residual - graph._unitarity_residual(U.matrix)) <= 1e-15
@@ -225,7 +199,7 @@ class TestStructuredUnitarity:
         lambda h: dataclasses.replace(h, R_R=math.inf),
     ], ids=["R_L-scaled", "T-nan", "R_R-inf"])
     def test_non_unitary_hub_rejected(self, bolo_spec, bad):
-        hub = bad(sw.hub_coefficients(1000, M=2, x=2.5, y=0.3))
+        hub = bad(sw.hub_coefficients(1000, M=2))
         with pytest.raises(sw.SpecError, match="not unitary"):
             sw.build_collapsed(bolo_spec, hub, 0.4)
 
@@ -539,20 +513,13 @@ class TestRandomSpecProperties:
         n = Uf.shape[0]
         assert np.linalg.norm(Uf.conj().T @ Uf - np.eye(n)) < 1e-10
 
-    @pytest.mark.parametrize("M,N,x,y", [
-        pytest.param(M, N, math.pi, 0.0, id=f"{M}-{N}") for M in (1, 2) for N in (4, 8)
-    ] + [
-        pytest.param(M, N, x, y, id=f"{M}-{N}-x{x}-y{y}")
-        for M, N in ((3, 8), (2, 12)) for x, y in ((2.0, 0.3), (1.0, 2.0))
-    ])
-    def test_collapse_correctness(self, M, N, x, y):
-        # the generalized hub at M > 1: both pictures take hub_coefficients(N, M, x, y)
+    @pytest.mark.parametrize("M,N", [(1, 4), (1, 8), (2, 4), (2, 8), (3, 8), (2, 12)])
+    def test_collapse_correctness(self, M, N):
         rng = np.random.default_rng(100 * N + M)
         spec = random_spec(rng)
         phi = 0.9
-        hub = sw.hub_coefficients(N, M, x, y)
-        Uc = sw.build_collapsed(spec, hub, phi)
-        Uf = sw.build_full(spec, N, M=M, phi=phi, x=x, y=y)
+        Uc = sw.build_collapsed(spec, sw.hub_coefficients(N, M), phi)
+        Uf = sw.build_full(spec, N, M=M, phi=phi)
         sc = random_collapsed_state(rng, spec)
         sf = sw.lift_collapsed_state(sc, N, M)
         for _ in range(200):

@@ -2,13 +2,13 @@ import ast
 import importlib
 import os
 import re
+import shlex
 import sys
 
 import pytest
 
 import starwalk
-
-tomllib = pytest.importorskip("tomllib")
+from starwalk.cli import main
 
 PACKAGE = os.path.dirname(os.path.abspath(starwalk.__file__))
 ROOT = os.path.dirname(os.path.dirname(PACKAGE))
@@ -39,6 +39,7 @@ def _third_party_imports() -> dict[str, set[str]]:
 def test_runtime_imports_are_the_declared_dependencies():
     # every third-party import of the package is a runtime dependency, and
     # every runtime dependency is imported: test-only packages stay in extras
+    tomllib = pytest.importorskip("tomllib")
     with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
         deps = tomllib.load(fh)["project"]["dependencies"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower().replace("-", "_")
@@ -57,3 +58,17 @@ def test_traced_functions_exist():
     missing = [f"starwalk.{module}.{func}" for module, func in ast.literal_eval(layers)
                if not callable(getattr(importlib.import_module(f"starwalk.{module}"), func, None))]
     assert not missing
+
+
+def test_readme_cli_commands_run(tmp_path, monkeypatch):
+    # every "starwalk ..." line of the README's CLI quick start, run as written,
+    # oracle-check at the advertised N = 1e6 included
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        section = fh.read().split("## Quick start (CLI)", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv[1:] for argv in commands if argv and argv[0] == "starwalk"]
+    assert len(commands) == 6
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv

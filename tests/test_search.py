@@ -93,7 +93,8 @@ class TestPlanSearch:
 
 def _targets(spec: sw.SubgraphSpec) -> dict:
     """The per-group search targets kept on ``spec``, by group lambda0."""
-    return {key[1]: t for key, t in spec._derived.items() if key[0] == "target"}
+    return {key[1]: t for key, t in spec._derived.items()
+            if isinstance(key, tuple) and key[0] == "target"}
 
 
 class TestSearchTargetMemo:
@@ -170,6 +171,24 @@ class TestSearchTargetMemo:
             sw.plan_search(spec, N)
             sw.plan_search(spec, N, lambda0=1.0 + 0j)
         assert Counting.writes == 4
+
+    def test_exact_group_lambda0_is_found_by_its_key(self, monkeypatch):
+        spec = sw.load_spec("bolo")
+        target = search._search_target(spec, -1.0 + 0j)
+        before = dict(spec._derived)
+
+        def nearest_search(*args):
+            raise AssertionError("classify_right called for a group's exact lambda0")
+        monkeypatch.setattr(search, "classify_right", nearest_search)
+        assert search._search_target(spec, -1.0) is target
+        assert search._search_target(spec, complex(-1.0, -0.0)) is target
+        assert sw.plan_search(spec, 10 ** 6, lambda0=-1.0 + 0j).r0 is target.r0
+        assert spec._derived == before
+        monkeypatch.undo()
+        assert search._search_target(spec, -1.0 + 1e-9j) is target
+        with pytest.raises(sw.SpecError):
+            search._search_target(spec, complex(math.nan, 0.0))
+        assert spec._derived == before
 
     def test_entry_released_with_spec(self):
         a, b = sw.load_spec("grover"), sw.load_spec("grover")
