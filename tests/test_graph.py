@@ -22,6 +22,24 @@ from conftest import random_collapsed_state, random_spec
 # hub_coefficients
 # ---------------------------------------------------------------------------
 
+def _phase_hub(N, M, x, y):
+    """A reference unitary degree-N hub with phases (x, y), as a HubModel.
+
+    With e = 1/N, eps = M/N, k = 2cos(x-y)e^{iy} and s = sqrt(1 - 4sin^2(x-y)(e - e^2)):
+    r = (1-2e)e^{ix}/s, t = -k e/s, R_L = r + (N-M-1)t, R_R = r + (M-1)t and
+    T = t sqrt(M(N-M)).  (pi, 0) is the diffusive hub of ``hub_coefficients``; the
+    other phases check that ``build_collapsed`` and the full walk, which take any
+    unitary hub, still agree away from it.
+    """
+    e, eps = 1.0 / N, M / N
+    k = 2.0 * math.cos(x - y) * cmath.exp(1j * y)
+    s = cmath.sqrt(1.0 - 4.0 * math.sin(x - y) ** 2 * (e - e * e))
+    a = (1.0 - 2.0 * e) * cmath.exp(1j * x)
+    w = cmath.sqrt(eps - eps * eps)
+    return sw.HubModel(a / s, -k * e / s, (a - k * (1.0 - eps - e)) / s,
+                       (a - k * (eps - e)) / s, -k * w / s)
+
+
 class TestHubCoefficients:
     def test_standard_large_n(self):
         hub = sw.hub_coefficients(10 ** 6)
@@ -32,6 +50,24 @@ class TestHubCoefficients:
         hub = sw.hub_coefficients(2)
         assert abs(hub.r) < 1e-15
         assert hub.t == pytest.approx(1.0, abs=1e-15)
+
+    def test_generalized_satisfies_unitarity(self):
+        # oracle: substitute the reference hub's r, t into the two unitarity
+        # conditions of the degree-N hub
+        N = 100
+        hub = _phase_hub(N, 1, math.pi / 2, 0.0)
+        assert abs(abs(hub.r) ** 2 + (N - 1) * abs(hub.t) ** 2 - 1) < 1e-12
+        assert abs(2 * (hub.r.conjugate() * hub.t).real
+                   + (N - 2) * abs(hub.t) ** 2) < 1e-12
+
+    @pytest.mark.parametrize("x", [0.4, math.pi / 2, 2.0, math.pi, 5.0])
+    @pytest.mark.parametrize("y", [-0.9, 0.0, 0.7])
+    def test_identity_grid(self, x, y):
+        # the reference hub's collapsed block is unitary wherever the tests use it
+        hub = _phase_hub(50, 1, x, y)
+        assert abs(hub.T ** 2 - hub.R_R * hub.R_L - cmath.exp(2j * y)) < 1e-12
+        assert abs(abs(hub.R_R) ** 2 + abs(hub.T) ** 2 - 1) < 1e-12
+        assert abs(abs(hub.R_L) ** 2 + abs(hub.T) ** 2 - 1) < 1e-12
 
     def test_copies_shift_reflections(self):
         hub = sw.hub_coefficients(10, M=3)
@@ -46,6 +82,17 @@ class TestHubCoefficients:
         # is hub_coefficients(N, M)'s collapsed part at every M, not only M = 1
         hub = sw.hub_coefficients(N, M)
         assert collapsed_coefficients(M / N) == (hub.R_L, hub.R_R, hub.T)
+
+    @pytest.mark.parametrize("x,y", [(math.pi, 0.0)])
+    @pytest.mark.parametrize("N", [2, 10, 1000, 10 ** 12])
+    def test_eps_family_is_the_single_copy_hub(self, N, x, y):
+        # at the diffusive phases the reference hub is the library's at M = 1,
+        # both per edge and in the eps family eps = 1/N
+        ref = _phase_hub(N, 1, x, y)
+        hub = sw.hub_coefficients(N, 1)
+        assert max(abs(a - b) for a, b in zip((hub.r, hub.t), (ref.r, ref.t))) <= 1e-15
+        got = collapsed_coefficients(1 / N)
+        assert max(abs(a - b) for a, b in zip(got, (ref.R_L, ref.R_R, ref.T))) <= 1e-15
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(sw.SpecError):
@@ -119,9 +166,10 @@ class TestBuildCollapsed:
                 "1", ())
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_phase_rejected(self, bolo_spec, bad):
-        with pytest.raises(sw.SpecError, match="phase phi must be finite"):
-            sw.collapsed_matrix(bolo_spec, 1e-3, bad)
+    @pytest.mark.parametrize("phase", ["phi"])         # the one phase argument
+    def test_non_finite_phase_rejected(self, bolo_spec, phase, bad):
+        with pytest.raises(sw.SpecError, match=f"phase {phase} must be finite"):
+            sw.collapsed_matrix(bolo_spec, 1e-3, **{phase: bad})
 
     def test_nan_operator_rejected(self, grover_spec):
         with pytest.raises(sw.SpecError, match="not unitary"):
@@ -185,10 +233,11 @@ class TestStructuredUnitarity:
         return ([sw.load_spec("grover"), sw.load_spec("bolo")]
                 + [random_spec(np.random.default_rng(seed), max_arms=5) for seed in range(4)])
 
-    def test_equals_dense_residual(self):
+    @pytest.mark.parametrize("x, y", [(math.pi, 0.0), (2.5, 0.3), (1.0, 2.0)])
+    def test_equals_dense_residual(self, x, y):
         for spec in self._specs():
             for N, M in ((2, 1), (7, 3), (10 ** 6, 1), (10 ** 12, 5)):
-                hub = sw.hub_coefficients(N, M=M)
+                hub = _phase_hub(N, M, x, y)
                 for phi in (0.0, 0.7, -2.9):
                     U = sw.build_collapsed(spec, hub, phi)
                     assert abs(U.residual - graph._unitarity_residual(U.matrix)) <= 1e-15
@@ -513,13 +562,22 @@ class TestRandomSpecProperties:
         n = Uf.shape[0]
         assert np.linalg.norm(Uf.conj().T @ Uf - np.eye(n)) < 1e-10
 
-    @pytest.mark.parametrize("M,N", [(1, 4), (1, 8), (2, 4), (2, 8), (3, 8), (2, 12)])
-    def test_collapse_correctness(self, M, N):
+    @pytest.mark.parametrize("M,N,phases", [
+        pytest.param(M, N, None, id=f"{M}-{N}")
+        for M, N in ((1, 4), (1, 8), (2, 4), (2, 8), (3, 8), (2, 12))
+    ] + [
+        pytest.param(M, N, (x, y), id=f"{M}-{N}-x{x}-y{y}")
+        for M, N in ((3, 8), (2, 12)) for x, y in ((2.0, 0.3), (1.0, 2.0))
+    ])
+    def test_collapse_correctness(self, M, N, phases):
+        # the library's diffusive hub, and reference hubs at M > 1: both pictures
+        # take whatever unitary hub they are given
         rng = np.random.default_rng(100 * N + M)
         spec = random_spec(rng)
         phi = 0.9
-        Uc = sw.build_collapsed(spec, sw.hub_coefficients(N, M), phi)
-        Uf = sw.build_full(spec, N, M=M, phi=phi)
+        hub = sw.hub_coefficients(N, M) if phases is None else _phase_hub(N, M, *phases)
+        Uc = sw.build_collapsed(spec, hub, phi)
+        Uf = dataclasses.replace(sw.build_full(spec, N, M=M, phi=phi), hub=hub)
         sc = random_collapsed_state(rng, spec)
         sf = sw.lift_collapsed_state(sc, N, M)
         for _ in range(200):
