@@ -13,10 +13,8 @@ from .graph import (
     apply,
     build_collapsed,
     build_full,
-    collapsed_basis,
     collapsed_matrix,
     evolve,
-    full_basis,
     hub_coefficients,
     lift_collapsed_state,
     load_spec,

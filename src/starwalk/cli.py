@@ -169,11 +169,14 @@ def cmd_sweep(args) -> int:
         raise SpecError(f"--points must be >= 1, got {args.points}")
     if hi is None:
         ns = [lo]
-    elif args.log:
-        ns = sorted({int(round(v)) for v in
-                     np.logspace(math.log10(lo), math.log10(hi), args.points)})
     else:
-        ns = sorted({int(round(v)) for v in np.linspace(lo, hi, args.points)})
+        # a float grid between exact endpoints: above 2**53 the floats alone
+        # would move the ends, and numpy cannot cast ints of 2**64 and above
+        grid = (np.logspace(math.log10(lo), math.log10(hi), args.points) if args.log
+                else np.linspace(float(lo), float(hi), args.points))
+        ends = (lo, hi) if args.points > 1 else (lo,)
+        a, b = sorted((lo, hi))
+        ns = sorted({*ends, *(min(max(int(round(v)), a), b) for v in grid[1:-1])})
     rows = []
     for N in ns:
         plan = search_mod.plan_search(spec, N, M=args.m_copies, lambda0=args.lam)

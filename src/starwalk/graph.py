@@ -20,7 +20,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,7 +36,6 @@ RESERVED_LABELS = (OUT, IN, MARKED_OUT, MARKED_IN)
 
 VERTEX_UNITARITY_TOL = 1e-12
 OPERATOR_UNITARITY_TOL = 1e-10
-FULL_SIZE_GUARD = 5000      # states; only the dense full matrix is guarded
 # Relative norm change over one evolve call beyond which the propagated
 # phases are no longer trustworthy (double precision runs out near N ~ 1e21).
 NORM_DRIFT_TOL = 1e-6
@@ -358,57 +356,21 @@ def _check_hub_invariants(r, t, R_L, R_R, T, N: int) -> None:
 # Bases, operators, states
 # ---------------------------------------------------------------------------
 
-_HUB_LABEL = re.compile(r"0->([1-9][0-9]*)|([1-9][0-9]*)->0")
-
-
 @dataclass(frozen=True)
 class EdgeBasis:
     """Ordered edge states of the collapsed (``N == 0``) or the full picture.
 
     Collapsed: ``[|out>, |in>, |0,1>, |1,0>, interior...]``.  Full (N edges, M
     copies of G, n interior states): ``0->j`` at ``j-1``, ``j->0`` at ``N+j-1``,
-    interior state ``i`` of copy ``k`` (``"<label>#k"``) at ``2N+(k-1)n+i``.
+    interior state ``i`` of copy ``k`` at ``2N+(k-1)n+i``.
     """
     interior: tuple[str, ...]
     N: int = 0
     M: int = 0
 
-    @property
-    def kind(self) -> str:
-        return "full" if self.N else "collapsed"
-
     def __len__(self) -> int:
         n = len(self.interior)
         return 2 * self.N + self.M * n if self.N else 4 + n
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        if not self.N:
-            return RESERVED_LABELS + self.interior
-        hub = range(1, self.N + 1)
-        return (tuple(f"0->{j}" for j in hub) + tuple(f"{j}->0" for j in hub)
-                + tuple(f"{lab}#{k}" for k in range(1, self.M + 1) for lab in self.interior))
-
-    def index(self, label: str) -> int:
-        """Position of ``label``; KeyError if it names no state of this basis."""
-        N, hub = self.N, _HUB_LABEL.fullmatch(label)
-        lab, _, k = label.rpartition("#")
-        if not N and label in self.labels:
-            return self.labels.index(label)
-        if N and hub and int(hub[1] or hub[2]) <= N:
-            return int(hub[1] or hub[2]) - 1 + (N if hub[2] else 0)
-        if N and lab in self.interior and k.isdecimal() and 1 <= int(k) <= self.M:
-            return 2 * N + (int(k) - 1) * len(self.interior) + self.interior.index(lab)
-        raise KeyError(label)
-
-
-def collapsed_basis(spec: SubgraphSpec) -> EdgeBasis:
-    return spec.basis
-
-
-def full_basis(spec: SubgraphSpec, N: int, M: int) -> EdgeBasis:
-    check_star(N, M)
-    return EdgeBasis(spec.interior, int(N), int(M))
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,13 +400,6 @@ class StateVector:
     """Complex amplitudes aligned with an EdgeBasis."""
     amplitudes: np.ndarray
     basis: EdgeBasis
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def amplitude(self, label: str) -> complex:
-        return complex(self.amplitudes[self.basis.index(label)])
 
 
 # ---------------------------------------------------------------------------
@@ -562,16 +517,6 @@ class FullWalk:
         y[2 * N:] = out[:, 1:].reshape(M * n, k)
         return y.reshape(x.shape)
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The dense operator, built by stepping the identity (small N only)."""
-        D = len(self.basis)
-        if D > FULL_SIZE_GUARD:
-            raise SpecError(f"full graph would need {D} states (guard {FULL_SIZE_GUARD})")
-        dense = self.step(np.eye(D, dtype=complex))
-        # wrapping it checks unitarity
-        return UnitaryOperator(dense, self.basis).matrix
-
 
 def build_full(spec: SubgraphSpec, N: int, M: int = 1, phi: float = 0.0) -> FullWalk:
     """Literal N-edge walk operator with M disjoint copies of G (oracle)."""
@@ -579,7 +524,8 @@ def build_full(spec: SubgraphSpec, N: int, M: int = 1, phi: float = 0.0) -> Full
     # rows [1->0, interior], columns [0->1, interior] of the collapsed base
     interior = list(range(4, spec.dim_collapsed))
     block = spec.vertex_columns[np.ix_([3] + interior, [2] + interior)]
-    return FullWalk(basis=full_basis(spec, N, M), hub=hub, phi=float(phi), port_block=block)
+    return FullWalk(basis=EdgeBasis(spec.interior, int(N), int(M)), hub=hub, phi=float(phi),
+                    port_block=block)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +534,7 @@ def build_full(spec: SubgraphSpec, N: int, M: int = 1, phi: float = 0.0) -> Full
 
 def lift_collapsed_state(state: StateVector, N: int, M: int = 1) -> StateVector:
     """Embed a collapsed state into the full basis (inverse of restriction)."""
-    if state.basis.kind != "collapsed":
+    if state.basis.N:
         raise SpecError("expected a collapsed-basis state")
     check_star(N, M)
     basis = EdgeBasis(state.basis.interior, int(N), int(M))
@@ -611,7 +557,7 @@ def restrict_full_state(state: StateVector) -> tuple[StateVector, float]:
     come from the state's basis.
     """
     b = state.basis
-    if b.kind != "full":
+    if not b.N:
         raise SpecError("expected a full-basis state")
     N, M, n, a = b.N, b.M, len(b.interior), state.amplitudes
     wL, wR = 1.0 / math.sqrt(N - M), 1.0 / math.sqrt(M)

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import (
+    RESERVED_LABELS,
     NumericsError,
     SpecError,
     SubgraphSpec,
     check_phases,
-    collapsed_basis,
     collapsed_coefficients,
     collapsed_matrix,
 )
@@ -166,7 +166,7 @@ def right_block(spec: SubgraphSpec) -> tuple[np.ndarray, tuple[str, ...]]:
     Basis order [|0,1>, |1,0>, interior...].  At eps=0 the hub does not couple
     the two sides and returns |1,0> to |0,1> with amplitude R_R(0) = -1.
     """
-    return collapsed_matrix(spec, 0.0, 0.0)[2:, 2:], collapsed_basis(spec).labels[2:]
+    return collapsed_matrix(spec, 0.0, 0.0)[2:, 2:], RESERVED_LABELS[2:] + spec.interior
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,13 +344,6 @@ class SecularFunction:
         g = [0.5 * self.residues.sum(axis=0) - 0.5j * (u @ self.residues),
              -0.5j * (du @ self.residues), -0.5j * ((u * du) @ self.residues)][:order + 1]
         return [gk[..., 0] for gk in g], [gk[..., 1] for gk in g]
-
-    def det_ratio(self, z, eps):
-        """D(z, eps) at points z off the poles."""
-        z = np.asarray(z, dtype=complex)[..., None]
-        (gL,), (gR,) = self.sides(-1j * np.log(np.abs(z[..., 0])), _offset(self.poles, z / abs(z)))
-        a, b, T2 = self.changes(eps)
-        return 1.0 + a * gL + b * gR + (a * b - T2) * gL * gR
 
     def s(self, theta, center=1.0):
         """(s, s', s'') of D = 1 + 2 eps s."""
@@ -642,7 +635,7 @@ def spectral_report(spec: SubgraphSpec, phi: float | None = None) -> dict:
         fits.append(pairing_fit(spec, p, cl.lambda0))
     mono = monodromy(spec, phi_used)
     return {
-        "right_basis": list(collapsed_basis(spec).labels[2:]),
+        "right_basis": list(RESERVED_LABELS[2:] + spec.interior),
         "groups": [
             {"lambda0": _c2j(cl.lambda0),
              "multiplicity": cl.n_bound + (cl.active_vector is not None)}

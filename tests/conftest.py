@@ -57,4 +57,4 @@ def random_collapsed_state(rng, spec: sw.SubgraphSpec) -> sw.StateVector:
     d = spec.dim_collapsed
     amp = rng.normal(size=d) + 1j * rng.normal(size=d)
     amp /= np.linalg.norm(amp)
-    return sw.StateVector(amplitudes=amp, basis=sw.collapsed_basis(spec))
+    return sw.StateVector(amplitudes=amp, basis=spec.basis)

@@ -136,6 +136,19 @@ class TestSweep:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    @pytest.mark.parametrize("lo,hi,log", [
+        (100, 2 ** 64, False),                  # past numpy's integer casts
+        (2 ** 53 + 1, 2 ** 53 + 3, False),      # between doubles
+        (100, 10 ** 23 + 1, True),
+    ])
+    def test_endpoints_are_the_requested_n(self, tmp_path, lo, hi, log):
+        out = tmp_path / "sw"
+        assert run(["sweep", "grover", "--n", f"{lo}..{hi}", "--points", "3",
+                    "--format", "json", "--out", str(out)] + ["--log"] * log) == EXIT_OK
+        ns = [p["N"] for p in json.loads((tmp_path / "sw.json").read_text())["points"]]
+        assert ns[0] == lo and ns[-1] == hi
+        assert ns == sorted(ns) and all(lo <= N <= hi for N in ns)
+
 
 class TestTolerance:
     def test_explicit_grid(self, tmp_path):

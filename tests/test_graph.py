@@ -18,6 +18,11 @@ from starwalk.graph import collapsed_coefficients
 from conftest import random_collapsed_state, random_spec
 
 
+def dense(walk: sw.FullWalk) -> np.ndarray:
+    """A full walk's dense operator, built by stepping the identity (small N only)."""
+    return walk.step(np.eye(len(walk.basis), dtype=complex))
+
+
 # ---------------------------------------------------------------------------
 # hub_coefficients
 # ---------------------------------------------------------------------------
@@ -154,9 +159,9 @@ class TestBuildCollapsed:
         assert np.linalg.norm(U.conj().T @ U - np.eye(7)) < 1e-12
 
     def test_basis_ordering_contract(self, bolo_spec):
-        basis = sw.collapsed_basis(bolo_spec)
-        assert basis.labels[:4] == ("out", "in", "0->1", "1->0")
-        assert basis.labels[4:] == bolo_spec.interior
+        assert graph.RESERVED_LABELS == ("out", "in", "0->1", "1->0")
+        assert bolo_spec.basis == sw.EdgeBasis(bolo_spec.interior)
+        assert len(bolo_spec.basis) == 4 + len(bolo_spec.interior)
 
     def test_rejects_non_unitary_wiring(self):
         # a 2x2 non-unitary matrix fails at spec validation already
@@ -173,7 +178,7 @@ class TestBuildCollapsed:
 
     def test_nan_operator_rejected(self, grover_spec):
         with pytest.raises(sw.SpecError, match="not unitary"):
-            sw.UnitaryOperator(np.full((4, 4), math.nan), sw.collapsed_basis(grover_spec))
+            sw.UnitaryOperator(np.full((4, 4), math.nan), grover_spec.basis)
 
     def test_non_finite_reflector_phase_rejected(self, bolo_spec):
         # a NaN phase would pass the unitarity check (NaN compares false)
@@ -267,16 +272,16 @@ class TestStructuredUnitarity:
     def test_one_basis_per_spec(self, bolo_spec):
         plan = sw.plan_search(bolo_spec, 10 ** 4)
         U = sw.build_collapsed(bolo_spec, sw.hub_coefficients(10 ** 4), plan.phi)
-        assert U.basis is plan.initial.basis is sw.collapsed_basis(bolo_spec)
+        assert U.basis is plan.initial.basis is bolo_spec.basis
         assert sw.evolve(U, plan.initial, 3).basis is U.basis
 
 
 class TestBuildFull:
     def test_grover_n3_hand_check(self, grover_spec):
-        # oracle: write out the six basis images by hand for N=3
+        # oracle: write out the six basis images by hand for N=3, with 0->j at
+        # j-1 and j->0 at 3+j-1
         U = sw.build_full(grover_spec, 3, phi=0.0)
-        labels = U.basis.labels
-        assert labels == ("0->1", "0->2", "0->3", "1->0", "2->0", "3->0")
+        assert U.basis == sw.EdgeBasis((), 3, 1) and len(U.basis) == 6
         r, t = -1 / 3, 2 / 3
         expected = np.zeros((6, 6), dtype=complex)
         for j, col in ((1, 3), (2, 4), (3, 5)):
@@ -285,24 +290,19 @@ class TestBuildFull:
         expected[3, 0] = -1            # marked vertex reflects with phase pi
         expected[4, 1] = 1             # unmarked reflect with phase 0
         expected[5, 2] = 1
-        assert np.max(np.abs(U.matrix - expected)) < 1e-15
+        assert np.max(np.abs(dense(U) - expected)) < 1e-15
 
     def test_degree_two_bounce(self, grover_spec):
-        U = sw.build_full(grover_spec, 2, phi=0.0).matrix
-        # hub swaps the two edges: |1,0> -> |0,2>, |2,0> -> |0,1>
-        b = sw.full_basis(grover_spec, 2, 1)
-        assert U[b.index("0->2"), b.index("1->0")] == pytest.approx(1.0)
-        assert U[b.index("0->1"), b.index("2->0")] == pytest.approx(1.0)
+        U = dense(sw.build_full(grover_spec, 2, phi=0.0))
+        # hub swaps the two edges: |1,0> (at 2) -> |0,2> (at 1), |2,0> (at 3) -> |0,1> (at 0)
+        assert U[1, 2] == pytest.approx(1.0)
+        assert U[0, 3] == pytest.approx(1.0)
 
     def test_bolo_n16_unitary(self, bolo_spec):
-        U = sw.build_full(bolo_spec, 16, phi=0.0).matrix
+        U = dense(sw.build_full(bolo_spec, 16, phi=0.0))
         n = U.shape[0]
         assert n == 35  # 2*16 + 3 interior
         assert np.linalg.norm(U.conj().T @ U - np.eye(n)) < 1e-12
-
-    def test_size_guard(self, bolo_spec):
-        with pytest.raises(sw.SpecError):
-            sw.build_full(bolo_spec, 4000).matrix
 
     @given(seed=st.integers(0, 10 ** 6), N=st.integers(2, 12), data=st.data(),
            phi=st.floats(0.0, 2 * math.pi))
@@ -318,25 +318,37 @@ class TestBuildFull:
         x = rng.normal(size=(D, 3)) + 1j * rng.normal(size=(D, 3))
         assert np.max(np.abs(walk.step(x) - ref @ x)) < 1e-13
         assert np.max(np.abs(walk.step(x[:, 0]) - ref @ x[:, 0])) < 1e-13
-        assert np.max(np.abs(walk.matrix - ref)) < 1e-15
+        assert np.max(np.abs(dense(walk) - ref)) < 1e-15
 
     def test_positions_are_arithmetic(self, bolo_spec):
-        b = sw.full_basis(bolo_spec, 5, 2)
-        assert len(b) == 2 * 5 + 2 * 3
-        assert b.index("0->1") == 0 and b.index("0->5") == 4
-        assert b.index("1->0") == 5 and b.index("5->0") == 9
-        assert b.index("A->1#1") == 10 and b.index("1->A#2") == 15
-        assert [b.index(lab) for lab in b.labels] == list(range(len(b)))
-        for bad in ("0->6", "6->0", "0->0", "b#3", "b#0", "zz#1", "out"):
-            with pytest.raises(KeyError):
-                b.index(bad)
+        # at a million edges: 0->j at j-1, j->0 at N+j-1, interior state i of
+        # copy k at 2N+(k-1)n+i, and every lifted state restricts back exactly
+        N, M, n = 10 ** 6, 3, bolo_spec.n_interior
+        basis = sw.build_full(bolo_spec, N, M=M).basis
+        assert basis == sw.EdgeBasis(bolo_spec.interior, N, M) and len(basis) == 2 * N + M * n
 
-    def test_million_edge_basis_needs_no_labels(self, bolo_spec):
-        b = sw.full_basis(bolo_spec, 10 ** 6, 1)
-        assert len(b) == 2 * 10 ** 6 + 3
-        assert b.index("b#1") == 2 * 10 ** 6 + 1
-        assert b == sw.build_full(bolo_spec, 10 ** 6).basis
-        assert b != sw.full_basis(bolo_spec, 10 ** 6, 2)
+        def lift(pos, values):
+            a = np.zeros(bolo_spec.dim_collapsed, dtype=complex)
+            a[pos] = values
+            lifted = sw.lift_collapsed_state(sw.StateVector(a, bolo_spec.basis), N, M)
+            assert lifted.basis == basis
+            back, leak = sw.restrict_full_state(lifted)
+            assert leak < 1e-12
+            assert np.max(np.abs(back.amplitudes - a)) < 1e-12
+            return lifted.amplitudes
+
+        wL, wR = 1 / math.sqrt(N - M), 1 / math.sqrt(M)
+        x = lift(1, 1.0)                                        # |in>
+        assert np.array_equal(np.flatnonzero(x), np.arange(N + M, 2 * N))
+        assert np.all(x[N + M:2 * N] == wL)
+        x = lift(2, 1.0)                                        # |0,1>
+        assert np.array_equal(np.flatnonzero(x), np.arange(M))
+        assert np.all(x[:M] == wR)
+        x = lift(slice(4, None), np.arange(1.0, n + 1))         # interior
+        assert np.array_equal(np.flatnonzero(x), np.arange(2 * N, 2 * N + M * n))
+        for k in range(1, M + 1):
+            start = 2 * N + (k - 1) * n
+            assert np.all(x[start:start + n] == np.arange(1.0, n + 1) * wR)
 
 
 # ---------------------------------------------------------------------------
@@ -346,20 +358,20 @@ class TestBuildFull:
 class TestLiftRestrict:
     def test_in_state_lifts_to_uniform_sum(self, grover_spec):
         N = 10
-        basis = sw.collapsed_basis(grover_spec)
         amp = np.zeros(4, dtype=complex)
         amp[1] = 1.0  # |in>
-        lifted = sw.lift_collapsed_state(sw.StateVector(amp, basis), N, 1)
-        for j in range(2, N + 1):
-            assert lifted.amplitude(f"{j}->0") == pytest.approx(1 / math.sqrt(N - 1))
-        assert lifted.amplitude("1->0") == 0
+        lifted = sw.lift_collapsed_state(sw.StateVector(amp, grover_spec.basis), N, 1)
+        # j->0 sits at N+j-1: 1->0 at N, the unmarked edges after it
+        assert lifted.amplitudes[N + 1:2 * N] == pytest.approx(np.full(N - 1, 1 / math.sqrt(N - 1)))
+        assert lifted.amplitudes[N] == 0
+        assert not lifted.amplitudes[:N].any()
 
     def test_marked_edge_state_unchanged(self, grover_spec):
-        basis = sw.collapsed_basis(grover_spec)
         amp = np.zeros(4, dtype=complex)
         amp[2] = 1.0  # |0,1>
-        lifted = sw.lift_collapsed_state(sw.StateVector(amp, basis), 10, 1)
-        assert lifted.amplitude("0->1") == pytest.approx(1.0)
+        lifted = sw.lift_collapsed_state(sw.StateVector(amp, grover_spec.basis), 10, 1)
+        assert lifted.amplitudes[0] == pytest.approx(1.0)      # 0->1
+        assert not lifted.amplitudes[1:].any()
 
     def test_roundtrip_identity(self, bolo_spec):
         rng = np.random.default_rng(0)
@@ -402,9 +414,9 @@ class TestLiftRestrict:
 
     def test_asymmetric_state_reports_leakage(self, grover_spec):
         N = 5
-        basis = sw.full_basis(grover_spec, N, 1)
+        basis = sw.EdgeBasis(grover_spec.interior, N, 1)
         amp = np.zeros(len(basis), dtype=complex)
-        amp[basis.index("2->0")] = 1.0  # one unmarked edge only: not symmetric
+        amp[N + 1] = 1.0  # 2->0, one unmarked edge only: not symmetric
         restricted, leak = sw.restrict_full_state(sw.StateVector(amp, basis))
         # symmetric component is 1/sqrt(N-1) of |in>; the rest leaks
         assert abs(restricted.amplitudes[1]) == pytest.approx(1 / math.sqrt(N - 1))
@@ -443,7 +455,7 @@ class TestEvolution:
         U = sw.build_collapsed(grover_spec, hub, 0.0)
         l0 = np.zeros(4, dtype=complex)
         l0[:2] = sw.left_active(0.0, +1)
-        s = sw.StateVector(l0, sw.collapsed_basis(grover_spec))
+        s = sw.StateVector(l0, grover_spec.basis)
         for m in (10, 50, 120):
             out = sw.evolve(U, s, m).amplitudes
             th = m * math.sqrt(eps)
@@ -456,11 +468,9 @@ class TestEvolution:
 
     def test_bolo_bound_vector_is_epsilon_independent(self, bolo_spec):
         v = np.zeros(7, dtype=complex)
-        basis = sw.collapsed_basis(bolo_spec)
-        v[basis.index("A->1")] = 1 / math.sqrt(3)
-        v[basis.index("b")] = -1 / math.sqrt(3)
-        v[basis.index("1->A")] = 1 / math.sqrt(3)
-        s = sw.StateVector(v, basis)
+        assert bolo_spec.interior == ("A->1", "b", "1->A")    # at 4, 5, 6
+        v[4:] = np.array([1, -1, 1]) / math.sqrt(3)
+        s = sw.StateVector(v, bolo_spec.basis)
         for N in (10, 1000):
             hub = sw.hub_coefficients(N)  # eps = 1/N, including eps=1e-3
             U = sw.build_collapsed(bolo_spec, hub, 0.0)
@@ -538,7 +548,7 @@ class TestEvolution:
         rng = np.random.default_rng(5)
         s = random_collapsed_state(rng, bolo_spec)
         out = sw.evolve(U, s, 10 ** 4)
-        assert abs(out.norm - 1) < 1e-8
+        assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +568,7 @@ class TestRandomSpecProperties:
         d = spec.dim_collapsed
         Uc = sw.build_collapsed(spec, hub, phi).matrix
         assert np.linalg.norm(Uc.conj().T @ Uc - np.eye(d)) < 1e-10
-        Uf = sw.build_full(spec, N, M=M, phi=phi).matrix
+        Uf = dense(sw.build_full(spec, N, M=M, phi=phi))
         n = Uf.shape[0]
         assert np.linalg.norm(Uf.conj().T @ Uf - np.eye(n)) < 1e-10
 

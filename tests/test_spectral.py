@@ -460,7 +460,8 @@ class TestAffineCharPoly:
 
 class TestSecularFunction:
     def test_matches_determinant_ratio(self, grover_spec, bolo_spec):
-        """D(z, eps) = det(U(eps) - z)/det(U(0) - z), U(0) and U(eps) assembled densely."""
+        """D(z, eps) = 1 + 2 eps s(-i log z) = det(U(eps) - z)/det(U(0) - z), U(0) and
+        U(eps) assembled densely."""
         rng = np.random.default_rng(12)
         specs = [grover_spec, bolo_spec] + [random_spec(rng) for _ in range(3)]
         for spec in specs:
@@ -473,7 +474,8 @@ class TestSecularFunction:
                 U = sw.collapsed_matrix(spec, eps, phi)
                 for z in zs:
                     ref = np.linalg.det(U - z * I) / np.linalg.det(U0 - z * I)
-                    assert abs(sec.det_ratio(z, eps) - ref) <= 1e-12 * abs(ref)
+                    got = 1.0 + 2.0 * eps * sec.s(-1j * np.log(z))[0]
+                    assert abs(got - ref) <= 1e-12 * abs(ref)
 
     def test_standard_changes_do_not_cancel(self, grover_spec):
         sec = sw.secular_function(grover_spec, 0.0)
