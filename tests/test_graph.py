@@ -321,9 +321,9 @@ class TestBuildFull:
         assert np.max(np.abs(dense(walk) - ref)) < 1e-15
 
     def test_positions_are_arithmetic(self, bolo_spec):
-        # at a million edges: 0->j at j-1, j->0 at N+j-1, interior state i of
-        # copy k at 2N+(k-1)n+i, and every lifted state restricts back exactly
-        N, M, n = 10 ** 6, 3, bolo_spec.n_interior
+        # 0->j at j-1, j->0 at N+j-1, interior state i of copy k at
+        # 2N+(k-1)n+i, and every lifted state restricts back exactly
+        N, M, n = 5, 2, bolo_spec.n_interior
         basis = sw.build_full(bolo_spec, N, M=M).basis
         assert basis == sw.EdgeBasis(bolo_spec.interior, N, M) and len(basis) == 2 * N + M * n
 
@@ -349,6 +349,19 @@ class TestBuildFull:
         for k in range(1, M + 1):
             start = 2 * N + (k - 1) * n
             assert np.all(x[start:start + n] == np.arange(1.0, n + 1) * wR)
+
+    def test_million_edge_basis_needs_no_labels(self, bolo_spec):
+        N, n = 10 ** 6, bolo_spec.n_interior
+        b = sw.EdgeBasis(bolo_spec.interior, N, 1)
+        assert len(b) == 2 * N + n
+        assert b == sw.build_full(bolo_spec, N).basis
+        assert b != sw.EdgeBasis(bolo_spec.interior, N, 2)
+        # interior state b (index 1) of the single copy sits at 2N+1
+        i = bolo_spec.interior.index("b")
+        a = np.zeros(bolo_spec.dim_collapsed, dtype=complex)
+        a[4 + i] = 1.0
+        lifted = sw.lift_collapsed_state(sw.StateVector(a, bolo_spec.basis), N, 1)
+        assert np.array_equal(np.flatnonzero(lifted.amplitudes), [2 * N + 1])
 
 
 # ---------------------------------------------------------------------------
