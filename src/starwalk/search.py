@@ -9,27 +9,22 @@ m = floor(pi*sqrt(N/M)/(2c)) steps, and read out the mass on the marked edge.
 
 The search target, everything of a search that does not depend on N or M
 (lambda0, c, phi, branch, the active vector r0, the predicted success and the
-start's |in> factor), is computed once per loaded spec and eigenvalue group
-and kept on the spec; the detuning sweep reads it too.  The walk itself is
+start's |in> factor), is the family's ``RightClassification``, kept on the spec;
+the detuning analysis reads the same record.  The walk itself is
 ``graph._walk``, the one propagation of the collapsed operator.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import SpecError, StateVector, SubgraphSpec, _walk, check_star
-from .spectral import (
-    RightClassification,
-    best_target,
-    classify_right,
-    embed_right,
-    matched_phi,
-    right_classifications,
-)
+from .spectral import (RightClassification, _alpha, best_target, classify_right,
+                       right_classifications)
+
+SHOTS_MAX = 2 ** 63 - 1         # the multinomial sampler counts in int64
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,10 +63,6 @@ def initial_state(spec: SubgraphSpec, N: int, M: int, branch: int, phi: float) -
     return StateVector(_start(spec.dim_collapsed, N, M, _alpha(branch, phi)), spec.basis)
 
 
-def _alpha(branch: int, phi: float) -> complex:
-    return branch * cmath.exp(0.5j * phi) / math.sqrt(2.0)
-
-
 def _start(dim: int, N: int, M: int, alpha: complex) -> np.ndarray:
     """``initial_state``'s amplitudes, for a star already checked."""
     beta = 1.0 / math.sqrt(2.0)
@@ -82,54 +73,20 @@ def _start(dim: int, N: int, M: int, alpha: complex) -> np.ndarray:
     return amp
 
 
-@dataclass(frozen=True, eq=False)
-class _Target:
-    """The N- and M-independent part of a search: one active eigenvalue group's
-    plan data."""
-    lambda0: complex
-    c: float
-    phi: float
-    branch: int
-    r0: np.ndarray              # read-only
-    predicted_success: float
-    alpha: complex              # the start's |in> factor
-
-
-def _group_target(spec: SubgraphSpec, chosen: RightClassification) -> _Target:
-    key = ("target", chosen.lambda0)
-    target = spec._derived.get(key)
-    if target is None:
-        if chosen.c is None:
-            raise SpecError(
-                f"lambda0={chosen.lambda0} has no active right eigenvector "
-                f"(constant-family case); it cannot drive a search")
-        phi, branch = matched_phi(chosen.lambda0)
-        r0 = embed_right(chosen.active_vector, spec.dim_collapsed)
-        r0.flags.writeable = False
-        target = spec._derived[key] = _Target(
-            lambda0=chosen.lambda0, c=chosen.c, phi=phi, branch=branch, r0=r0,
-            predicted_success=float(abs(r0[2]) ** 2 + abs(r0[3]) ** 2),
-            alpha=_alpha(branch, phi))
-    return target
-
-
-def _search_target(spec: SubgraphSpec, lambda0) -> _Target:
-    """The target of ``lambda0`` ("auto" or a group's eigenvalue), computed once.
-
-    Kept on the spec per eigenvalue group, as ``("target", group lambda0)``, and
-    as "auto", whose best_target checks run once; a failed lookup stores none.
-    A group's exact lambda0 is found by its key; any other request goes through
-    ``classify_right``.
-    """
+def _search_target(spec: SubgraphSpec, lambda0) -> RightClassification:
+    """The active family of ``lambda0``: "auto" (best_target's pick, kept on the spec
+    as "auto", so its checks run once) or the group nearest to a given eigenvalue."""
     if isinstance(lambda0, str) and lambda0 == "auto":
         target = spec._derived.get("auto")
         if target is None:
             lam, _, _ = best_target(right_classifications(spec))
-            target = spec._derived["auto"] = _search_target(spec, lam)
+            target = spec._derived["auto"] = classify_right(spec, lam)
         return target
-    lambda0 = complex(lambda0)
-    target = spec._derived.get(("target", lambda0))
-    return target or _group_target(spec, classify_right(spec, lambda0))
+    target = classify_right(spec, lambda0)
+    if target.c is None:
+        raise SpecError(f"lambda0={target.lambda0} has no active right eigenvector "
+                        f"(constant-family case); it cannot drive a search")
+    return target
 
 
 def plan_search(spec: SubgraphSpec, N: int, M: int = 1, lambda0="auto") -> SearchPlan:
@@ -166,8 +123,9 @@ def run_search(plan: SearchPlan, spec: SubgraphSpec) -> SearchResult:
 
 def sample_measurement(result: SearchResult, seed: int, shots: int) -> dict[str, int]:
     """Multinomial measurement of (marked, unmarked, null); seed-deterministic."""
-    if shots < 1 or seed < 0:
-        raise SpecError(f"need shots >= 1 and seed >= 0, got shots={shots}, seed={seed}")
+    if not (1 <= shots <= SHOTS_MAX and seed >= 0):
+        raise SpecError(f"need 1 <= shots <= 2**63 - 1 and seed >= 0, "
+                        f"got shots={shots}, seed={seed}")
     probs = [max(p, 0.0) for p in (result.p_marked, result.p_unmarked, result.p_null)]
     total = probs[0] + probs[1] + probs[2]
     if not total > 0.0:         # all zero or NaN: nothing to normalise

@@ -6,7 +6,8 @@ Spectral analysis of the collapsed walk operator.
   transform, with a fixed phase gauge;
 * clustering of unit-circle eigenvalues into lambda0 families;
 * classification of right-block eigenspaces into bound (hub-blind) and active
-  (hub-contacting) parts with the coupling constant c, kept on the loaded spec;
+  (hub-contacting) parts with the coupling constant c and the family's search
+  target, one record per family kept on the loaded spec;
 * the secular function det(U(eps) - z)/det(U(0) - z) of the cached (lambda0, c) table,
   whose roots give the pairing lambda0*exp(+-ic*sqrt(eps)) and the monodromy of a loop
   of eps around 0; the best search eigenvalue.
@@ -171,11 +172,22 @@ def right_block(spec: SubgraphSpec) -> tuple[np.ndarray, tuple[str, ...]]:
 
 @dataclass(frozen=True, eq=False)
 class RightClassification:
-    """Bound/active split of one right-block eigenspace (read-only arrays)."""
+    """One eigenvalue family of the right block: its bound/active split and, for an
+    active family, the N- and M-independent part of a search on it (read-only arrays).
+
+    ``phi, branch = matched_phi(lambda0)``; an active family also carries its active
+    vector embedded in the collapsed basis (``r0``), the predicted success
+    |<0,1|r0>|^2 + |<1,0|r0>|^2 and the start's |in> factor ``alpha``, None otherwise.
+    """
     lambda0: complex
     bound_basis: np.ndarray            # (dim_right, n_bound), orthonormal columns
     active_vector: np.ndarray | None   # the hub-contacting unit vector, if any
     c: float | None                    # coupling constant, present iff active
+    phi: float
+    branch: int
+    r0: np.ndarray | None = None
+    predicted_success: float | None = None
+    alpha: complex | None = None
 
     @property
     def n_bound(self) -> int:
@@ -208,42 +220,49 @@ def _classify_group(sys: EigenSystem, g: EigenvalueGroup) -> RightClassification
         raise NumericsError(
             f"eigenspace at lambda0={g.lambda0:.6f} touches the hub with rank "
             f"{rank} (singular values {svals}); expected at most one active vector")
+    phi, branch = matched_phi(g.lambda0)
     if rank == 0:
         basis.flags.writeable = False
-        return RightClassification(lambda0=g.lambda0, bound_basis=basis,
-                                   active_vector=None, c=None)
+        return RightClassification(lambda0=g.lambda0, bound_basis=basis, active_vector=None,
+                                   c=None, phi=phi, branch=branch)
     active = _gauge((basis @ vh[0].conj())[:, None])[:, 0]
     bound = basis @ vh[1:].conj().T
     c = math.sqrt(2.0) * abs(active[1])         # sqrt(2)*|<1,0|r0>|
-    active.flags.writeable = bound.flags.writeable = False
-    return RightClassification(lambda0=g.lambda0, bound_basis=bound,
-                               active_vector=active, c=float(c))
+    r0 = embed_right(active, 2 + len(active))      # after the left pair (|out>, |in>)
+    active.flags.writeable = bound.flags.writeable = r0.flags.writeable = False
+    return RightClassification(
+        lambda0=g.lambda0, bound_basis=bound, active_vector=active, c=float(c), phi=phi,
+        branch=branch, r0=r0, predicted_success=float(abs(r0[2]) ** 2 + abs(r0[3]) ** 2),
+        alpha=_alpha(branch, phi))
 
 
-def _classify(spec: SubgraphSpec) -> tuple[RightClassification, ...]:
-    """Decompose the right block once and classify every eigenvalue group."""
-    A, _ = right_block(spec)
-    sys = eigendecompose(A)
-    return tuple(_classify_group(sys, g) for g in group_eigenvalues(sys))
+def _classes(spec: SubgraphSpec) -> dict[complex, RightClassification]:
+    """Every group's classification by its lambda0, from one decomposition of the right
+    block, kept on the spec as ``"classes"`` in its ``_derived``; a failed
+    classification (SpecError, NumericsError) is not kept."""
+    cached = spec._derived.get("classes")
+    if cached is None:
+        sys = eigendecompose(right_block(spec)[0])
+        classes = (_classify_group(sys, g) for g in group_eigenvalues(sys))
+        cached = spec._derived["classes"] = {cl.lambda0: cl for cl in classes}
+    return cached
 
 
 def right_classifications(spec: SubgraphSpec) -> list[RightClassification]:
-    """Classification of every eigenvalue group of the right block.
-
-    It does not depend on N or M: computed on the first call for a spec and
-    kept on it (``"classes"`` in its ``_derived``); a failed classification
-    (SpecError, NumericsError) is not kept.
-    """
-    cached = spec._derived.get("classes")
-    if cached is None:
-        cached = spec._derived["classes"] = _classify(spec)
-    return list(cached)
+    """Classification of every eigenvalue group of the right block, kept on the spec:
+    it does not depend on N or M."""
+    return list(_classes(spec).values())
 
 
 def classify_right(spec: SubgraphSpec, lambda0: complex) -> RightClassification:
-    """The classification of the right-block eigenspace nearest to ``lambda0``."""
-    classes = right_classifications(spec)
-    return classes[_nearest([cl.lambda0 for cl in classes], lambda0, "the right block")]
+    """The classification of the right-block eigenspace nearest to ``lambda0``: a
+    group's exact eigenvalue is found by its key, any other by distance."""
+    classes = _classes(spec)
+    cl = classes.get(complex(lambda0))
+    if cl is None:
+        keys = list(classes)
+        cl = classes[keys[_nearest(keys, lambda0, "the right block")]]
+    return cl
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +278,10 @@ def left_active(phi: float, branch: int) -> np.ndarray:
     if branch not in (+1, -1):
         raise ValueError("branch must be +1 or -1")
     return np.array([1.0, branch * cmath.exp(0.5j * phi)], dtype=complex) / math.sqrt(2.0)
+
+
+def _alpha(branch: int, phi: float) -> complex:
+    return branch * cmath.exp(0.5j * phi) / math.sqrt(2.0)
 
 
 def embed_left(vec2: np.ndarray, dim: int) -> np.ndarray:
@@ -340,9 +363,12 @@ class SecularFunction:
     def sides(self, theta, alpha, order: int = 0):
         """([g_L, g_L', ...], [g_R, g_R', ...]) with ``alpha`` = _offset(poles, center)."""
         u = 1.0 / np.tan(0.5 * (alpha - np.asarray(theta, dtype=complex)[..., None]))
-        du = 0.5 * (1.0 + u * u)                        # cot' = (1 + cot^2)/2
-        g = [0.5 * self.residues.sum(axis=0) - 0.5j * (u @ self.residues),
-             -0.5j * (du @ self.residues), -0.5j * ((u * du) @ self.residues)][:order + 1]
+        g = [0.5 * self.residues.sum(axis=0) - 0.5j * (u @ self.residues)]
+        if order:
+            du = 0.5 * (1.0 + u * u)                    # cot' = (1 + cot^2)/2
+            g.append(-0.5j * (du @ self.residues))
+            if order > 1:
+                g.append(-0.5j * ((u * du) @ self.residues))
         return [gk[..., 0] for gk in g], [gk[..., 1] for gk in g]
 
     def s(self, theta, center=1.0):
@@ -522,29 +548,18 @@ class PairingFit:
     case: str
     c_fit: float | None
     residual_slope: float | None
-    epsilon_grid: tuple[float, ...]
     balanced: bool = False          # lambda0^2 + e^{i phi} = 0: no net hub flow
 
 
-def pairing_fit(spec: SubgraphSpec, phi: float, lambda0: complex,
-                eps_grid=None) -> PairingFit:
+def pairing_fit(spec: SubgraphSpec, phi: float, lambda0: complex) -> PairingFit:
     """Fit the lambda0 family of U(eps) to one of the three structure cases.
 
     The case is the number of secular roots leaving lambda0: none (bound only,
     or a balanced hub, whose pole cancels), one, or two (a left and a right pole
-    together).  A pair's phase split on the grid is fit to 2c*sqrt(eps) (+ higher
-    orders); the log-log slope of the remainder |lambda+- - lambda0 e^{+-ic sqrt(eps)}|
-    is >= 0.9 for a genuine O(eps) remainder.  A caller's ``eps_grid`` needs
-    finite, positive values, at least three of them distinct (one per fitted
-    order); anything else is a SpecError.
+    together).  A pair's phase split on ``DEFAULT_EPS_GRID`` is fit to 2c*sqrt(eps)
+    (+ higher orders); the log-log slope of the remainder
+    |lambda+- - lambda0 e^{+-ic sqrt(eps)}| is >= 0.9 for a genuine O(eps) remainder.
     """
-    if eps_grid is None:
-        grid = DEFAULT_EPS_GRID
-    else:
-        grid = tuple(sorted(eps_grid))
-        if not (all(math.isfinite(e) and e > 0 for e in grid) and len(set(grid)) >= 3):
-            raise SpecError(f"eps_grid needs finite positive values, at least three of them "
-                            f"distinct, got {list(grid)!r}")
     sec = secular_function(spec, phi)
     lam0, moving = sec.family(lambda0)
 
@@ -555,21 +570,20 @@ def pairing_fit(spec: SubgraphSpec, phi: float, lambda0: complex,
         moving = moving[:0]
     if len(moving) < 2:
         return PairingFit(lambda0=lam0, case=CASE_DRIFT if len(moving) else CASE_CONSTANT,
-                          c_fit=None, residual_slope=None, epsilon_grid=grid, balanced=balanced)
+                          c_fit=None, residual_slope=None, balanced=balanced)
 
     # case iii: phase split of the two roots against sqrt(eps)
-    minus, plus = np.sort(sec.roots(grid, moving).real, axis=1).T
-    root = np.sqrt(np.array(grid))
+    minus, plus = np.sort(sec.roots(DEFAULT_EPS_GRID, moving).real, axis=1).T
+    root = np.sqrt(np.array(DEFAULT_EPS_GRID))
     design = np.stack([root, root ** 2, root ** 3], axis=1)
     coef, *_ = np.linalg.lstsq(design, plus - minus, rcond=None)
     c_fit = float(coef[0] / 2.0)
     # |lambda0 e^{i a} - lambda0 e^{i b}| = 2|sin((a - b)/2)|
     residuals = 2.0 * np.abs(np.sin(0.5 * np.stack([plus - c_fit * root, minus + c_fit * root])))
     residuals = np.maximum(residuals.max(axis=0), 1e-16)
-    residual_slope = float(np.polyfit(np.log(grid), np.log(residuals), 1)[0])
+    residual_slope = float(np.polyfit(np.log(DEFAULT_EPS_GRID), np.log(residuals), 1)[0])
     return PairingFit(lambda0=lam0, case=CASE_PAIRED, c_fit=c_fit,
-                      residual_slope=residual_slope, epsilon_grid=grid,
-                      balanced=balanced)
+                      residual_slope=residual_slope, balanced=balanced)
 
 
 def paired_vectors(spec: SubgraphSpec, phi: float, lambda0: complex, eps: float):
@@ -625,14 +639,10 @@ def spectral_report(spec: SubgraphSpec, phi: float | None = None) -> dict:
     """Full spectral report: groups, classifications, c table, pairing, monodromy."""
     classifications = right_classifications(spec)
     lam_best, c_best, d = best_target(classifications)
-    phi_used, branch = (matched_phi(lam_best) if phi is None
-                        else (phi, matched_phi(lam_best)[1]))
-    fits = []
-    for cl in classifications:
-        if cl.c is None:
-            continue
-        p = matched_phi(cl.lambda0)[0] if phi is None else phi
-        fits.append(pairing_fit(spec, p, cl.lambda0))
+    best = classify_right(spec, lam_best)
+    phi_used = best.phi if phi is None else phi
+    fits = [pairing_fit(spec, cl.phi if phi is None else phi, cl.lambda0)
+            for cl in classifications if cl.c is not None]
     mono = monodromy(spec, phi_used)
     return {
         "right_basis": list(RESERVED_LABELS[2:] + spec.interior),
@@ -671,7 +681,7 @@ def spectral_report(spec: SubgraphSpec, phi: float | None = None) -> dict:
             "cycle_lengths": list(mono.cycle_lengths),
         },
         "best": {"lambda0": _c2j(lam_best), "c": c_best, "d": d,
-                 "phi": phi_used, "branch": branch},
+                 "phi": phi_used, "branch": best.branch},
     }
 
 

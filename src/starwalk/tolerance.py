@@ -25,14 +25,7 @@ import numpy as np
 
 from .graph import NumericsError, SpecError, SubgraphSpec, _walk, check_star
 from .search import _search_target
-from .spectral import (
-    NEWTON_MAX,
-    classify_right,
-    embed_left,
-    left_active,
-    matched_phi,
-    secular_function,
-)
+from .spectral import NEWTON_MAX, embed_left, left_active, matched_phi, secular_function
 
 logger = logging.getLogger(__name__)
 
@@ -100,13 +93,12 @@ def locate_double_root(spec: SubgraphSpec, phi: float, lambda0: complex) -> comp
     critical point s'(z*) = 0, eps0 = -1/(2 s(z*)).  Newton on s' at
     z = lambda0*e^{i theta} starts at theta = delta/2, between lambda0 and the
     nearest left pole lambda0*e^{i delta}, which picks the family; delta = 0 gives 0.
-    A non-finite iterate (the secular sums overflow at huge N) raises NumericsError.
+    The family is the search target's: a constant family raises SpecError.  A
+    non-finite iterate (the secular sums overflow at huge N) raises NumericsError.
     """
-    cl = classify_right(spec, lambda0)
-    if cl.c is None:
-        raise ValueError(f"lambda0={lambda0} has no active right eigenvector")
+    lam0 = _search_target(spec, lambda0).lambda0
     sec = secular_function(spec, phi)
-    k = 2 + int(np.argmin(np.abs(sec.poles[2:] - cl.lambda0)))     # the root of lambda0
+    k = 2 + int(np.argmin(np.abs(sec.poles[2:] - lam0)))     # the root of lambda0
     center, delta = sec.centers[k], min(sec.alpha[k, :2], key=abs)
     if delta == 0.0:
         return 0j
@@ -179,17 +171,14 @@ def paired_mix_angle(spec: SubgraphSpec, N: int, M: int, lambda0: complex,
 
     omega is the mixing angle between l0 and r0 of the eigenvector on the root
     leaving lambda0 (``SecularFunction.vectors``); the tuning theory predicts
-    sin^2(2*omega) = 1/(1+t).
+    sin^2(2*omega) = 1/(1+t), with l0 on the search target's (matched) branch.
     """
     check_star(N, M)
-    cl = classify_right(spec, lambda0)
-    if cl.c is None:
-        raise ValueError("lambda0 has no active right eigenvector")
-    phi = detuned_phase(cl.lambda0, delta)
+    target = _search_target(spec, lambda0)
+    phi = detuned_phase(target.lambda0, delta)
     sec = secular_function(spec, phi)
-    k = 2 + int(np.argmin(np.abs(sec.poles[2:] - cl.lambda0)))     # the root of lambda0
-    branch = (1, -1)[int(np.argmin(np.abs(sec.alpha[k, :2])))]      # poles +-e^{i phi/2}
+    k = 2 + int(np.argmin(np.abs(sec.poles[2:] - target.lambda0)))     # the root of lambda0
     v = sec.vectors(M / N, sec.roots([M / N], [k])[0], [k])[:, 0]
-    left = abs(np.vdot(left_active(phi, branch), v[:2])) ** 2
-    right = abs(np.vdot(cl.active_vector, v[2:])) ** 2
+    left = abs(np.vdot(left_active(phi, target.branch), v[:2])) ** 2
+    right = abs(np.vdot(target.active_vector, v[2:])) ** 2
     return float(4.0 * left * right / (left + right) ** 2)

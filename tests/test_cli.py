@@ -274,6 +274,7 @@ class TestArgParsing:
     @pytest.mark.parametrize("argv", [
         ["search", "bolo", "--n", "1e6"],
         ["search", "bolo", "--n", "1000", "--shots", "-5"],
+        ["search", "bolo", "--n", "1000", "--shots", "100000000000000000000"],
         ["search", "bolo", "--n", "1000000", "--m-copies", "0"],
         ["search", "grover", "--n", "10", "--m-copies", "10"],
         ["search", "bolo", "--n", "1000", "--lambda", "0.5,0.5"],

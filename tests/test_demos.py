@@ -9,8 +9,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_demo(name: str) -> str:
+    """The demo's stdout; any warning is an error, as in the in-process tests."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", name)],
+    proc = subprocess.run([sys.executable, "-W", "error", os.path.join(ROOT, "demos", name)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

@@ -99,6 +99,16 @@ class TestHubCoefficients:
         got = collapsed_coefficients(1 / N)
         assert max(abs(a - b) for a, b in zip(got, (ref.R_L, ref.R_R, ref.T))) <= 1e-15
 
+    def test_broken_hub_form_is_caught(self, bolo_spec, monkeypatch):
+        form = graph._hub_form
+        monkeypatch.setattr(graph, "_hub_form", lambda e, eps: (1.001 * form(e, eps)[0],)
+                            + form(e, eps)[1:])        # r off: |r|^2 + (N-1)|t|^2 != 1
+        with pytest.raises(sw.NumericsError, match="invariants violated"):
+            sw.hub_coefficients(100)
+        plan = sw.plan_search(bolo_spec, 100)
+        with pytest.raises(sw.NumericsError, match="invariants violated"):
+            sw.run_search(plan, bolo_spec)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(sw.SpecError):
             sw.hub_coefficients(10, M=10)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import starwalk as sw
-from starwalk import graph, search
+from starwalk import graph, search, spectral
 from starwalk.graph import IN, MARKED_IN, MARKED_OUT, OUT
 from starwalk.spectral import embed_left, embed_right
 
@@ -88,25 +88,22 @@ class TestPlanSearch:
             sw.plan_search(bolo_spec, 100, lambda0=0.2 + 0.2j)
 
 
-def _targets(spec: sw.SubgraphSpec) -> dict:
-    """The per-group search targets kept on ``spec``, by group lambda0."""
-    return {key[1]: t for key, t in spec._derived.items()
-            if isinstance(key, tuple) and key[0] == "target"}
-
-
 class TestSearchTargetMemo:
-    """The N-independent part of a plan is computed once per spec and group."""
+    """A search reads its family's classification record, kept on the spec once."""
 
     def test_one_entry_per_group(self):
         spec = sw.load_spec("bolo")
+        plans = []
         for N in (100, 10 ** 6, 10 ** 12):
-            sw.plan_search(spec, N)
-            sw.plan_search(spec, N, M=3, lambda0=-1.0 + 0j)
-            sw.plan_search(spec, N, lambda0=-1.0 + 1e-9j)     # the same group
-        assert len(_targets(spec)) == 1
-        assert spec._derived["auto"] is next(iter(_targets(spec).values()))
-        sw.plan_search(spec, 100, lambda0=1.0 + 0j)
-        assert len(_targets(spec)) == 2
+            plans += [sw.plan_search(spec, N), sw.plan_search(spec, N, M=3, lambda0=-1.0 + 0j),
+                      sw.plan_search(spec, N, lambda0=-1.0 + 1e-9j)]     # the same group
+        classes = spec._derived["classes"]
+        assert set(spec._derived) == {"classes", "auto"}
+        assert list(classes.values()) == sw.right_classifications(spec) and len(classes) == 4
+        assert spec._derived["auto"] is classes[-1.0]
+        assert all(plan.r0 is classes[-1.0].r0 for plan in plans)
+        assert sw.plan_search(spec, 100, lambda0=1.0 + 0j).r0 is classes[1.0].r0
+        assert set(spec._derived) == {"classes", "auto"} and len(classes) == 4
 
     def test_auto_and_explicit_best_give_identical_plans(self):
         spec = sw.load_spec("bolo")
@@ -131,9 +128,12 @@ class TestSearchTargetMemo:
         for _ in range(2):
             with pytest.raises(sw.SpecError, match="constant-family"):
                 sw.plan_search(spec, 100, lambda0=cmath.exp(0.5j))
-        assert _targets(spec) == {} and "auto" not in spec._derived
+        assert set(spec._derived) == {"classes"}
+        bound = sw.classify_right(spec, cmath.exp(0.5j))
+        assert bound.c is bound.r0 is bound.predicted_success is bound.alpha is None
         sw.plan_search(spec, 100)
-        assert cmath.exp(0.5j) not in _targets(spec)
+        assert set(spec._derived) == {"classes", "auto"}
+        assert spec._derived["auto"] is not bound
 
     def test_best_target_checked_on_the_first_plan_only(self, monkeypatch):
         calls = []
@@ -163,23 +163,28 @@ class TestSearchTargetMemo:
         object.__setattr__(spec, "_derived", Counting())
         sw.plan_search(spec, 100)
         sw.plan_search(spec, 100, lambda0=1.0 + 0j)
-        assert Counting.writes == 4     # the classification, two targets, "auto"
+        assert Counting.writes == 2     # the classification and "auto"
         for N in (1000, 10 ** 6):
             sw.plan_search(spec, N)
             sw.plan_search(spec, N, lambda0=1.0 + 0j)
-        assert Counting.writes == 4
+            sw.tolerance_sweep(spec, N, 1, -1.0, [0.0, 0.01])
+            sw.paired_mix_angle(spec, N, 1, -1.0, 0.01)
+        assert Counting.writes == 2
 
     def test_exact_group_lambda0_is_found_by_its_key(self, monkeypatch):
         spec = sw.load_spec("bolo")
         target = search._search_target(spec, -1.0 + 0j)
+        sw.plan_search(spec, 100)
         before = dict(spec._derived)
 
         def nearest_search(*args):
-            raise AssertionError("classify_right called for a group's exact lambda0")
-        monkeypatch.setattr(search, "classify_right", nearest_search)
+            raise AssertionError("nearest-eigenvalue search for a group's exact lambda0")
+        monkeypatch.setattr(spectral, "_nearest", nearest_search)
+        assert sw.classify_right(spec, -1.0) is target
         assert search._search_target(spec, -1.0) is target
         assert search._search_target(spec, complex(-1.0, -0.0)) is target
         assert sw.plan_search(spec, 10 ** 6, lambda0=-1.0 + 0j).r0 is target.r0
+        assert sw.locate_double_root(spec, 0.02, -1.0) != 0j
         assert spec._derived == before
         monkeypatch.undo()
         assert search._search_target(spec, -1.0 + 1e-9j) is target
@@ -191,13 +196,13 @@ class TestSearchTargetMemo:
         a, b = sw.load_spec("grover"), sw.load_spec("grover")
         sw.plan_search(a, 100)
         sw.plan_search(b, 100)
-        assert _targets(a).keys() == _targets(b).keys() and len(_targets(b)) == 1
-        assert _targets(a) != _targets(b)           # one target object per loaded spec
+        assert set(a._derived) == set(b._derived) == {"classes", "auto"}
+        assert a._derived["auto"] is not b._derived["auto"]     # one record per loaded spec
         ref = weakref.ref(a)
         del a
         gc.collect()
         assert ref() is None
-        assert len(_targets(b)) == 1 and "auto" in b._derived
+        assert set(b._derived) == {"classes", "auto"}
 
 
 class TestRunSearch:
@@ -446,6 +451,13 @@ class TestSampleMeasurement:
                               p_unmarked=0.0, overlap_r0=1.0)
         with pytest.raises(ValueError):
             sw.sample_measurement(res, seed=0, shots=0)
+
+    def test_shots_up_to_int64_max(self, bolo_spec):
+        res = sw.run_search(sw.plan_search(bolo_spec, 10 ** 4), bolo_spec)
+        assert sum(sw.sample_measurement(res, seed=3, shots=2 ** 63 - 1).values()) == 2 ** 63 - 1
+        for shots in (2 ** 63, 10 ** 20):
+            with pytest.raises(sw.SpecError, match=r"shots <= 2\*\*63 - 1"):
+                sw.sample_measurement(res, seed=3, shots=shots)
 
     @pytest.mark.parametrize("p", [(0.0, 0.0, 0.0), (math.nan, 0.5, 0.5)])
     def test_rejects_no_positive_total(self, p):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import gc
 import math
 import weakref
@@ -12,6 +13,7 @@ from starwalk.spectral import (
     CASE_CONSTANT,
     CASE_DRIFT,
     CASE_PAIRED,
+    embed_right,
     spectral_report,
 )
 
@@ -272,6 +274,24 @@ class TestClassifyRight:
             assert np.linalg.norm(A @ r - cl.lambda0 * r) < 1e-9
             assert abs(cl.c - math.sqrt(2.0) * abs(r[1])) < 1e-12
 
+    def test_record_carries_the_search_target(self, bolo_spec):
+        for cl in sw.right_classifications(bolo_spec):
+            assert (cl.phi, cl.branch) == sw.matched_phi(cl.lambda0)
+            if cl.c is None:
+                assert cl.r0 is cl.predicted_success is cl.alpha is None
+                continue
+            assert np.array_equal(cl.r0, embed_right(cl.active_vector, bolo_spec.dim_collapsed))
+            assert abs(cl.predicted_success - abs(cl.active_vector[0]) ** 2 - cl.c ** 2 / 2) < 1e-15
+            assert abs(cl.alpha - sw.left_active(cl.phi, cl.branch)[1]) < 1e-15
+
+    def test_contact_rank_above_one_raises(self):
+        # two orthonormal vectors both touching |0,1>, |1,0>: two active vectors
+        system = sw.EigenSystem(eigenvalues=np.ones(3, dtype=complex),
+                                eigenvectors=np.eye(3, dtype=complex))
+        group = sw.EigenvalueGroup(lambda0=1.0 + 0j, multiplicity=3, members=(0, 1, 2))
+        with pytest.raises(sw.NumericsError, match="rank 2"):
+            spectral._classify_group(system, group)
+
 
 class TestClassificationMemo:
     """The right-block classification is computed once per (spec, x) and kept on the spec."""
@@ -366,6 +386,14 @@ class TestBestTarget:
     def test_no_actives_raises(self):
         with pytest.raises(ValueError, match="no active"):
             sw.best_target([])
+
+    def test_max_c_below_guarantee_raises(self, grover_spec):
+        # two families with c^2 = 1 - 4.5e-10: the sum rule holds to 9e-10, max c < 1
+        c = math.sqrt(1.0 - 4.5e-10)
+        low = [dataclasses.replace(cl, c=c) for cl in sw.right_classifications(grover_spec)]
+        assert len(low) == 2
+        with pytest.raises(sw.NumericsError, match="below guaranteed"):
+            sw.best_target(low)
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +523,33 @@ class TestSecularFunction:
             assert np.max(np.min(dist, axis=1)) < 1e-12
 
 
+    @pytest.mark.parametrize("name, lam0, eps", [("bolo", -1.0, 1e-100),
+                                                 ("grover", 1.0, 1e-300)])
+    def test_tiny_eps_roots_do_not_overflow(self, name, lam0, eps):
+        # Newton asks sides for g and g' only; g'' = u*du would overflow here
+        spec = sw.load_spec(name)
+        sec = sw.secular_function(spec, sw.matched_phi(lam0)[0])
+        theta = sec.roots([eps])[0]
+        _, moving = sec.family(lam0)
+        split = sw.classify_right(spec, lam0).c * math.sqrt(eps)
+        assert np.all(np.isfinite(theta))
+        assert np.allclose(np.sort(theta[moving].real), [-split, split], rtol=1e-14, atol=0)
+
+    def test_newton_non_convergence_raises(self, bolo_spec, monkeypatch):
+        monkeypatch.setattr(spectral, "NEWTON_MAX", 0)
+        sec = sw.secular_function(bolo_spec, 0.0)
+        with pytest.raises(sw.NumericsError, match="did not converge"):
+            sec.roots([1e-6])
+
+    def test_continuation_ambiguity_is_refused(self):
+        # the generic-lambda0 defect: roots that meet at tiny eps are refused, not swapped
+        spec = random_spec(np.random.default_rng(1), arms=3)
+        lam, _, _ = sw.best_target(sw.right_classifications(spec))
+        sec = sw.secular_function(spec, sw.matched_phi(lam)[0])
+        with pytest.raises(sw.NumericsError, match="continuation ambiguous"):
+            sec.roots([1e-30])
+
+
 def dense_monodromy(spec, phi, rho=1e-4, steps=240):
     """Reference: dense eigenvalues along eps = rho e^{it}, matched to the nearest."""
     vals = start = np.linalg.eigvals(sw.collapsed_matrix(spec, rho, phi))
@@ -547,6 +602,18 @@ class TestMonodromy:
         rep = sw.monodromy(bolo_spec, phi + 0.2)
         assert rep.permutation == tuple(range(7))
 
+    def test_unclosed_loop_raises(self, grover_spec, monkeypatch):
+        track = spectral.SecularFunction.track
+
+        def collapsing(self, eps_path, t_path, known, roots=slice(None)):
+            if not np.iscomplexobj(eps_path):           # the real ramp of roots()
+                return track(self, eps_path, t_path, known, roots)
+            # the loop: every branch ends on the first start value
+            return np.array([known[0], -1j * np.log(self.z(known[0])[0] / self.centers)])
+        monkeypatch.setattr(spectral.SecularFunction, "track", collapsing)
+        with pytest.raises(sw.NumericsError, match="did not close"):
+            sw.monodromy(grover_spec, 0.0)
+
     def test_random_specs_cycles_at_most_two(self):
         rng = np.random.default_rng(11)
         for _ in range(6):
@@ -587,12 +654,6 @@ class TestPairingFit:
         spec = _decoupled_spec()
         fit = sw.pairing_fit(spec, 0.0, cmath.exp(0.5j))
         assert fit.case == CASE_CONSTANT
-
-    @pytest.mark.parametrize("grid", [[1e-6], [1e-6, 1e-6], [0.0, 1e-6], [math.nan, 1e-6],
-                                      [1e-7, 1e-6, -1e-6], [1e-8, 1e-7, math.inf]])
-    def test_degenerate_grid_rejected(self, bolo_spec, grid):
-        with pytest.raises(sw.SpecError, match="eps_grid"):
-            sw.pairing_fit(bolo_spec, 0.0, -1.0 + 0j, eps_grid=grid)
 
     def test_balanced_case_flagged(self, grover_spec):
         # phi = pi puts lambda0^2 + e^{i phi} = 0 at lambda0 = 1: no net flow

@@ -290,3 +290,8 @@ class TestMixingAngle:
                         assert abs(val / (4.0 * L * R / (L + R) ** 2) - 1.0) <= 1e-9
                         checked += 1
         assert checked == 29 * 12           # 29 families without a bound partner
+
+    def test_rejects_constant_family(self):
+        from test_spectral import _decoupled_spec
+        with pytest.raises(sw.SpecError, match="constant-family"):
+            sw.paired_mix_angle(_decoupled_spec(), 100, 1, cmath.exp(0.5j), 0.01)
