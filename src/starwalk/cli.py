@@ -44,6 +44,8 @@ ORACLE_TOL = 1e-8
 # The oracle holds a few amplitude arrays of 16 bytes per full-graph state
 # (2N + M*n states); 4M states keep each array at 64 MB.
 ORACLE_MAX_STATES = 4_000_000
+# sweep grids hold 8 bytes per point; 1M points keep the grid at 8 MB
+SWEEP_MAX_POINTS = 1_000_000
 
 SEARCH_COLUMNS = ["N", "M", "lambda0_re", "lambda0_im", "phi", "c", "m",
                   "p_marked", "p_null", "p_unmarked", "overlap_r0"]
@@ -93,8 +95,8 @@ def _parse_lambda(text: str):
     try:
         re_s, im_s = text.split(",")
         return complex(float(re_s), float(im_s))
-    except ValueError as exc:
-        raise SpecError(f'--lambda must be "auto" or "re,im", got {text!r}') from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(f'must be "auto" or "re,im", got {text!r}') from None
 
 
 def _parse_n_range(text: str) -> tuple[int, int | None]:
@@ -165,8 +167,8 @@ def cmd_sweep(args) -> int:
     lo, hi = _parse_n_range(args.n)
     for N in (lo, hi or lo):
         graph.check_star(N, args.m_copies)
-    if args.points < 1:
-        raise SpecError(f"--points must be >= 1, got {args.points}")
+    if not 1 <= args.points <= SWEEP_MAX_POINTS:
+        raise SpecError(f"--points must be in 1..{SWEEP_MAX_POINTS}, got {args.points}")
     if hi is None:
         ns = [lo]
     else:
@@ -321,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--lambda", dest="lam", type=_parse_lambda, default="auto",
                    metavar='auto|"re,im"')
-    p.add_argument("--points", type=int, default=10)
+    p.add_argument("--points", type=int, default=10, help=f"grid points, 1..{SWEEP_MAX_POINTS}")
     p.add_argument("--log", action="store_true", help="log-spaced N grid")
     p.set_defaults(func=cmd_sweep)
 

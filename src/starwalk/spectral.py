@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -194,12 +194,12 @@ class RightClassification:
         return self.bound_basis.shape[1]
 
 
-def _nearest(values, lambda0: complex, where: str) -> int:
-    """Index of the eigenvalue in ``values`` closest to ``lambda0``."""
+def _nearest(values, lambda0: complex) -> int:
+    """Index of the right-block eigenvalue in ``values`` closest to ``lambda0``."""
     dists = np.abs(np.asarray(values, dtype=complex) - lambda0)
     k = int(np.argmin(dists))
     if not dists[k] <= LOOKUP_TOL:              # a NaN request matches nothing
-        raise SpecError(f"{lambda0} is not an eigenvalue of {where} "
+        raise SpecError(f"{lambda0} is not an eigenvalue of the right block "
                         f"(closest group at distance {dists[k]:.2e})")
     return k
 
@@ -256,12 +256,13 @@ def right_classifications(spec: SubgraphSpec) -> list[RightClassification]:
 
 def classify_right(spec: SubgraphSpec, lambda0: complex) -> RightClassification:
     """The classification of the right-block eigenspace nearest to ``lambda0``: a
-    group's exact eigenvalue is found by its key, any other by distance."""
+    group's exact eigenvalue is found by its key, any other by distance.  Every entry
+    point that takes a lambda0 resolves it here."""
     classes = _classes(spec)
     cl = classes.get(complex(lambda0))
     if cl is None:
         keys = list(classes)
-        cl = classes[keys[_nearest(keys, lambda0, "the right block")]]
+        cl = classes[keys[_nearest(keys, lambda0)]]
     return cl
 
 
@@ -350,6 +351,7 @@ class SecularFunction:
     centers: np.ndarray      # per root, the pole it leaves
     alpha: np.ndarray        # (root, pole): _offset(pole, center of root)
     fixed: np.ndarray        # bound eigenvalues, with multiplicity
+    keys: tuple              # the classification key (lambda0) of each right pole
     contacts: np.ndarray     # (active, dim_right): r_j conj(r_j[0]) per active right vector
 
     @staticmethod
@@ -391,12 +393,6 @@ class SecularFunction:
         q1, q2 = T * gR, -(1.0 + self.changes(eps)[0] * gL)
         return _gauge(np.column_stack((0.5 * q1 * (inv[:, 0] + inv[:, 1]), q1 * gL,
                                        q2[:, None] * (inv[:, 2:] @ self.contacts))).T)
-
-    def family(self, lambda0: complex) -> tuple[complex, np.ndarray]:
-        """(lam0, roots): the eigenvalue of U(0) nearest lambda0 and the roots leaving it."""
-        eigs = np.concatenate((self.poles, self.fixed))
-        lam0 = _snap(eigs[_nearest(eigs, lambda0, "U(0)")])
-        return lam0, np.flatnonzero(np.abs(self.centers - lam0) <= CLUSTER_TOL)
 
     def _seeds(self, eps, roots) -> np.ndarray:
         """Small-eps roots: a left and a right pole that meet split as theta^2 =
@@ -471,7 +467,16 @@ def secular_function(spec: SubgraphSpec, phi: float) -> SecularFunction:
     return SecularFunction(
         poles=poles, residues=residues, centers=centers, alpha=_offset(poles, centers[:, None]),
         fixed=np.array([cl.lambda0 for cl in classes for _ in range(cl.n_bound)], dtype=complex),
+        keys=tuple(cl.lambda0 for cl in active),
         contacts=np.array([cl.active_vector * cl.active_vector[0].conjugate() for cl in active]))
+
+
+def _family(spec: SubgraphSpec, phi: float, cl: RightClassification):
+    """(sec, k, roots): the secular function at phi, the index k of the right pole of
+    ``cl``'s family and the roots centred on it; a bound-only family has none of either."""
+    sec = secular_function(spec, phi)
+    k = None if cl.c is None else 2 + sec.keys.index(cl.lambda0)
+    return sec, k, np.arange(0) if k is None else np.flatnonzero(sec.centers == sec.poles[k])
 
 
 # ---------------------------------------------------------------------------
@@ -554,22 +559,22 @@ class PairingFit:
 def pairing_fit(spec: SubgraphSpec, phi: float, lambda0: complex) -> PairingFit:
     """Fit the lambda0 family of U(eps) to one of the three structure cases.
 
-    The case is the number of secular roots leaving lambda0: none (bound only,
+    lambda0 names its right-block group (``classify_right``).  The case is the
+    number of secular roots centred on the group's right pole: none (bound only,
     or a balanced hub, whose pole cancels), one, or two (a left and a right pole
     together).  A pair's phase split on ``DEFAULT_EPS_GRID`` is fit to 2c*sqrt(eps)
     (+ higher orders); the log-log slope of the remainder
     |lambda+- - lambda0 e^{+-ic sqrt(eps)}| is >= 0.9 for a genuine O(eps) remainder.
     """
-    sec = secular_function(spec, phi)
-    lam0, moving = sec.family(lambda0)
-
-    balanced = abs(lam0 * lam0 + cmath.exp(1j * phi)) < 1e-9
+    cl = classify_right(spec, lambda0)
+    sec, _, moving = _family(spec, phi, cl)
+    balanced = abs(cl.lambda0 ** 2 + cmath.exp(1j * phi)) < 1e-9
     if balanced:
         logger.warning("lambda0^2 + e^{i phi} = 0 at lambda0=%s: no net probability "
-                       "flow across the hub; pairing is not claimed", lam0)
+                       "flow across the hub; pairing is not claimed", cl.lambda0)
         moving = moving[:0]
     if len(moving) < 2:
-        return PairingFit(lambda0=lam0, case=CASE_DRIFT if len(moving) else CASE_CONSTANT,
+        return PairingFit(lambda0=cl.lambda0, case=CASE_DRIFT if len(moving) else CASE_CONSTANT,
                           c_fit=None, residual_slope=None, balanced=balanced)
 
     # case iii: phase split of the two roots against sqrt(eps)
@@ -582,7 +587,7 @@ def pairing_fit(spec: SubgraphSpec, phi: float, lambda0: complex) -> PairingFit:
     residuals = 2.0 * np.abs(np.sin(0.5 * np.stack([plus - c_fit * root, minus + c_fit * root])))
     residuals = np.maximum(residuals.max(axis=0), 1e-16)
     residual_slope = float(np.polyfit(np.log(DEFAULT_EPS_GRID), np.log(residuals), 1)[0])
-    return PairingFit(lambda0=lam0, case=CASE_PAIRED, c_fit=c_fit,
+    return PairingFit(lambda0=cl.lambda0, case=CASE_PAIRED, c_fit=c_fit,
                       residual_slope=residual_slope, balanced=balanced)
 
 
@@ -594,10 +599,10 @@ def paired_vectors(spec: SubgraphSpec, phi: float, lambda0: complex, eps: float)
     Returns (lam_plus, v_plus, lam_minus, v_minus) ordered by the sign of the
     phase offset from lambda0.
     """
-    sec = secular_function(spec, phi)
-    lam0, moving = sec.family(lambda0)
+    cl = classify_right(spec, lambda0)
+    sec, _, moving = _family(spec, phi, cl)
     if len(moving) < 2:
-        raise ValueError(f"lambda0={lam0} is a singleton family: nothing pairs")
+        raise ValueError(f"lambda0={cl.lambda0} is a singleton family: nothing pairs")
     theta = sec.roots([eps], moving)[0]
     order = np.argsort(-theta.real)
     lams, vecs = sec.z(theta, moving)[order], sec.vectors(eps, theta[order], moving[order])
@@ -664,16 +669,7 @@ def spectral_report(spec: SubgraphSpec, phi: float | None = None) -> dict:
             "{0.real:.12g},{0.imag:.12g}".format(cl.lambda0): cl.c
             for cl in classifications if cl.c is not None
         },
-        "pairing_fits": [
-            {
-                "lambda0": _c2j(f.lambda0),
-                "case": f.case,
-                "c_fit": f.c_fit,
-                "residual_slope": f.residual_slope,
-                "balanced": f.balanced,
-            }
-            for f in fits
-        ],
+        "pairing_fits": [dict(asdict(f), lambda0=_c2j(f.lambda0)) for f in fits],
         "monodromy": {
             "phi": phi_used,
             "rho": mono.rho,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .graph import NumericsError, SpecError, SubgraphSpec, _walk, check_star
 from .search import _search_target
-from .spectral import NEWTON_MAX, embed_left, left_active, matched_phi, secular_function
+from .spectral import NEWTON_MAX, _family, embed_left, left_active, matched_phi
 
 logger = logging.getLogger(__name__)
 
@@ -91,15 +91,15 @@ def locate_double_root(spec: SubgraphSpec, phi: float, lambda0: complex) -> comp
 
     The root of D = 1 + 2 eps s(z) in eps is -1/(2 s(z)), so a double root is a
     critical point s'(z*) = 0, eps0 = -1/(2 s(z*)).  Newton on s' at
-    z = lambda0*e^{i theta} starts at theta = delta/2, between lambda0 and the
-    nearest left pole lambda0*e^{i delta}, which picks the family; delta = 0 gives 0.
-    The family is the search target's: a constant family raises SpecError.  A
-    non-finite iterate (the secular sums overflow at huge N) raises NumericsError.
+    z = lambda0*e^{i theta} starts at theta = delta/2, between lambda0 and the left
+    pole lambda0*e^{i delta} on the search target's branch; delta = 0 gives 0.  A
+    constant family raises SpecError.  A non-finite iterate (the secular sums
+    overflow at huge N) raises NumericsError.
     """
-    lam0 = _search_target(spec, lambda0).lambda0
-    sec = secular_function(spec, phi)
-    k = 2 + int(np.argmin(np.abs(sec.poles[2:] - lam0)))     # the root of lambda0
-    center, delta = sec.centers[k], min(sec.alpha[k, :2], key=abs)
+    target = _search_target(spec, lambda0)
+    sec, k, _ = _family(spec, phi, target)
+    # the left poles are e^{i phi/2} (branch +1, poles[0]) and -e^{i phi/2} (poles[1])
+    center, delta = sec.centers[k], sec.alpha[k, (1 - target.branch) // 2]
     if delta == 0.0:
         return 0j
     theta = complex(0.5 * delta)
@@ -176,8 +176,7 @@ def paired_mix_angle(spec: SubgraphSpec, N: int, M: int, lambda0: complex,
     check_star(N, M)
     target = _search_target(spec, lambda0)
     phi = detuned_phase(target.lambda0, delta)
-    sec = secular_function(spec, phi)
-    k = 2 + int(np.argmin(np.abs(sec.poles[2:] - target.lambda0)))     # the root of lambda0
+    sec, k, _ = _family(spec, phi, target)
     v = sec.vectors(M / N, sec.roots([M / N], [k])[0], [k])[:, 0]
     left = abs(np.vdot(left_active(phi, target.branch), v[:2])) ** 2
     right = abs(np.vdot(target.active_vector, v[2:])) ** 2

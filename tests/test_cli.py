@@ -136,6 +136,25 @@ class TestSweep:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_dense_grid_gives_one_row_per_n(self, tmp_path):
+        assert run(["sweep", "bolo", "--n", "100..1000", "--points", "100000",
+                    "--format", "json", "--out", str(tmp_path / "sw")]) == EXIT_OK
+        ns = [p["N"] for p in json.loads((tmp_path / "sw.json").read_text())["points"]]
+        assert ns == list(range(100, 1001))
+
+    def test_points_beyond_the_bound_exit_2_in_one_line(self, tmp_path):
+        # the grid is refused before it is allocated: no MemoryError traceback
+        from starwalk.cli import SWEEP_MAX_POINTS
+        src = os.path.dirname(os.path.dirname(os.path.abspath(starwalk.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "starwalk.cli", "sweep", "grover", "--n", "100..1000",
+             "--points", str(10 ** 12), "--out", str(tmp_path / "sw")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert proc.returncode == EXIT_SPEC
+        (line,) = proc.stderr.splitlines()
+        assert "--points" in line and str(SWEEP_MAX_POINTS) in line
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("lo,hi,log", [
         (100, 2 ** 64, False),                  # past numpy's integer casts
         (2 ** 53 + 1, 2 ** 53 + 3, False),      # between doubles
@@ -197,6 +216,21 @@ class TestTolerance:
             else:
                 assert abs(row["epsilon0_re"] / law - 1.0) < 0.01
 
+
+    def test_large_detuning_follows_the_matched_branch(self, tmp_path):
+        # for pi/2 < |delta| <= pi the other left pole is the nearer one; epsilon0 is still
+        # the matched branch's double root: two eigenvalues of U(eps0) meet on delta's side
+        assert run(["tolerance", "bolo", "--n", "10000", "--lambda", "1,0", "--delta-grid",
+                    "2.5,-3", "--out", str(tmp_path / "tol")]) == EXIT_OK
+        spec = starwalk.load_spec("bolo")
+        for row in json.loads((tmp_path / "tol.json").read_text())["profiles"]:
+            eps0 = complex(row["epsilon0_re"], row["epsilon0_im"])
+            U = starwalk.collapsed_matrix(spec, eps0, starwalk.detuned_phase(1.0, row["delta"]))
+            w = np.linalg.eigvals(U)
+            gap = np.abs(w[:, None] - w) + np.diag(np.full(len(w), np.inf))
+            i, j = np.unravel_index(np.argmin(gap), gap.shape)
+            assert gap[i, j] < 1e-6
+            assert np.sign(np.angle(w[i])) == np.sign(np.angle(w[j])) == np.sign(row["delta"])
 
     def test_huge_detuning_predicts_zero(self, tmp_path):
         # t overflows to inf; its t -> inf limit is 0, not a math domain error
@@ -267,9 +301,12 @@ class TestDemo:
 
 
 class TestArgParsing:
-    def test_bad_lambda_exits_2(self, tmp_path):
-        assert run(["search", "grover", "--n", "100", "--lambda", "banana",
-                    "--out", str(tmp_path / "s")]) == EXIT_SPEC
+    def test_bad_lambda_exits_2(self, tmp_path, capsys):
+        for lam in ("banana", "1,0,0"):
+            assert run(["search", "grover", "--n", "100", "--lambda", lam,
+                        "--out", str(tmp_path / "s")]) == EXIT_SPEC
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.endswith(f'argument --lambda: must be "auto" or "re,im", got {lam!r}')
 
     @pytest.mark.parametrize("argv", [
         ["search", "bolo", "--n", "1e6"],
@@ -278,6 +315,7 @@ class TestArgParsing:
         ["search", "bolo", "--n", "1000000", "--m-copies", "0"],
         ["search", "grover", "--n", "10", "--m-copies", "10"],
         ["search", "bolo", "--n", "1000", "--lambda", "0.5,0.5"],
+        ["search", "bolo", "--n", "1000", "--lambda", "1,0,0"],
         ["sweep", "bolo", "--n", "100..1000", "--points", "0"],
         ["sweep", "bolo", "--n", "0..100"],
         ["tolerance", "grover", "--n", "1" + "0" * 400],

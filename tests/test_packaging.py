@@ -72,3 +72,15 @@ def test_readme_cli_commands_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert main(argv) == 0, argv
+
+
+def test_readme_library_quick_start_runs(capsys):
+    # the README's library quick start, run as written, with the numbers its comments give
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        section = fh.read().split("## Quick start (library)", 1)[1]
+    block = section.split("```python", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert names["plan"].m == 1813 and abs(names["result"].p_marked - 0.75) < 1e-3
+    assert names["leakage"] < 1e-12
+    assert len(capsys.readouterr().out.splitlines()) == 5       # four families, then m and p

@@ -192,6 +192,63 @@ class TestSearchTargetMemo:
             search._search_target(spec, complex(math.nan, 0.0))
         assert spec._derived == before
 
+    @pytest.mark.parametrize("name", ["grover", "bolo", 1, 2, 3])
+    def test_every_entry_point_finds_every_group_by_its_key(self, name, monkeypatch):
+        # on the bundled specs and three seeded ones, no lambda0 entry point runs a
+        # nearest-eigenvalue search for a group's exact lambda0
+        spec = sw.load_spec(name) if isinstance(name, str) else random_spec(
+            np.random.default_rng(name))
+        classes = sw.right_classifications(spec)
+
+        def nearest_search(*args):
+            raise AssertionError("nearest-eigenvalue search for a group's exact lambda0")
+        monkeypatch.setattr(spectral, "_nearest", nearest_search)
+        for cl in classes:
+            fit = sw.pairing_fit(spec, cl.phi, cl.lambda0)
+            assert fit.lambda0 == cl.lambda0
+            if cl.c is None:
+                assert fit.case == spectral.CASE_CONSTANT
+                with pytest.raises(ValueError, match="singleton"):
+                    sw.paired_vectors(spec, cl.phi, cl.lambda0, 1e-4)
+                for entry in (lambda: sw.paired_mix_angle(spec, 10 ** 4, 1, cl.lambda0, 0.01),
+                              lambda: sw.tolerance_sweep(spec, 10 ** 4, 1, cl.lambda0, [0.01])):
+                    with pytest.raises(sw.SpecError, match="constant-family"):
+                        entry()
+                continue
+            assert fit.case == spectral.CASE_PAIRED
+            lam_plus = sw.paired_vectors(spec, cl.phi, cl.lambda0, 1e-6)[0]
+            assert abs(abs(lam_plus - cl.lambda0) / (cl.c * 1e-3) - 1.0) < 1e-2   # c*sqrt(eps)
+            assert 0.0 < sw.paired_mix_angle(spec, 10 ** 4, 1, cl.lambda0, 0.01) <= 1.0
+            assert len(sw.tolerance_sweep(spec, 10 ** 4, 1, cl.lambda0, [0.0, 0.01])) == 2
+        assert len(sw.spectral_report(spec)["pairing_fits"]) == sum(cl.c is not None
+                                                                     for cl in classes)
+
+    @pytest.mark.parametrize("lam", [-1.0 + 0j, (1 + 2j * math.sqrt(2)) / 3])
+    def test_one_lambda0_rule_in_every_entry_point(self, bolo_spec, lam):
+        # a lambda0 within LOOKUP_TOL of a group is that group in all seven entry points;
+        # one 1e-5 away is no group in any of them
+        rec = sw.classify_right(bolo_spec, lam)
+        phi, N = sw.detuned_phase(rec.lambda0, 0.01), 10 ** 4
+        entries = [
+            lambda x: sw.classify_right(bolo_spec, x),
+            lambda x: sw.plan_search(bolo_spec, N, lambda0=x).r0,
+            lambda x: sw.tolerance_sweep(bolo_spec, N, 1, x, [0.0, 0.01]),
+            lambda x: sw.locate_double_root(bolo_spec, phi, x),
+            lambda x: sw.paired_mix_angle(bolo_spec, N, 1, x, 0.01),
+            lambda x: sw.pairing_fit(bolo_spec, rec.phi, x),
+            lambda x: sw.paired_vectors(bolo_spec, rec.phi, x, 1e-4),
+        ]
+        near, far = rec.lambda0 * cmath.exp(1e-7j), rec.lambda0 * cmath.exp(1e-5j)
+        assert sw.classify_right(bolo_spec, near) is rec
+        for entry in entries:
+            a, b = entry(rec.lambda0), entry(near)
+            if isinstance(a, tuple):            # paired_vectors' arrays
+                assert all(np.array_equal(x, y) for x, y in zip(a, b))
+            else:
+                assert b is a or b == a         # the record and r0 are the same objects
+            with pytest.raises(sw.SpecError, match="not an eigenvalue"):
+                entry(far)
+
     def test_entry_released_with_spec(self):
         a, b = sw.load_spec("grover"), sw.load_spec("grover")
         sw.plan_search(a, 100)

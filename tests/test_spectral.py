@@ -528,10 +528,10 @@ class TestSecularFunction:
     def test_tiny_eps_roots_do_not_overflow(self, name, lam0, eps):
         # Newton asks sides for g and g' only; g'' = u*du would overflow here
         spec = sw.load_spec(name)
-        sec = sw.secular_function(spec, sw.matched_phi(lam0)[0])
+        cl = sw.classify_right(spec, lam0)
+        sec, _, moving = spectral._family(spec, cl.phi, cl)
         theta = sec.roots([eps])[0]
-        _, moving = sec.family(lam0)
-        split = sw.classify_right(spec, lam0).c * math.sqrt(eps)
+        split = cl.c * math.sqrt(eps)
         assert np.all(np.isfinite(theta))
         assert np.allclose(np.sort(theta[moving].real), [-split, split], rtol=1e-14, atol=0)
 
@@ -664,6 +664,14 @@ class TestPairingFit:
     def test_rejects_non_eigenvalue(self, grover_spec):
         with pytest.raises(ValueError):
             sw.pairing_fit(grover_spec, 0.0, 0.3 + 0.1j)
+
+    def test_left_pole_only_lambda0_is_refused(self, grover_spec):
+        # lambda0 names a right-block group; a left pole with no group there names none
+        for lam in (cmath.exp(0.5j), -cmath.exp(0.5j)):         # the left poles at phi = 1
+            with pytest.raises(sw.SpecError, match="not an eigenvalue"):
+                sw.pairing_fit(grover_spec, 1.0, lam)
+            with pytest.raises(sw.SpecError, match="not an eigenvalue"):
+                sw.paired_vectors(grover_spec, 1.0, lam, 1e-4)
 
     def test_weakly_coupled_families_on_default_grid(self):
         # seed 9 has families fitted 7.4e-3 off on a grid reaching eps = 1e-2
