@@ -316,19 +316,12 @@ def matched_phi(lambda0: complex) -> tuple[float, int]:
 
 NEWTON_MAX = 50          # Newton iterations per solve before giving up
 NEWTON_TOL = 1e-7        # |F| over its terms below which one more Newton step gives ~1e-14
-RAMP_STEPS = 16          # continuation steps, uniform in sqrt(eps), up to the largest eps
 
 
 def _offset(mu, center):
     """angle(mu/center), exactly 0 for mu == center (unlike a fused multiply-add)."""
     return np.arctan2(mu.imag * center.real - mu.real * center.imag,
                       mu.real * center.real + mu.imag * center.imag)
-
-
-def _merged(a, b) -> np.ndarray:
-    """Sorted distinct values of a and b: np.union1d without its numpy.ma import."""
-    v = np.sort(np.concatenate((np.ravel(a), np.ravel(b))))
-    return v[np.concatenate(([True], v[1:] != v[:-1]))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,59 +387,69 @@ class SecularFunction:
         return _gauge(np.column_stack((0.5 * q1 * (inv[:, 0] + inv[:, 1]), q1 * gL,
                                        q2[:, None] * (inv[:, 2:] @ self.contacts))).T)
 
-    def _seeds(self, eps, roots) -> np.ndarray:
-        """Small-eps roots: a left and a right pole that meet split as theta^2 =
-        (a b - T^2) A_L A_R (A: residues); a lone pole's root moves O(eps)."""
+    def _seeds(self, eps) -> np.ndarray:
+        """Small-eps roots from two poles each, the root's own and the nearest of the other side
+        (the sum rule leaves at least one right pole), at offsets (aL, aR) from its center.  By
+        their leading terms -iA/(alpha - theta) and T^2 - ab = 4 eps, the roots solve
+        (theta - aL)(theta - aR) + i theta (a A_L + b A_R) = -4 eps A_L A_R + i (a A_L aR +
+        b A_R aL).  The root leaving the later pole takes the larger solution, a left one
+        within CLUSTER_TOL of its partner the + one; the smaller is C/big."""
         a, b, T2 = self.changes(eps)
-        AL, AR = ((np.abs(self.alpha[roots]) <= CLUSTER_TOL) @ self.residues).T
-        sign = np.where(np.arange(len(self.poles))[roots] < 2, 1.0, -1.0)
-        return np.where(AL * AR != 0, sign * np.sqrt((a * b - T2) * AL * AR), 1j * eps)
+        k = np.arange(len(self.poles))
+        left = k < 2
+        other = np.argmin(np.where(left[:, None] == left, np.inf, np.abs(self.alpha)), axis=1)
+        l, r = np.where(left, k, other), np.where(left, other, k)
+        aL, aR = self.alpha[k, l], self.alpha[k, r]
+        AL, AR = self.residues[l, 0], self.residues[r, 1]
+        B = aL + aR - 1j * (a * AL + b * AR)
+        C = aL * aR + 4.0 * eps * AL * AR - 1j * (a * AL * aR + b * AR * aL)
+        root = np.sqrt((aL - aR - 1j * (a * AL - b * AR)) ** 2 - 4.0 * T2 * AL * AR)
+        up = (B.conjugate() * root).real >= 0           # big is the + solution
+        big = 0.5 * (B + np.where(up, root, -root))
+        small = C / big
+        return np.where(np.where(np.abs(aL - aR) <= CLUSTER_TOL, left == up,
+                                 ((aL > aR) == left) == (big.real >= small.real)), big, small)
 
-    def _solve(self, eps, guess, old, roots) -> np.ndarray:
-        """Newton from ``guess``; a correction of half the gap between the roots
-        at ``old`` may have reached a neighbour's root, and raises."""
+    def _solve(self, eps, guess, old) -> np.ndarray:
+        """Newton on every root from ``guess``; a non-finite iterate raises, as does a correction
+        of half the gap between the roots at ``old``: it may have reached a neighbour's."""
         a, b, T2 = self.changes(eps)
-        theta, alpha = guess, self.alpha[roots]
-        for _ in range(NEWTON_MAX):
-            (L, dL), (R, dR) = self.sides(theta, alpha, order=1)
-            qL, qR = 1.0 / L + a, 1.0 / R + b
-            F = qL * qR - T2
-            theta = theta + F / (dL / (L * L) * qR + qL * dR / (R * R))
-            if np.all(np.abs(F) <= NEWTON_TOL * (np.abs(qL * qR) + abs(T2))):
-                break
-        else:
-            raise NumericsError(f"secular roots did not converge at eps={eps:.3e}")
-        z_old = self.z(old, roots)
-        gap = np.abs(z_old[:, None] - z_old) + np.diag(np.full(len(z_old), np.inf))
-        fix = np.abs(self.z(theta, roots) - self.z(guess, roots))
+        theta = guess
+        with np.errstate(all="ignore"):     # a non-finite iterate raises instead
+            for _ in range(NEWTON_MAX):
+                (L, dL), (R, dR) = self.sides(theta, self.alpha, order=1)
+                qL, qR = 1.0 / L + a, 1.0 / R + b
+                F = qL * qR - T2
+                theta = theta + F / (dL / (L * L) * qR + qL * dR / (R * R))
+                if not np.all(np.isfinite(theta)):
+                    raise NumericsError(f"secular root Newton diverged at eps={eps:.3e}")
+                if np.all(np.abs(F) <= NEWTON_TOL * (np.abs(qL * qR) + abs(T2))):
+                    break
+            else:
+                raise NumericsError(f"secular roots did not converge at eps={eps:.3e}")
+        gap = np.abs(self.z(old)[:, None] - self.z(old)) + np.diag(np.full(len(old), np.inf))
+        fix = np.abs(self.z(theta) - self.z(guess))
         if np.any(fix >= 0.5 * gap.min(axis=1)):
-            raise NumericsError(f"secular root continuation ambiguous at eps={eps:.3e}: "
+            raise NumericsError(f"secular root ambiguous at eps={eps:.3e}: Newton "
                                 f"correction {fix.max():.2e}, root gap {gap.min():.2e}")
         return theta
 
-    def track(self, eps_path, t_path, known, roots=slice(None)) -> np.ndarray:
+    def track(self, eps_path, t_path, known) -> np.ndarray:
         """theta along eps_path from the ``known`` first points (linear predictor in t)."""
         out = list(known)
         for k in range(len(out), len(eps_path)):
             guess = out[-1] if k == 1 else out[-1] + (out[-1] - out[-2]) * (
                 (t_path[k] - t_path[k - 1]) / (t_path[k - 1] - t_path[k - 2]))
-            out.append(self._solve(eps_path[k], guess, out[-1], roots))
+            out.append(self._solve(eps_path[k], guess, out[-1]))
         return np.array(out)
 
     def roots(self, eps_values, roots=slice(None)) -> np.ndarray:
-        """theta at real eps_values > 0, continued from 0 in sqrt(eps): doubling steps
-        from where poles apart still act alone, then RAMP_STEPS equal ones."""
+        """theta of ``roots`` at each of eps_values in (0, 1), the range of M/N, from one Newton
+        solve of every root from ``_seeds``; one its seed cannot place (eps >~ 1e-3) raises."""
         eps_values = np.asarray(eps_values, dtype=float)
-        step = math.sqrt(eps_values.max()) / RAMP_STEPS
-        apart = np.abs(self.centers[:, None] - self.centers)
-        first = min(step, 0.1 * apart[apart > 0].min(initial=step))
-        ramp = _merged(np.geomspace(first, step, 2 + int(math.log2(step / first))),
-                       step * np.arange(1, RAMP_STEPS + 1))
-        path = _merged(eps_values, ramp ** 2)
-        seeds = self._seeds(path[0], roots)
-        known = [np.zeros_like(seeds), self._solve(path[0], seeds, seeds, roots)]
-        path = np.concatenate(([0.0], path))
-        return self.track(path, np.sqrt(path), known, roots)[np.searchsorted(path, eps_values)]
+        if not np.all((eps_values > 0) & (eps_values < 1)):
+            raise SpecError(f"eps must lie in (0, 1), got {eps_values}")
+        return np.array([self._solve(e, s := self._seeds(e), s)[roots] for e in eps_values])
 
 
 def secular_function(spec: SubgraphSpec, phi: float) -> SecularFunction:
@@ -456,8 +459,7 @@ def secular_function(spec: SubgraphSpec, phi: float) -> SecularFunction:
     p = cmath.exp(0.5j * phi) * cmath.sqrt(R_L0)
     classes = right_classifications(spec)
     active = [cl for cl in classes if cl.c is not None]
-    right = np.array([cl.lambda0 for cl in active], dtype=complex)
-    poles = np.concatenate(([p, -p], right / np.abs(right)))
+    poles = np.array([p, -p] + [cl.lambda0 for cl in active], dtype=complex)
     residues = np.zeros((len(poles), 2), dtype=complex)
     residues[:2, 0] = 0.5 / R_L0
     residues[2:, 1] = R_R0.conjugate() * np.array([cl.c ** 2 / 2.0 for cl in active])
@@ -497,19 +499,14 @@ class MonodromyReport:
 
 
 def _cycles_of(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    seen = [False] * len(perm)
-    cycles = []
+    seen, cycles = set(), []
     for i in range(len(perm)):
-        if seen[i]:
-            continue
-        cyc = [i]
-        seen[i] = True
-        j = perm[i]
-        while j != i:
-            cyc.append(j)
-            seen[j] = True
-            j = perm[j]
-        cycles.append(tuple(cyc))
+        cyc = []
+        while i not in seen:
+            seen.add(i)
+            cyc.append(i)
+            i = perm[i]
+        cycles += [tuple(cyc)] if cyc else []
     return tuple(cycles)
 
 

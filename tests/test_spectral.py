@@ -541,13 +541,58 @@ class TestSecularFunction:
         with pytest.raises(sw.NumericsError, match="did not converge"):
             sec.roots([1e-6])
 
-    def test_continuation_ambiguity_is_refused(self):
-        # the generic-lambda0 defect: roots that meet at tiny eps are refused, not swapped
-        spec = random_spec(np.random.default_rng(1), arms=3)
+    def test_poles_are_the_record_keys(self, grover_spec, bolo_spec):
+        specs = [grover_spec, bolo_spec] + [random_spec(np.random.default_rng(s))
+                                            for s in range(1, 6)]
+        for spec in specs:
+            sec = sw.secular_function(spec, 0.0)
+            assert sec.poles[2:].tolist() == list(sec.keys)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-4, math.nan, math.inf, 1.0, 2.0])
+    def test_eps_outside_unit_interval_is_refused(self, bolo_spec, eps):
+        with pytest.raises(sw.SpecError, match="eps must lie in"):
+            sw.secular_function(bolo_spec, 0.0).roots([1e-6, eps])
+        with pytest.raises(sw.SpecError, match="eps must lie in"):
+            sw.paired_vectors(bolo_spec, 0.0, -1.0 + 0j, eps)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_generic_lambda0_roots_at_tiny_eps(self, seed):
+        # roots meeting at a snapped shared center 1e-15 apart: the direct solve
+        # agrees with a continuation down from eps = 1e-20
+        spec = random_spec(np.random.default_rng(seed), arms=3)
         lam, _, _ = sw.best_target(sw.right_classifications(spec))
         sec = sw.secular_function(spec, sw.matched_phi(lam)[0])
-        with pytest.raises(sw.NumericsError, match="continuation ambiguous"):
-            sec.roots([1e-30])
+        path = np.geomspace(1e-20, 1e-30, 41)
+        tracked = sec.track(path, np.sqrt(path), [sec.roots([path[0]])[0]])[-1]
+        theta = sec.roots([path[-1]])[0]
+        assert np.max(np.abs(theta - tracked) / np.abs(tracked)) < 1e-14
+
+    @pytest.mark.parametrize("spec_name", ["grover", "bolo", 1, 2, 3])
+    def test_direct_solve_matches_continuation(self, spec_name):
+        # every root, by pole, against a continuation from the small-eps seeds
+        spec = (sw.load_spec(spec_name) if isinstance(spec_name, str)
+                else random_spec(np.random.default_rng(spec_name), arms=3))
+        path = np.geomspace(1e-16, 1e-4, 73)          # through 1e-10 and 1e-6
+        for cl in sw.right_classifications(spec):
+            for phi in (cl.phi, cl.phi + 2e-3):
+                sec = sw.secular_function(spec, phi)
+                tracked = sec.track(path, np.sqrt(path), [sec._seeds(path[0])])[[36, 60, 72]]
+                direct = sec.roots(path[[36, 60, 72]])
+                assert np.max(np.abs(sec.z(direct) - sec.z(tracked))) < 1e-15
+
+    def test_root_the_seeds_cannot_place_is_refused(self):
+        # at eps = 1e-3 this family's pair has left the two-pole law's basin
+        spec = random_spec(np.random.default_rng(3), arms=4)
+        sec = sw.secular_function(spec, sw.right_classifications(spec)[0].phi)
+        with pytest.raises(sw.NumericsError, match="ambiguous"):
+            sec.roots([1e-3])
+
+    @pytest.mark.parametrize("name", ["grover", "bolo"])
+    def test_failed_solve_is_a_diagnostic_not_a_warning(self, name):
+        spec = sw.load_spec(name)
+        for cl in sw.right_classifications(spec):
+            with pytest.raises(sw.NumericsError, match="secular root"):
+                sw.secular_function(spec, cl.phi).roots([0.6])
 
 
 def dense_monodromy(spec, phi, rho=1e-4, steps=240):
@@ -603,11 +648,7 @@ class TestMonodromy:
         assert rep.permutation == tuple(range(7))
 
     def test_unclosed_loop_raises(self, grover_spec, monkeypatch):
-        track = spectral.SecularFunction.track
-
-        def collapsing(self, eps_path, t_path, known, roots=slice(None)):
-            if not np.iscomplexobj(eps_path):           # the real ramp of roots()
-                return track(self, eps_path, t_path, known, roots)
+        def collapsing(self, eps_path, t_path, known):
             # the loop: every branch ends on the first start value
             return np.array([known[0], -1j * np.log(self.z(known[0])[0] / self.centers)])
         monkeypatch.setattr(spectral.SecularFunction, "track", collapsing)

@@ -291,6 +291,11 @@ class TestMixingAngle:
                         checked += 1
         assert checked == 29 * 12           # 29 families without a bound partner
 
+    def test_large_eps_is_a_diagnostic_not_a_warning(self, bolo_spec):
+        # M/N = 1/2 lies far beyond the small-eps seeds: refused, with no numpy warning
+        with pytest.raises(sw.NumericsError, match="secular root"):
+            sw.paired_mix_angle(bolo_spec, 2, 1, -1.0 + 0j, 0.01)
+
     def test_rejects_constant_family(self):
         from test_spectral import _decoupled_spec
         with pytest.raises(sw.SpecError, match="constant-family"):
