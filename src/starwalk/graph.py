@@ -310,10 +310,13 @@ class HubModel:
 def _hub_form(e, eps) -> tuple[complex, ...]:
     """(r, t, R_L, R_R, T) of the diffusive hub at per-edge weight e = 1/N and marked
     fraction eps = M/N (either may be complex): r = -1 + 2e, t = 2e, R_L = 1 - 2eps,
-    R_R = -1 + 2eps and T = t sqrt(M(N-M)) = 2 sqrt(eps - eps^2).
+    R_R = -1 + 2eps and T = t sqrt(M(N-M)) = 2 sqrt(eps - eps^2).  Real arguments with
+    eps - eps^2 >= 0 give floats, any other complex numbers.
     """
-    e, eps = complex(e), complex(eps)
-    T = 2.0 * cmath.sqrt(eps - eps * eps)
+    d = eps - eps * eps
+    if not (isinstance(d, float) and d >= 0.0):
+        e, eps, d = complex(e), complex(eps), complex(d)
+    T = 2.0 * (math.sqrt(d) if isinstance(d, float) else cmath.sqrt(d))
     return -1.0 + 2.0 * e, 2.0 * e, 1.0 - 2.0 * eps, -1.0 + 2.0 * eps, T
 
 
@@ -620,8 +623,7 @@ def _walk(spec: SubgraphSpec, N: int, M: int, phi: float, x: np.ndarray, m: int)
     _check_unitary(residual)
     real = spec._real_columns
     if real is not None and reflect.imag == 0.0 and not x.imag.any():
-        # the hub's coefficients are real: their imaginary parts are 0
-        U = _assemble(real, reflect.real, R_L.real, R_R.real, T.real)
+        U = _assemble(real, reflect.real, R_L, R_R, T)     # the hub's are floats
         return _power(U, x.real, m, residual).astype(complex)
     return _power(_assemble(spec.vertex_columns, reflect, R_L, R_R, T), x, m, residual)
 

@@ -9,8 +9,8 @@ Spectral analysis of the collapsed walk operator.
   (hub-contacting) parts with the coupling constant c and the family's search
   target, one record per family kept on the loaded spec;
 * the secular function det(U(eps) - z)/det(U(0) - z) of the cached (lambda0, c) table,
-  whose roots give the pairing lambda0*exp(+-ic*sqrt(eps)) and the monodromy of a loop
-  of eps around 0; the best search eigenvalue.
+  whose roots give the pairing lambda0*exp(+-ic*sqrt(eps)) and whose critical points the
+  monodromy of a loop of eps around 0; the best search eigenvalue.
 """
 from __future__ import annotations
 
@@ -410,14 +410,14 @@ class SecularFunction:
         return np.where(np.where(np.abs(aL - aR) <= CLUSTER_TOL, left == up,
                                  ((aL > aR) == left) == (big.real >= small.real)), big, small)
 
-    def _solve(self, eps, guess, old) -> np.ndarray:
-        """Newton on every root from ``guess``; a non-finite iterate raises, as does a correction
-        of half the gap between the roots at ``old``: it may have reached a neighbour's."""
+    def _solve(self, eps, seeds, roots) -> np.ndarray:
+        """Newton on the indices ``roots`` from their ``seeds``; a non-finite iterate raises, as does
+        a correction of half the gap to the nearest other seed: it may have reached its root."""
         a, b, T2 = self.changes(eps)
-        theta = guess
+        alpha, theta = self.alpha[roots], seeds[roots]
         with np.errstate(all="ignore"):     # a non-finite iterate raises instead
             for _ in range(NEWTON_MAX):
-                (L, dL), (R, dR) = self.sides(theta, self.alpha, order=1)
+                (L, dL), (R, dR) = self.sides(theta, alpha, order=1)
                 qL, qR = 1.0 / L + a, 1.0 / R + b
                 F = qL * qR - T2
                 theta = theta + F / (dL / (L * L) * qR + qL * dR / (R * R))
@@ -427,29 +427,46 @@ class SecularFunction:
                     break
             else:
                 raise NumericsError(f"secular roots did not converge at eps={eps:.3e}")
-        gap = np.abs(self.z(old)[:, None] - self.z(old)) + np.diag(np.full(len(old), np.inf))
-        fix = np.abs(self.z(theta) - self.z(guess))
+        z = self.z(seeds)
+        gap = np.where(np.arange(len(z)) == roots[:, None], np.inf, np.abs(z[roots, None] - z))
+        fix = np.abs(self.z(theta, roots) - z[roots])
         if np.any(fix >= 0.5 * gap.min(axis=1)):
             raise NumericsError(f"secular root ambiguous at eps={eps:.3e}: Newton "
                                 f"correction {fix.max():.2e}, root gap {gap.min():.2e}")
         return theta
 
-    def track(self, eps_path, t_path, known) -> np.ndarray:
-        """theta along eps_path from the ``known`` first points (linear predictor in t)."""
-        out = list(known)
-        for k in range(len(out), len(eps_path)):
-            guess = out[-1] if k == 1 else out[-1] + (out[-1] - out[-2]) * (
-                (t_path[k] - t_path[k - 1]) / (t_path[k - 1] - t_path[k - 2]))
-            out.append(self._solve(eps_path[k], guess, out[-1]))
-        return np.array(out)
-
     def roots(self, eps_values, roots=slice(None)) -> np.ndarray:
         """theta of ``roots`` at each of eps_values in (0, 1), the range of M/N, from one Newton
-        solve of every root from ``_seeds``; one its seed cannot place (eps >~ 1e-3) raises."""
+        solve of those roots from ``_seeds``; one its seed cannot place (eps >~ 1e-3) raises."""
         eps_values = np.asarray(eps_values, dtype=float)
         if not np.all((eps_values > 0) & (eps_values < 1)):
             raise SpecError(f"eps must lie in (0, 1), got {eps_values}")
-        return np.array([self._solve(e, s := self._seeds(e), s)[roots] for e in eps_values])
+        roots = np.arange(len(self.poles))[roots]
+        return np.array([self._solve(e, self._seeds(e), roots) for e in eps_values])
+
+    def branch_point(self, k: int, l: int) -> tuple[complex, complex]:
+        """(theta*, eps0): Newton on s' = 0 from between right pole k and pole l (theta an offset
+        from k; halfway, or for a right l where its two-pole law -iA_k/(0 - theta) - iA_l/(delta -
+        theta) has s' = 0) to z*, where two roots meet at eps0 = -1/(2 s(z*)).  Coincident poles
+        give (0, 0); a non-finite iterate or eps0 (overflow at huge N) raises NumericsError."""
+        center, delta = self.centers[k], self.alpha[k, l]
+        if delta == 0.0:
+            return 0j, 0j
+        theta = complex(0.5 * delta)
+        if l >= 2:                          # w^2 = A_k/A_l > 0
+            w = math.sqrt(self.residues[k, 1].real / self.residues[l, 1].real)
+            theta = delta * (w * w - 1j * w) / (1.0 + w * w)
+        with np.errstate(all="ignore"):     # overflow shows as a non-finite value below
+            for _ in range(NEWTON_MAX):
+                _, ds, d2s = self.s(theta, center)
+                step = complex(ds / d2s)
+                theta -= step
+                if not abs(step) > 1e-14 * abs(theta):      # converged, or not finite
+                    break
+            eps0 = complex(-0.5 / self.s(theta, center)[0])
+        if abs(step) <= 1e-14 * abs(theta) and cmath.isfinite(eps0):
+            return theta, eps0
+        raise NumericsError(f"double-root Newton did not converge (step {abs(step):.2e})")
 
 
 def secular_function(spec: SubgraphSpec, phi: float) -> SecularFunction:
@@ -498,36 +515,46 @@ class MonodromyReport:
         return tuple(len(c) for c in self.cycles)
 
 
-def _cycles_of(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    seen, cycles = set(), []
-    for i in range(len(perm)):
-        cyc = []
-        while i not in seen:
-            seen.add(i)
-            cyc.append(i)
-            i = perm[i]
-        cycles += [tuple(cyc)] if cyc else []
-    return tuple(cycles)
-
-
 def monodromy(spec: SubgraphSpec, phi: float) -> MonodromyReport:
-    """Follow every eigenvalue of U(eps) along eps = rho*e^{i t}, t: 0 -> 2pi, rho = 1e-4.
-
-    The secular roots are continued over 240 equal steps (a collision raises
-    NumericsError); the bound eigenvalues, listed last, are fixed points.
-    """
-    rho, steps = 1e-4, 240
+    """The permutation of U(eps)'s eigenvalues after the loop eps = rho e^{it}, rho = 1e-4, from
+    the square-root branch points it encloses (``branch_point``; Kato ch. II), one per two
+    neighbouring poles near eps = 0.  A left/right pair's, at |eps0| ~ (delta/2c)^2, swaps its
+    roots iff |eps0| < rho; two right poles', at ~|delta/((A_k + A_l)(1 - 2g_L))|, is one of a
+    conjugate pair (s is real on the circle), so theirs stay.  Pairs estimated within 16 rho are
+    located; an eps0 within 1% of rho, a z* off the pair's arc or a root in two enclosed pairs
+    raises NumericsError.  The bound eigenvalues, listed last, stay."""
+    rho = 1e-4
     sec = secular_function(spec, phi)
-    t = 2.0 * math.pi * np.arange(steps + 1) / steps
-    theta = sec.roots([rho])[0]
-    start, end = sec.z(theta), sec.z(sec.track(rho * np.exp(1j * t), t, [theta])[-1])
-    # end[i] is the continuation of start[i]; find which start value it became
-    cols = np.argmin(np.abs(end[:, None] - start), axis=1)
-    if len(set(cols)) < len(cols):
-        raise NumericsError("monodromy loop did not close: two branches end on one value")
-    perm = tuple(int(c) for c in cols) + tuple(range(len(start), len(start) + len(sec.fixed)))
-    return MonodromyReport(rho=rho, start_eigenvalues=np.concatenate((start, sec.fixed)),
-                           permutation=perm, cycles=_cycles_of(perm))
+    perm, claimed = list(range(len(sec.poles))), set()
+    order = np.argsort(np.angle(sec.poles)).tolist()
+    for k, l in zip(order, order[1:] + order[:1]):
+        k, l = max(k, l), min(k, l)                     # k is a right pole, or both are left
+        if k < 2:
+            continue
+        delta, A = sec.alpha[k, l], sec.residues
+        if l >= 2:
+            (gL,), _ = sec.sides(0.5 * delta, sec.alpha[k])
+        if (delta * delta > 256.0 * rho * abs(A[l, 0] * A[k, 1]) if l < 2 else
+                abs(delta) > 16.0 * rho * abs((A[k, 1] + A[l, 1]) * (1.0 - 2.0 * gL))):
+            continue                                    # leading-order |eps0| beyond 16 rho
+        theta, eps0 = sec.branch_point(k, l)
+        if not min(0.0, delta) <= theta.real <= max(0.0, delta):
+            raise NumericsError(f"monodromy: the critical point of poles {k} and {l} left their "
+                                f"arc (offset {theta.real:.3e}, poles {delta:.3e} apart)")
+        if abs(abs(eps0) - rho) < 0.01 * rho:
+            raise NumericsError(f"monodromy undecided: branch point |eps0| = {abs(eps0):.6e} "
+                                f"is within 1% of the loop radius {rho:g}")
+        if abs(eps0) < rho:
+            if claimed & {k, l}:
+                raise NumericsError(f"monodromy undecided: a root of poles {k} and {l} "
+                                    "meets two roots inside the loop")
+            claimed |= {k, l}
+            if l < 2:
+                perm[k], perm[l] = l, k
+    start = np.concatenate((sec.z(sec.roots([rho])[0]), sec.fixed))
+    perm = tuple(perm) + tuple(range(len(perm), len(start)))
+    return MonodromyReport(rho=rho, start_eigenvalues=start, permutation=perm, cycles=tuple(
+        (i,) if j == i else (i, j) for i, j in enumerate(perm) if j >= i))
 
 
 # ---------------------------------------------------------------------------
@@ -654,12 +681,8 @@ def spectral_report(spec: SubgraphSpec, phi: float | None = None) -> dict:
             for cl in classifications
         ],
         "classifications": [
-            {
-                "lambda0": _c2j(cl.lambda0),
-                "n_bound": cl.n_bound,
-                "active": cl.active_vector is not None,
-                "c": cl.c,
-            }
+            {"lambda0": _c2j(cl.lambda0), "n_bound": cl.n_bound,
+             "active": cl.active_vector is not None, "c": cl.c}
             for cl in classifications
         ],
         "c_table": {  # keyed by "re,im" of lambda0
@@ -667,12 +690,8 @@ def spectral_report(spec: SubgraphSpec, phi: float | None = None) -> dict:
             for cl in classifications if cl.c is not None
         },
         "pairing_fits": [dict(asdict(f), lambda0=_c2j(f.lambda0)) for f in fits],
-        "monodromy": {
-            "phi": phi_used,
-            "rho": mono.rho,
-            "permutation": list(mono.permutation),
-            "cycle_lengths": list(mono.cycle_lengths),
-        },
+        "monodromy": {"phi": phi_used, "rho": mono.rho, "permutation": list(mono.permutation),
+                      "cycle_lengths": list(mono.cycle_lengths)},
         "best": {"lambda0": _c2j(lam_best), "c": c_best, "d": d,
                  "phi": phi_used, "branch": best.branch},
     }

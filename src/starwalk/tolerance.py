@@ -16,16 +16,15 @@ the chosen right eigenvalue lambda0, the pair is detuned by a phase gap delta
 """
 from __future__ import annotations
 
-import cmath
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import NumericsError, SpecError, SubgraphSpec, _walk, check_star
+from .graph import SpecError, SubgraphSpec, _walk, check_star
 from .search import _search_target
-from .spectral import NEWTON_MAX, _family, embed_left, left_active, matched_phi
+from .spectral import _family, embed_left, left_active, matched_phi
 
 logger = logging.getLogger(__name__)
 
@@ -87,35 +86,14 @@ def predicted_success_compensated(t: float) -> float:
 # ---------------------------------------------------------------------------
 
 def locate_double_root(spec: SubgraphSpec, phi: float, lambda0: complex) -> complex:
-    """Complex eps at which the two branches of the lambda0 family merge.
-
-    The root of D = 1 + 2 eps s(z) in eps is -1/(2 s(z)), so a double root is a
-    critical point s'(z*) = 0, eps0 = -1/(2 s(z*)).  Newton on s' at
-    z = lambda0*e^{i theta} starts at theta = delta/2, between lambda0 and the left
-    pole lambda0*e^{i delta} on the search target's branch; delta = 0 gives 0.  A
-    constant family raises SpecError.  A non-finite iterate (the secular sums
-    overflow at huge N) raises NumericsError.
-    """
+    """Complex eps at which the two branches of the lambda0 family merge: the critical point
+    of the secular function between lambda0 and the left pole lambda0*e^{i delta} on the
+    search target's branch (``SecularFunction.branch_point``); delta = 0 gives 0.  A
+    constant family raises SpecError, a failed Newton NumericsError."""
     target = _search_target(spec, lambda0)
     sec, k, _ = _family(spec, phi, target)
     # the left poles are e^{i phi/2} (branch +1, poles[0]) and -e^{i phi/2} (poles[1])
-    center, delta = sec.centers[k], sec.alpha[k, (1 - target.branch) // 2]
-    if delta == 0.0:
-        return 0j
-    theta = complex(0.5 * delta)
-    with np.errstate(all="ignore"):     # overflow shows as a non-finite value below
-        for _ in range(NEWTON_MAX):
-            _, ds, d2s = sec.s(theta, center)
-            step = complex(ds / d2s)
-            theta -= step
-            if not cmath.isfinite(theta):
-                break
-            if abs(step) <= 1e-14 * abs(theta):
-                eps0 = complex(-0.5 / sec.s(theta, center)[0])
-                if cmath.isfinite(eps0):
-                    return eps0
-                break
-    raise NumericsError(f"double-root Newton did not converge (step {abs(step):.2e}, phi={phi})")
+    return sec.branch_point(k, (1 - target.branch) // 2)[1]
 
 
 # ---------------------------------------------------------------------------

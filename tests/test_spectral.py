@@ -13,6 +13,7 @@ from starwalk.spectral import (
     CASE_CONSTANT,
     CASE_DRIFT,
     CASE_PAIRED,
+    DEFAULT_EPS_GRID,
     embed_right,
     spectral_report,
 )
@@ -563,7 +564,7 @@ class TestSecularFunction:
         lam, _, _ = sw.best_target(sw.right_classifications(spec))
         sec = sw.secular_function(spec, sw.matched_phi(lam)[0])
         path = np.geomspace(1e-20, 1e-30, 41)
-        tracked = sec.track(path, np.sqrt(path), [sec.roots([path[0]])[0]])[-1]
+        tracked = track(sec, path, np.sqrt(path), [sec.roots([path[0]])[0]])[-1]
         theta = sec.roots([path[-1]])[0]
         assert np.max(np.abs(theta - tracked) / np.abs(tracked)) < 1e-14
 
@@ -576,7 +577,7 @@ class TestSecularFunction:
         for cl in sw.right_classifications(spec):
             for phi in (cl.phi, cl.phi + 2e-3):
                 sec = sw.secular_function(spec, phi)
-                tracked = sec.track(path, np.sqrt(path), [sec._seeds(path[0])])[[36, 60, 72]]
+                tracked = track(sec, path, np.sqrt(path), [sec._seeds(path[0])])[[36, 60, 72]]
                 direct = sec.roots(path[[36, 60, 72]])
                 assert np.max(np.abs(sec.z(direct) - sec.z(tracked))) < 1e-15
 
@@ -587,12 +588,36 @@ class TestSecularFunction:
         with pytest.raises(sw.NumericsError, match="ambiguous"):
             sec.roots([1e-3])
 
+    @pytest.mark.parametrize("spec_name", ["grover", "bolo", 1, 2, 3])
+    def test_subset_solve_matches_all_roots(self, spec_name):
+        # Newton on a family's roots alone stops when they converge: the same eigenvalues
+        # to 4 ulp (theta, an offset from its pole, moves by up to 17 ulp of itself)
+        spec = (sw.load_spec(spec_name) if isinstance(spec_name, str)
+                else random_spec(np.random.default_rng(spec_name), arms=3))
+        for cl in sw.right_classifications(spec):
+            sec, k, moving = spectral._family(spec, cl.phi + 2e-3, cl)
+            for subset in ([k], moving, moving[::-1]) if k is not None else ():
+                every = sec.z(sec.roots(DEFAULT_EPS_GRID)[:, subset], subset)
+                alone = sec.z(sec.roots(DEFAULT_EPS_GRID, subset), subset)
+                assert np.max(np.abs(alone - every)) <= 4 * np.spacing(1.0)
+
     @pytest.mark.parametrize("name", ["grover", "bolo"])
     def test_failed_solve_is_a_diagnostic_not_a_warning(self, name):
         spec = sw.load_spec(name)
         for cl in sw.right_classifications(spec):
             with pytest.raises(sw.NumericsError, match="secular root"):
                 sw.secular_function(spec, cl.phi).roots([0.6])
+
+
+def track(sec, eps_path, t_path, known) -> np.ndarray:
+    """theta of every root along eps_path from the ``known`` first points, by Newton from a
+    linear predictor in t: the continuation the direct solve is checked against."""
+    out, every = list(known), np.arange(len(sec.poles))
+    for k in range(len(out), len(eps_path)):
+        guess = out[-1] if k == 1 else out[-1] + (out[-1] - out[-2]) * (
+            (t_path[k] - t_path[k - 1]) / (t_path[k - 1] - t_path[k - 2]))
+        out.append(sec._solve(eps_path[k], guess, every))
+    return np.array(out)
 
 
 def dense_monodromy(spec, phi, rho=1e-4, steps=240):
@@ -647,13 +672,40 @@ class TestMonodromy:
         rep = sw.monodromy(bolo_spec, phi + 0.2)
         assert rep.permutation == tuple(range(7))
 
-    def test_unclosed_loop_raises(self, grover_spec, monkeypatch):
-        def collapsing(self, eps_path, t_path, known):
-            # the loop: every branch ends on the first start value
-            return np.array([known[0], -1j * np.log(self.z(known[0])[0] / self.centers)])
-        monkeypatch.setattr(spectral.SecularFunction, "track", collapsing)
-        with pytest.raises(sw.NumericsError, match="did not close"):
-            sw.monodromy(grover_spec, 0.0)
+    @pytest.mark.parametrize("spec_name", ["grover", "bolo", 1, 2, 3])
+    def test_matches_dense_reference_near_the_loop(self, spec_name):
+        # one family detuned so that its branch point |eps0| ~ (delta/2c)^2 sits at
+        # 0.3..3 rho: swapped inside the loop, in place outside
+        spec = (sw.load_spec(spec_name) if isinstance(spec_name, str)
+                else random_spec(np.random.default_rng(spec_name), arms=3))
+        lam, c, _ = sw.best_target(sw.right_classifications(spec))
+        for ratio in (0.3, 0.7, 1.5, 3.0):
+            phi = sw.detuned_phase(lam, 2.0 * c * math.sqrt(ratio * 1e-4))
+            assert abs(sw.locate_double_root(spec, phi, lam)) / 1e-4 == pytest.approx(ratio, rel=0.05)
+            rep = sw.monodromy(spec, phi)
+            assert sorted(rep.cycle_lengths) == dense_monodromy(spec, phi)
+
+    def test_branch_point_on_the_loop_is_refused(self, grover_spec):
+        # delta = 2c sqrt(rho) puts eps0 = -(delta/2c)^2 within 0.02% of rho
+        phi = sw.detuned_phase(1.0, 0.02)
+        assert abs(sw.locate_double_root(grover_spec, phi, 1.0)) / 1e-4 - 1.0 < 1e-3
+        with pytest.raises(sw.NumericsError, match="within 1% of the loop radius"):
+            sw.monodromy(grover_spec, phi)
+
+    def test_root_claimed_twice_is_refused(self):
+        # right poles e^{+-i eta/2}, eta = 1e-3, and a left pole 5e-3 past the upper one:
+        # both the right pair's and the upper left/right pair's branch points are enclosed
+        eta = 1e-3
+        mu = np.diag([cmath.exp(1j * eta), cmath.exp(-1j * eta), -1.0])
+        v = np.sqrt([0.25, 0.25, 0.5]) - np.eye(3)[0]
+        V = np.eye(3) - 2.0 * np.outer(v, v) / (v @ v)      # its first column: the weights
+        verts = (sw.Vertex("1", ("0->1", "a0->1", "a1->1"), ("1->0", "1->a0", "1->a1"),
+                           np.diag([-1.0, 1.0, 1.0]) @ V @ mu @ V.T),
+                 sw.Vertex("a0", ("1->a0",), ("a0->1",), np.eye(1, dtype=complex)),
+                 sw.Vertex("a1", ("1->a1",), ("a1->1",), np.eye(1, dtype=complex)))
+        spec = sw.SubgraphSpec(verts, "1", ("a0->1", "a1->1", "1->a0", "1->a1"))
+        with pytest.raises(sw.NumericsError, match="meets two roots inside the loop"):
+            sw.monodromy(spec, 2.0 * (0.5 * eta + 5e-3))
 
     def test_random_specs_cycles_at_most_two(self):
         rng = np.random.default_rng(11)
