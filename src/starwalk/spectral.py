@@ -337,12 +337,11 @@ class SecularFunction:
     pole center*e^{i alpha} enters as (1 - i cot((alpha - theta)/2))/2, so a root by
     its pole keeps full relative precision; ' is d/dtheta.  Root k leaves pole k;
     the roots solve the pole-free (1/g_L + a)(1/g_R + b) = T^2: the eigenvalues of
-    U(eps) but the bound.
+    U(eps) but the bound.  A solve takes the requested roots and their co-centred partners.
     """
     poles: np.ndarray        # the two left poles, then the active right eigenvalues
     residues: np.ndarray     # (pole, side): g_L, g_R = sum of residue * mu/(mu - z)
     centers: np.ndarray      # per root, the pole it leaves
-    alpha: np.ndarray        # (root, pole): _offset(pole, center of root)
     fixed: np.ndarray        # bound eigenvalues, with multiplicity
     keys: tuple              # the classification key (lambda0) of each right pole
     contacts: np.ndarray     # (active, dim_right): r_j conj(r_j[0]) per active right vector
@@ -354,6 +353,10 @@ class SecularFunction:
         eps is."""
         e = complex(eps)
         return -2.0 * e, 2.0 * e, 4.0 * (e - e * e)
+
+    def offsets(self, roots) -> np.ndarray:
+        """(root, pole) offsets of every pole from the center of each of ``roots``."""
+        return _offset(self.poles, self.centers[roots, None])
 
     def sides(self, theta, alpha, order: int = 0):
         """([g_L, g_L', ...], [g_R, g_R', ...]) with ``alpha`` = _offset(poles, center)."""
@@ -380,26 +383,27 @@ class SecularFunction:
         like eigendecompose's): v = (U(0) - z)^{-1} (q_1|out> + q_2|0,1>), q = (T g_R,
         -(1 + a g_L)), has v[out] = q_1 sum_+-p 1/(2(p - z)), v[in] = q_1 g_L, right side
         q_2 sum_j r_j conj(r_j[0])/(lambda_j - z); each 1/(mu - z) in ``sides``' offset form."""
-        (gL,), (gR,) = self.sides(theta, self.alpha[roots])
-        inv = (1.0 - 1j / np.tan(0.5 * (self.alpha[roots] - theta[:, None]))) / (2.0 * self.poles)
+        alpha = self.offsets(roots)
+        (gL,), (gR,) = self.sides(theta, alpha)
+        inv = (1.0 - 1j / np.tan(0.5 * (alpha - theta[:, None]))) / (2.0 * self.poles)
         T = collapsed_coefficients(eps)[2]
         q1, q2 = T * gR, -(1.0 + self.changes(eps)[0] * gL)
         return _gauge(np.column_stack((0.5 * q1 * (inv[:, 0] + inv[:, 1]), q1 * gL,
                                        q2[:, None] * (inv[:, 2:] @ self.contacts))).T)
 
-    def _seeds(self, eps) -> np.ndarray:
-        """Small-eps roots from two poles each, the root's own and the nearest of the other side
-        (the sum rule leaves at least one right pole), at offsets (aL, aR) from its center.  By
-        their leading terms -iA/(alpha - theta) and T^2 - ab = 4 eps, the roots solve
+    def _seeds(self, eps, roots) -> np.ndarray:
+        """Small-eps ``roots`` from two poles each, the root's own and the nearest of the other
+        side (the sum rule leaves at least one right pole), at offsets (aL, aR) from its center.
+        By their leading terms -iA/(alpha - theta) and T^2 - ab = 4 eps, the roots solve
         (theta - aL)(theta - aR) + i theta (a A_L + b A_R) = -4 eps A_L A_R + i (a A_L aR +
         b A_R aL).  The root leaving the later pole takes the larger solution, a left one
         within CLUSTER_TOL of its partner the + one; the smaller is C/big."""
         a, b, T2 = self.changes(eps)
-        k = np.arange(len(self.poles))
-        left = k < 2
-        other = np.argmin(np.where(left[:, None] == left, np.inf, np.abs(self.alpha)), axis=1)
-        l, r = np.where(left, k, other), np.where(left, other, k)
-        aL, aR = self.alpha[k, l], self.alpha[k, r]
+        alpha, row = self.offsets(roots), np.arange(len(roots))
+        left, pole_left = roots < 2, np.arange(len(self.poles)) < 2
+        other = np.argmin(np.where(left[:, None] == pole_left, np.inf, np.abs(alpha)), axis=1)
+        l, r = np.where(left, roots, other), np.where(left, other, roots)
+        aL, aR = alpha[row, l], alpha[row, r]
         AL, AR = self.residues[l, 0], self.residues[r, 1]
         B = aL + aR - 1j * (a * AL + b * AR)
         C = aL * aR + 4.0 * eps * AL * AR - 1j * (a * AL * aR + b * AR * aL)
@@ -411,10 +415,11 @@ class SecularFunction:
                                  ((aL > aR) == left) == (big.real >= small.real)), big, small)
 
     def _solve(self, eps, seeds, roots) -> np.ndarray:
-        """Newton on the indices ``roots`` from their ``seeds``; a non-finite iterate raises, as does
-        a correction of half the gap to the nearest other seed: it may have reached its root."""
+        """Newton on ``roots`` from their ``seeds``; a non-finite iterate raises, as does a
+        correction of half the gap to the nearest co-solved seed or pole other than the root's
+        own (those within CLUSTER_TOL of its center): it may have reached another root."""
         a, b, T2 = self.changes(eps)
-        alpha, theta = self.alpha[roots], seeds[roots]
+        alpha, theta = self.offsets(roots), seeds
         with np.errstate(all="ignore"):     # a non-finite iterate raises instead
             for _ in range(NEWTON_MAX):
                 (L, dL), (R, dR) = self.sides(theta, alpha, order=1)
@@ -427,29 +432,32 @@ class SecularFunction:
                     break
             else:
                 raise NumericsError(f"secular roots did not converge at eps={eps:.3e}")
-        z = self.z(seeds)
-        gap = np.where(np.arange(len(z)) == roots[:, None], np.inf, np.abs(z[roots, None] - z))
-        fix = np.abs(self.z(theta, roots) - z[roots])
-        if np.any(fix >= 0.5 * gap.min(axis=1)):
+        z = self.z(seeds, roots)
+        own = np.hstack((np.eye(len(z), dtype=bool), np.abs(alpha) <= CLUSTER_TOL))
+        gap = np.where(own, np.inf, np.abs(z[:, None] - np.hstack((z, self.poles)))).min(axis=1)
+        fix = np.abs(self.z(theta, roots) - z)
+        if np.any(fix >= 0.5 * gap):
             raise NumericsError(f"secular root ambiguous at eps={eps:.3e}: Newton "
                                 f"correction {fix.max():.2e}, root gap {gap.min():.2e}")
         return theta
 
     def roots(self, eps_values, roots=slice(None)) -> np.ndarray:
-        """theta of ``roots`` at each of eps_values in (0, 1), the range of M/N, from one Newton
-        solve of those roots from ``_seeds``; one its seed cannot place (eps >~ 1e-3) raises."""
+        """theta of ``roots`` at each eps in (0, 1), the range of M/N: one Newton solve with
+        their co-centred partners from ``_seeds``; a seed off its basin (eps >~ 1e-3) raises."""
         eps_values = np.asarray(eps_values, dtype=float)
         if not np.all((eps_values > 0) & (eps_values < 1)):
             raise SpecError(f"eps must lie in (0, 1), got {eps_values}")
         roots = np.arange(len(self.poles))[roots]
-        return np.array([self._solve(e, self._seeds(e), roots) for e in eps_values])
+        solved = np.flatnonzero((self.centers[:, None] == self.centers[roots]).any(axis=1))
+        pick = np.searchsorted(solved, roots)
+        return np.array([self._solve(e, self._seeds(e, solved), solved)[pick] for e in eps_values])
 
     def branch_point(self, k: int, l: int) -> tuple[complex, complex]:
         """(theta*, eps0): Newton on s' = 0 from between right pole k and pole l (theta an offset
         from k; halfway, or for a right l where its two-pole law -iA_k/(0 - theta) - iA_l/(delta -
         theta) has s' = 0) to z*, where two roots meet at eps0 = -1/(2 s(z*)).  Coincident poles
         give (0, 0); a non-finite iterate or eps0 (overflow at huge N) raises NumericsError."""
-        center, delta = self.centers[k], self.alpha[k, l]
+        center, delta = self.centers[k], self.offsets(k)[l]
         if delta == 0.0:
             return 0j, 0j
         theta = complex(0.5 * delta)
@@ -476,18 +484,18 @@ def secular_function(spec: SubgraphSpec, phi: float) -> SecularFunction:
     p = cmath.exp(0.5j * phi) * cmath.sqrt(R_L0)
     classes = right_classifications(spec)
     active = [cl for cl in classes if cl.c is not None]
-    poles = np.array([p, -p] + [cl.lambda0 for cl in active], dtype=complex)
+    keys = tuple(cl.lambda0 for cl in active)
+    V, c = np.array([cl.active_vector for cl in active]), np.array([cl.c for cl in active])
+    poles = np.concatenate(([p, -p], keys))
     residues = np.zeros((len(poles), 2), dtype=complex)
     residues[:2, 0] = 0.5 / R_L0
-    residues[2:, 1] = R_R0.conjugate() * np.array([cl.c ** 2 / 2.0 for cl in active])
+    residues[2:, 1] = R_R0.conjugate() * (c * c / 2.0)
     gap = np.abs(poles[:2, None] - poles[2:])
     centers = np.where(gap.min(axis=1) <= CLUSTER_TOL, poles[2 + np.argmin(gap, axis=1)], poles[:2])
-    centers = np.concatenate((centers, poles[2:]))
     return SecularFunction(
-        poles=poles, residues=residues, centers=centers, alpha=_offset(poles, centers[:, None]),
+        poles=poles, residues=residues, centers=np.concatenate((centers, poles[2:])),
         fixed=np.array([cl.lambda0 for cl in classes for _ in range(cl.n_bound)], dtype=complex),
-        keys=tuple(cl.lambda0 for cl in active),
-        contacts=np.array([cl.active_vector * cl.active_vector[0].conjugate() for cl in active]))
+        keys=keys, contacts=V * V[:, :1].conj())
 
 
 def _family(spec: SubgraphSpec, phi: float, cl: RightClassification):
@@ -531,9 +539,10 @@ def monodromy(spec: SubgraphSpec, phi: float) -> MonodromyReport:
         k, l = max(k, l), min(k, l)                     # k is a right pole, or both are left
         if k < 2:
             continue
-        delta, A = sec.alpha[k, l], sec.residues
+        alpha, A = sec.offsets(k), sec.residues
+        delta = alpha[l]
         if l >= 2:
-            (gL,), _ = sec.sides(0.5 * delta, sec.alpha[k])
+            (gL,), _ = sec.sides(0.5 * delta, alpha)
         if (delta * delta > 256.0 * rho * abs(A[l, 0] * A[k, 1]) if l < 2 else
                 abs(delta) > 16.0 * rho * abs((A[k, 1] + A[l, 1]) * (1.0 - 2.0 * gL))):
             continue                                    # leading-order |eps0| beyond 16 rho

@@ -577,29 +577,59 @@ class TestSecularFunction:
         for cl in sw.right_classifications(spec):
             for phi in (cl.phi, cl.phi + 2e-3):
                 sec = sw.secular_function(spec, phi)
-                tracked = track(sec, path, np.sqrt(path), [sec._seeds(path[0])])[[36, 60, 72]]
+                tracked = track(sec, path, np.sqrt(path))[[36, 60, 72]]
                 direct = sec.roots(path[[36, 60, 72]])
                 assert np.max(np.abs(sec.z(direct) - sec.z(tracked))) < 1e-15
 
     def test_root_the_seeds_cannot_place_is_refused(self):
-        # at eps = 1e-3 this family's pair has left the two-pole law's basin
+        # at eps = 1e-3 this family's pair has left the two-pole law's basin, whether every
+        # root, one of the pair or the pair is asked for
         spec = random_spec(np.random.default_rng(3), arms=4)
-        sec = sw.secular_function(spec, sw.right_classifications(spec)[0].phi)
-        with pytest.raises(sw.NumericsError, match="ambiguous"):
-            sec.roots([1e-3])
+        cl = sw.right_classifications(spec)[0]
+        sec, k, moving = spectral._family(spec, cl.phi, cl)
+        for subset in (slice(None), [k], moving):
+            with pytest.raises(sw.NumericsError, match="ambiguous"):
+                sec.roots([1e-3], subset)
 
-    @pytest.mark.parametrize("spec_name", ["grover", "bolo", 1, 2, 3])
-    def test_subset_solve_matches_all_roots(self, spec_name):
-        # Newton on a family's roots alone stops when they converge: the same eigenvalues
-        # to 4 ulp (theta, an offset from its pole, moves by up to 17 ulp of itself)
+    @pytest.mark.parametrize("spec_name, arms", [("grover", 0), ("bolo", 0), (1, 3), (2, 3),
+                                                 (3, 3), (19, 19)],
+                             ids=["grover", "bolo", "1", "2", "3", "19-arms19"])
+    def test_subset_solve_matches_all_roots(self, spec_name, arms):
+        # a family's roots solved without the others stop when they converge: the same
+        # eigenvalues to 4 ulp (theta, an offset from its pole, moves by up to 17 ulp of
+        # itself); 19 arms crowd 40 right poles on the circle
         spec = (sw.load_spec(spec_name) if isinstance(spec_name, str)
-                else random_spec(np.random.default_rng(spec_name), arms=3))
+                else random_spec(np.random.default_rng(spec_name), arms=arms))
         for cl in sw.right_classifications(spec):
             sec, k, moving = spectral._family(spec, cl.phi + 2e-3, cl)
+            every = sec.roots(DEFAULT_EPS_GRID)
             for subset in ([k], moving, moving[::-1]) if k is not None else ():
-                every = sec.z(sec.roots(DEFAULT_EPS_GRID)[:, subset], subset)
-                alone = sec.z(sec.roots(DEFAULT_EPS_GRID, subset), subset)
-                assert np.max(np.abs(alone - every)) <= 4 * np.spacing(1.0)
+                alone = sec.roots(DEFAULT_EPS_GRID, subset)
+                diff = sec.z(alone, subset) - sec.z(every[:, subset], subset)
+                assert np.max(np.abs(diff)) <= 4 * np.spacing(1.0)
+
+    def test_pairing_fit_seeds_only_its_pair(self, monkeypatch):
+        # a paired family's fit seeds its two co-centred roots at each eps, not every root,
+        # and no field keeps a (root x pole) array
+        spec = random_spec(np.random.default_rng(19), arms=19)
+        seeded, seeds = [], sw.SecularFunction._seeds
+
+        def spy(*args):
+            out = seeds(*args)
+            seeded.append(len(out))
+            return out
+
+        monkeypatch.setattr(sw.SecularFunction, "_seeds", spy)
+        fits = 0
+        for cl in sw.right_classifications(spec):
+            seeded.clear()
+            if sw.pairing_fit(spec, cl.phi, cl.lambda0).case == CASE_PAIRED:
+                assert seeded == [2] * len(DEFAULT_EPS_GRID)
+                fits += 1
+        assert fits == 40                       # every family of this spec pairs
+        sec = sw.secular_function(spec, 0.0)
+        assert all(np.shape(getattr(sec, f.name)) != (len(sec.centers), len(sec.poles))
+                   for f in dataclasses.fields(sec))
 
     @pytest.mark.parametrize("name", ["grover", "bolo"])
     def test_failed_solve_is_a_diagnostic_not_a_warning(self, name):
@@ -609,10 +639,12 @@ class TestSecularFunction:
                 sw.secular_function(spec, cl.phi).roots([0.6])
 
 
-def track(sec, eps_path, t_path, known) -> np.ndarray:
-    """theta of every root along eps_path from the ``known`` first points, by Newton from a
-    linear predictor in t: the continuation the direct solve is checked against."""
-    out, every = list(known), np.arange(len(sec.poles))
+def track(sec, eps_path, t_path, known=None) -> np.ndarray:
+    """theta of every root along eps_path from the ``known`` first points (by default the seeds
+    at the first eps), by Newton from a linear predictor in t: the continuation the direct
+    solve is checked against."""
+    every = np.arange(len(sec.poles))
+    out = [sec._seeds(eps_path[0], every)] if known is None else list(known)
     for k in range(len(out), len(eps_path)):
         guess = out[-1] if k == 1 else out[-1] + (out[-1] - out[-2]) * (
             (t_path[k] - t_path[k - 1]) / (t_path[k - 1] - t_path[k - 2]))
