@@ -56,12 +56,6 @@ def _unitarity_residual(m: np.ndarray) -> float:
     return math.sqrt(np.vdot(g, g).real)
 
 
-def _check_unitary(residual: float) -> None:
-    """The one operator unitarity rule: ||U^H U - I||_F <= OPERATOR_UNITARITY_TOL."""
-    if not residual <= OPERATOR_UNITARITY_TOL:      # NaN entries fail here too
-        raise SpecError(f"constructed operator not unitary (residual {residual:.2e})")
-
-
 # ---------------------------------------------------------------------------
 # Subgraph description
 # ---------------------------------------------------------------------------
@@ -336,23 +330,18 @@ def check_phases(phi: float) -> None:
 
 def hub_coefficients(N: int, M: int = 1) -> HubModel:
     """The diffusive hub's coefficients for N edges and M marked copies:
-    r = -1 + 2/N, t = 2/N, and the collapsed ones at eps = M/N."""
+    r = -1 + 2/N, t = 2/N, and the collapsed ones at eps = M/N, checked against the
+    hub's five unitarity identities to 1e-12."""
     check_star(N, M)
-    form = _hub_form(1.0 / N, M / N)
-    _check_hub_invariants(*form, N)
-    return HubModel(*form)
-
-
-def _check_hub_invariants(r, t, R_L, R_R, T, N: int) -> None:
-    """The hub's five unitarity identities to 1e-12, on the (r, t, R_L, R_R, T) of ``_hub_form``."""
-    c1 = abs(abs(r) ** 2 + (N - 1) * abs(t) ** 2 - 1.0)
-    c2 = abs(2.0 * (r.conjugate() * t).real + (N - 2) * abs(t) ** 2)
-    c3 = abs(abs(R_R) ** 2 + abs(T) ** 2 - 1.0)
-    c4 = abs(abs(R_L) ** 2 + abs(T) ** 2 - 1.0)
-    c5 = abs(T ** 2 - R_R * R_L - 1.0)
-    worst = max(c1, c2, c3, c4, c5)
+    r, t, R_L, R_R, T = _hub_form(1.0 / N, M / N)
+    worst = max(abs(abs(r) ** 2 + (N - 1) * abs(t) ** 2 - 1.0),
+                abs(2.0 * (r.conjugate() * t).real + (N - 2) * abs(t) ** 2),
+                abs(abs(R_R) ** 2 + abs(T) ** 2 - 1.0),
+                abs(abs(R_L) ** 2 + abs(T) ** 2 - 1.0),
+                abs(T ** 2 - R_R * R_L - 1.0))
     if not worst <= 1e-12:
         raise NumericsError(f"hub coefficient invariants violated (worst residual {worst:.2e})")
+    return HubModel(r, t, R_L, R_R, T)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +381,8 @@ class UnitaryOperator:
         if res is None:
             res = _unitarity_residual(self.matrix)
             object.__setattr__(self, "residual", res)
-        _check_unitary(res)
+        if not res <= OPERATOR_UNITARITY_TOL:      # NaN entries fail here too
+            raise SpecError(f"constructed operator not unitary (residual {res:.2e})")
 
     def step(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
@@ -472,18 +462,19 @@ def build_collapsed(spec: SubgraphSpec, hub: HubModel, phi: float) -> UnitaryOpe
 
     Its unitarity residual is exact from the block structure: the spec's
     vertex part (kept per spec) plus the hub part in closed form, with no
-    O(d^3) product.
+    O(d^3) product.  A real walk (real vertex columns, e^{i phi} and hub
+    coefficients, such as grover and bolo at phi = 0) has a float64 matrix.
     """
     check_phases(phi)
     reflect = cmath.exp(1j * phi)
-    U = _assemble(spec.vertex_columns, reflect, hub.R_L, hub.R_R, hub.T)
-    return UnitaryOperator(U, spec.basis,
-                           _collapsed_residual(spec, hub.R_L, hub.R_R, hub.T, reflect))
-
-
-def _collapsed_residual(spec: SubgraphSpec, R_L, R_R, T, reflect: complex) -> float:
-    """||U^H U - I||_F of a collapsed operator: the spec's vertex part plus the hub's."""
-    return math.sqrt(spec._vertex_residual_sq + _hub_residual_sq(R_L, R_R, T, reflect))
+    coeffs = (hub.R_L, hub.R_R, hub.T)
+    real = spec._real_columns
+    if real is not None and reflect.imag == 0.0 and all(isinstance(h, float) for h in coeffs):
+        U = _assemble(real, reflect.real, *coeffs)
+    else:
+        U = _assemble(spec.vertex_columns, reflect, *coeffs)
+    residual = math.sqrt(spec._vertex_residual_sq + _hub_residual_sq(*coeffs, reflect))
+    return UnitaryOperator(U, spec.basis, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +579,9 @@ def evolve(U: UnitaryOperator | FullWalk, s: StateVector, m: int) -> StateVector
     """m time steps (m >= 0).
 
     A dense operator is applied by ``_power``, which also refuses a walk whose
-    operator is too far from unitary for m steps; the matrix-free full walk
+    operator is too far from unitary for m steps: a float64 one (a real walk's)
+    squares in float64 from a real start, whose result is cast to complex, and
+    is cast to complex itself for a complex start.  The matrix-free full walk
     steps m times.  Raises NumericsError when the norm drifts by more than
     NORM_DRIFT_TOL (relative): the result would be silently wrong.
     """
@@ -601,31 +594,11 @@ def evolve(U: UnitaryOperator | FullWalk, s: StateVector, m: int) -> StateVector
         for _ in range(m):
             amp = U.step(amp)
         _check_drift(s.amplitudes, amp, m)
+    elif U.matrix.dtype == complex or s.amplitudes.imag.any():
+        amp = _power(U.matrix.astype(complex, copy=False), s.amplitudes, m, U.residual)
     else:
-        amp = _power(U.matrix, s.amplitudes, m, U.residual)
+        amp = _power(U.matrix, s.amplitudes.real, m, U.residual).astype(complex)
     return StateVector(amplitudes=amp, basis=s.basis)
-
-
-def _walk(spec: SubgraphSpec, N: int, M: int, phi: float, x: np.ndarray, m: int) -> np.ndarray:
-    """U^m x for the collapsed walk at (N, M, phi).
-
-    The one propagation of a search and of a detuning sweep: it checks what
-    ``hub_coefficients``, ``build_collapsed`` and ``evolve`` check, with the
-    unitarity residual in closed form.  A real walk (real vertex columns,
-    e^{i phi} and x) squares in float64 and is cast to complex at the end.
-    """
-    check_star(N, M)
-    check_phases(phi)
-    r, t, R_L, R_R, T = _hub_form(1.0 / N, M / N)
-    _check_hub_invariants(r, t, R_L, R_R, T, N)
-    reflect = cmath.exp(1j * phi)
-    residual = _collapsed_residual(spec, R_L, R_R, T, reflect)
-    _check_unitary(residual)
-    real = spec._real_columns
-    if real is not None and reflect.imag == 0.0 and not x.imag.any():
-        U = _assemble(real, reflect.real, R_L, R_R, T)     # the hub's are floats
-        return _power(U, x.real, m, residual).astype(complex)
-    return _power(_assemble(spec.vertex_columns, reflect, R_L, R_R, T), x, m, residual)
 
 
 def _power(matrix: np.ndarray, x: np.ndarray, m: int, residual: float) -> np.ndarray:

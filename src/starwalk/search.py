@@ -10,8 +10,8 @@ m = floor(pi*sqrt(N/M)/(2c)) steps, and read out the mass on the marked edge.
 The search target, everything of a search that does not depend on N or M
 (lambda0, c, phi, branch, the active vector r0, the predicted success and the
 start's |in> factor), is the family's ``RightClassification``, kept on the spec;
-the detuning analysis reads the same record.  The walk itself is
-``graph._walk``, the one propagation of the collapsed operator.
+the detuning analysis reads the same record.  The walk itself is the one way
+to evolve a state: ``hub_coefficients`` -> ``build_collapsed`` -> ``evolve``.
 """
 from __future__ import annotations
 
@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SpecError, StateVector, SubgraphSpec, _walk, check_star
+from .graph import (SpecError, StateVector, SubgraphSpec, build_collapsed, check_star, evolve,
+                    hub_coefficients)
 from .spectral import (RightClassification, _alpha, best_target, classify_right,
                        right_classifications)
 
@@ -107,16 +108,16 @@ def plan_search(spec: SubgraphSpec, N: int, M: int = 1, lambda0="auto") -> Searc
 def run_search(plan: SearchPlan, spec: SubgraphSpec) -> SearchResult:
     """Evolve the planned initial state m steps and report the mass split.
 
-    The walk is ``graph._walk`` at the plan's (N, M, phi), with its checks.  It
-    depends on the plan's fields only: a real walk (a real spec at phi = 0 from
-    a real start, such as grover and bolo at lambda0 = +-1) squares in float64.
+    The walk is ``evolve`` on ``build_collapsed`` at the plan's (N, M, phi), with
+    their checks.  It depends on the plan's fields only: a real walk (a real spec
+    at phi = 0 from a real start, such as grover and bolo at lambda0 = +-1)
+    squares in float64.
     """
-    start = plan.initial
-    if start.basis is not spec.basis and start.basis != spec.basis:
-        raise SpecError("operator/state basis mismatch")
-    a = _walk(spec, plan.N, plan.M, plan.phi, start.amplitudes, plan.m)
+    U = build_collapsed(spec, hub_coefficients(plan.N, plan.M), plan.phi)
+    final = evolve(U, plan.initial, plan.m)
+    a = final.amplitudes
     p = (np.abs(a) ** 2).tolist()
-    return SearchResult(final_state=StateVector(a, start.basis), p_marked=p[2] + p[3],
+    return SearchResult(final_state=final, p_marked=p[2] + p[3],
                         p_null=sum(p[4:], 0.0), p_unmarked=p[0] + p[1],
                         overlap_r0=abs(complex(np.vdot(plan.r0, a))) ** 2)
 

@@ -350,8 +350,8 @@ class SecularFunction:
     def changes(eps):
         """(a, b, T^2) = (-2eps, 2eps, 4(eps - eps^2)): T enters squared, so no branch of
         sqrt(eps - eps^2) is chosen, and a, b keep full relative precision however small
-        eps is."""
-        e = complex(eps)
+        eps is.  ``eps`` may be an array."""
+        e = np.asarray(eps, dtype=complex)
         return -2.0 * e, 2.0 * e, 4.0 * (e - e * e)
 
     def offsets(self, roots) -> np.ndarray:
@@ -391,15 +391,17 @@ class SecularFunction:
         return _gauge(np.column_stack((0.5 * q1 * (inv[:, 0] + inv[:, 1]), q1 * gL,
                                        q2[:, None] * (inv[:, 2:] @ self.contacts))).T)
 
-    def _seeds(self, eps, roots) -> np.ndarray:
-        """Small-eps ``roots`` from two poles each, the root's own and the nearest of the other
-        side (the sum rule leaves at least one right pole), at offsets (aL, aR) from its center.
-        By their leading terms -iA/(alpha - theta) and T^2 - ab = 4 eps, the roots solve
-        (theta - aL)(theta - aR) + i theta (a A_L + b A_R) = -4 eps A_L A_R + i (a A_L aR +
-        b A_R aL).  The root leaving the later pole takes the larger solution, a left one
-        within CLUSTER_TOL of its partner the + one; the smaller is C/big."""
+    def _seeds(self, eps, alpha, roots) -> np.ndarray:
+        """Small-eps ``roots``, a row per eps, from two poles each, the root's own and the
+        nearest of the other side (the sum rule leaves at least one right pole), at offsets
+        (aL, aR) in ``alpha`` = offsets(roots).  By their leading terms -iA/(alpha - theta)
+        and T^2 - ab = 4 eps, the roots solve (theta - aL)(theta - aR) + i theta (a A_L +
+        b A_R) = -4 eps A_L A_R + i (a A_L aR + b A_R aL).  The root leaving the later pole
+        takes the larger solution, a left one within CLUSTER_TOL of its partner the + one;
+        the smaller is C/big."""
+        eps = eps[:, None]
         a, b, T2 = self.changes(eps)
-        alpha, row = self.offsets(roots), np.arange(len(roots))
+        row = np.arange(len(roots))
         left, pole_left = roots < 2, np.arange(len(self.poles)) < 2
         other = np.argmin(np.where(left[:, None] == pole_left, np.inf, np.abs(alpha)), axis=1)
         l, r = np.where(left, roots, other), np.where(left, other, roots)
@@ -414,43 +416,53 @@ class SecularFunction:
         return np.where(np.where(np.abs(aL - aR) <= CLUSTER_TOL, left == up,
                                  ((aL > aR) == left) == (big.real >= small.real)), big, small)
 
-    def _solve(self, eps, seeds, roots) -> np.ndarray:
-        """Newton on ``roots`` from their ``seeds``; a non-finite iterate raises, as does a
-        correction of half the gap to the nearest co-solved seed or pole other than the root's
-        own (those within CLUSTER_TOL of its center): it may have reached another root."""
-        a, b, T2 = self.changes(eps)
-        alpha, theta = self.offsets(roots), seeds
+    def _solve(self, eps, seeds, alpha, roots) -> np.ndarray:
+        """Newton on ``roots`` from their ``seeds``, a row per eps, each row until it
+        converges; a non-finite iterate raises, as does a correction of half the gap to the
+        nearest co-solved seed or pole other than the root's own (those within CLUSTER_TOL of
+        its center): it may have reached another root."""
+        a, b, T2 = self.changes(eps[:, None])
+        theta, todo = seeds.copy(), np.arange(len(eps))
         with np.errstate(all="ignore"):     # a non-finite iterate raises instead
             for _ in range(NEWTON_MAX):
-                (L, dL), (R, dR) = self.sides(theta, alpha, order=1)
-                qL, qR = 1.0 / L + a, 1.0 / R + b
-                F = qL * qR - T2
-                theta = theta + F / (dL / (L * L) * qR + qL * dR / (R * R))
-                if not np.all(np.isfinite(theta)):
-                    raise NumericsError(f"secular root Newton diverged at eps={eps:.3e}")
-                if np.all(np.abs(F) <= NEWTON_TOL * (np.abs(qL * qR) + abs(T2))):
+                (L, dL), (R, dR) = self.sides(theta[todo], alpha, order=1)
+                qL, qR = 1.0 / L + a[todo], 1.0 / R + b[todo]
+                F = qL * qR - T2[todo]
+                theta[todo] += F / (dL / (L * L) * qR + qL * dR / (R * R))
+                finite = np.isfinite(theta[todo]).all(axis=1)
+                if not finite.all():
+                    raise NumericsError(f"secular root Newton diverged at "
+                                        f"eps={eps[todo[~finite][0]]:.3e}")
+                done = np.abs(F) <= NEWTON_TOL * (np.abs(qL * qR) + np.abs(T2[todo]))
+                todo = todo[~done.all(axis=1)]
+                if not len(todo):
                     break
             else:
-                raise NumericsError(f"secular roots did not converge at eps={eps:.3e}")
+                raise NumericsError(f"secular roots did not converge at eps={eps[todo[0]]:.3e}")
         z = self.z(seeds, roots)
-        own = np.hstack((np.eye(len(z), dtype=bool), np.abs(alpha) <= CLUSTER_TOL))
-        gap = np.where(own, np.inf, np.abs(z[:, None] - np.hstack((z, self.poles)))).min(axis=1)
+        own = np.hstack((np.eye(len(roots), dtype=bool), np.abs(alpha) <= CLUSTER_TOL))
+        near = np.concatenate((z, np.broadcast_to(self.poles, (len(z), len(self.poles)))), axis=1)
+        gap = np.where(own, np.inf, np.abs(z[:, :, None] - near[:, None, :])).min(axis=2)
         fix = np.abs(self.z(theta, roots) - z)
-        if np.any(fix >= 0.5 * gap):
-            raise NumericsError(f"secular root ambiguous at eps={eps:.3e}: Newton "
-                                f"correction {fix.max():.2e}, root gap {gap.min():.2e}")
+        failed = np.flatnonzero((fix >= 0.5 * gap).any(axis=1))
+        if len(failed):
+            e = failed[0]
+            raise NumericsError(f"secular root ambiguous at eps={eps[e]:.3e}: Newton "
+                                f"correction {fix[e].max():.2e}, root gap {gap[e].min():.2e}")
         return theta
 
     def roots(self, eps_values, roots=slice(None)) -> np.ndarray:
-        """theta of ``roots`` at each eps in (0, 1), the range of M/N: one Newton solve with
-        their co-centred partners from ``_seeds``; a seed off its basin (eps >~ 1e-3) raises."""
+        """theta of ``roots`` at each eps in (0, 1), the range of M/N: one Newton solve over
+        every eps with their co-centred partners from ``_seeds``; a seed off its basin
+        (eps >~ 1e-3) raises."""
         eps_values = np.asarray(eps_values, dtype=float)
         if not np.all((eps_values > 0) & (eps_values < 1)):
             raise SpecError(f"eps must lie in (0, 1), got {eps_values}")
         roots = np.arange(len(self.poles))[roots]
         solved = np.flatnonzero((self.centers[:, None] == self.centers[roots]).any(axis=1))
-        pick = np.searchsorted(solved, roots)
-        return np.array([self._solve(e, self._seeds(e, solved), solved)[pick] for e in eps_values])
+        alpha = self.offsets(solved)
+        theta = self._solve(eps_values, self._seeds(eps_values, alpha, solved), alpha, solved)
+        return theta[:, np.searchsorted(solved, roots)]
 
     def branch_point(self, k: int, l: int) -> tuple[complex, complex]:
         """(theta*, eps0): Newton on s' = 0 from between right pole k and pole l (theta an offset
@@ -480,8 +492,13 @@ class SecularFunction:
 def secular_function(spec: SubgraphSpec, phi: float) -> SecularFunction:
     """The secular function at reflector phase phi; its eps is M/N, as in the search."""
     check_phases(phi)
+    return _secular_function(spec, cmath.exp(0.5j * phi))
+
+
+def _secular_function(spec: SubgraphSpec, half: complex) -> SecularFunction:
+    """``secular_function`` at the phase whose e^{i phi/2} is ``half``."""
     R_L0, R_R0, _ = collapsed_coefficients(0.0)
-    p = cmath.exp(0.5j * phi) * cmath.sqrt(R_L0)
+    p = half * cmath.sqrt(R_L0)
     classes = right_classifications(spec)
     active = [cl for cl in classes if cl.c is not None]
     keys = tuple(cl.lambda0 for cl in active)
@@ -500,8 +517,11 @@ def secular_function(spec: SubgraphSpec, phi: float) -> SecularFunction:
 
 def _family(spec: SubgraphSpec, phi: float, cl: RightClassification):
     """(sec, k, roots): the secular function at phi, the index k of the right pole of
-    ``cl``'s family and the roots centred on it; a bound-only family has none of either."""
-    sec = secular_function(spec, phi)
+    ``cl``'s family and the roots centred on it; a bound-only family has none of either.
+    At the family's matched phase its branch's left pole is exactly lambda0, so the pair
+    meets at eps = 0 exactly (e^{i phi/2} of the float phi is ~1e-16 off)."""
+    sec = (_secular_function(spec, cl.branch * cl.lambda0) if phi == cl.phi
+           else secular_function(spec, phi))
     k = None if cl.c is None else 2 + sec.keys.index(cl.lambda0)
     return sec, k, np.arange(0) if k is None else np.flatnonzero(sec.centers == sec.poles[k])
 

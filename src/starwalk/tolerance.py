@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SpecError, SubgraphSpec, _walk, check_star
+from .graph import (SpecError, StateVector, SubgraphSpec, build_collapsed, check_star, evolve,
+                    hub_coefficients)
 from .search import _search_target
 from .spectral import _family, embed_left, left_active, matched_phi
 
@@ -106,13 +107,15 @@ def tolerance_sweep(spec: SubgraphSpec, N: int, M: int, lambda0: complex,
 
     Success here is |<r0|U^m|l0>|^2 — the quantity the tuning theory bounds —
     recorded on both the naive and the compensated schedule.  (lambda0, c,
-    branch, r0) come from the search target; the walk is ``graph._walk``.  A
-    detuning is a phase: it is reduced mod 2pi to [-pi, pi] and reported so,
-    but from ``PHASE_UNRESOLVED`` up, where a float names no phase, kept.
+    branch, r0) come from the search target.  Each detuning builds one operator
+    (``build_collapsed``) and ``evolve``s |l0> on it twice: the compensated
+    schedule, then the rest of the naive one.  A detuning is a phase: it is
+    reduced mod 2pi to [-pi, pi] and reported so, but from ``PHASE_UNRESOLVED``
+    up, where a float names no phase, kept.
     """
     target = _search_target(spec, lambda0)
     lam0, c, r0 = target.lambda0, target.c, target.r0
-    check_star(N, M)
+    hub = hub_coefficients(N, M)
     eps = M / N
 
     deltas = [float(delta) for delta in delta_grid]
@@ -127,15 +130,16 @@ def tolerance_sweep(spec: SubgraphSpec, N: int, M: int, lambda0: complex,
         t = tuning_t(delta, c, N, M)
         m_naive = math.floor(math.pi / (2.0 * c * math.sqrt(eps)))
         m_comp = math.floor(math.pi / (2.0 * c * math.sqrt((1.0 + t) * eps)))
-        l0 = embed_left(left_active(phi, target.branch), spec.dim_collapsed)
-        psi_comp = _walk(spec, N, M, phi, l0, m_comp)     # t >= 0, so m_comp <= m_naive
-        psi_naive = _walk(spec, N, M, phi, psi_comp, m_naive - m_comp)
+        U = build_collapsed(spec, hub, phi)
+        l0 = StateVector(embed_left(left_active(phi, target.branch), spec.dim_collapsed), U.basis)
+        comp = evolve(U, l0, m_comp)        # t >= 0, so m_comp <= m_naive
+        naive = evolve(U, comp, m_naive - m_comp)
         eps0 = locate_double_root(spec, phi, lam0) if locate_eps0 else complex("nan")
         profiles.append(ToleranceProfile(
             N=int(N), M=int(M), delta=delta, t=t, epsilon0=eps0,
             m_naive=m_naive, m_compensated=m_comp,
-            P_measured_naive=float(abs(np.vdot(r0, psi_naive)) ** 2),
-            P_measured_comp=float(abs(np.vdot(r0, psi_comp)) ** 2),
+            P_measured_naive=float(abs(np.vdot(r0, naive.amplitudes)) ** 2),
+            P_measured_comp=float(abs(np.vdot(r0, comp.amplitudes)) ** 2),
             P_predicted_naive=predicted_success_naive(t),
             P_predicted_comp=predicted_success_compensated(t),
             extrapolated=extrapolated,

@@ -168,6 +168,26 @@ class TestBuildCollapsed:
         assert U.shape == (7, 7)
         assert np.linalg.norm(U.conj().T @ U - np.eye(7)) < 1e-12
 
+    def test_real_walk_operator_is_float64(self, bolo_spec):
+        # real vertex columns, e^{i phi} and hub: float64, the same entries as complex
+        hub = sw.hub_coefficients(10 ** 6)
+        U = sw.build_collapsed(bolo_spec, hub, 0.0)
+        assert U.matrix.dtype == np.float64
+        assert np.array_equal(U.matrix, sw.collapsed_matrix(bolo_spec, 1e-6, 0.0))
+        turned = sw.HubModel(*(complex(h) for h in dataclasses.astuple(hub)))
+        complex_entry = random_spec(np.random.default_rng(1), arms=1)
+        for spec, h, phi in ((bolo_spec, hub, 0.4), (bolo_spec, turned, 0.0),
+                             (complex_entry, hub, 0.0)):
+            assert sw.build_collapsed(spec, h, phi).matrix.dtype == complex
+        # a complex start walks the complex cast of the operator; a real one squares in float64
+        cast = sw.UnitaryOperator(U.matrix.astype(complex), U.basis, U.residual)
+        s = random_collapsed_state(np.random.default_rng(5), bolo_spec)
+        assert np.array_equal(sw.evolve(U, s, 999).amplitudes, sw.evolve(cast, s, 999).amplitudes)
+        real = sw.StateVector(s.amplitudes.real.astype(complex), s.basis)
+        out = sw.evolve(U, real, 999).amplitudes
+        assert out.dtype == complex and not out.imag.any()
+        assert np.max(np.abs(out - sw.evolve(cast, real, 999).amplitudes)) <= 2e-15
+
     def test_basis_ordering_contract(self, bolo_spec):
         assert graph.RESERVED_LABELS == ("out", "in", "0->1", "1->0")
         assert bolo_spec.basis == sw.EdgeBasis(bolo_spec.interior)

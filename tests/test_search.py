@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import starwalk as sw
-from starwalk import graph, search, spectral
+from starwalk import graph, search, spectral, tolerance
 from starwalk.graph import IN, MARKED_IN, MARKED_OUT, OUT
 from starwalk.spectral import embed_left, embed_right
 
@@ -316,7 +316,7 @@ class TestRunSearch:
 
 
 def _public_composition(plan, spec):
-    """run_search's walk, composed from the public graph functions."""
+    """run_search's walk, composed by hand from the public graph functions."""
     U = sw.build_collapsed(spec, sw.hub_coefficients(plan.N, M=plan.M), plan.phi)
     return sw.evolve(U, plan.initial, plan.m).amplitudes
 
@@ -335,7 +335,25 @@ def power_dtypes(monkeypatch) -> list:
 
 
 class TestStepTemplate:
-    """run_search through graph._walk against the public composition."""
+    """run_search is hub_coefficients -> build_collapsed -> evolve, the one way to evolve a
+    state; a real walk's operator is float64 and squares in float64 from a real start."""
+
+    def test_one_evolve_per_search_and_two_per_detuning(self, bolo_spec, monkeypatch):
+        calls = []
+        real = graph.evolve
+
+        def spy(U, s, m):
+            calls.append(m)
+            return real(U, s, m)
+        for module in (graph, search, tolerance):
+            monkeypatch.setattr(module, "evolve", spy)
+        plan = sw.plan_search(bolo_spec, 10 ** 6, M=3)
+        sw.run_search(plan, bolo_spec)
+        assert calls == [plan.m]
+        calls.clear()
+        rows = sw.tolerance_sweep(bolo_spec, 10 ** 6, 3, plan.lambda0, [0.0, 0.01, -0.3],
+                                  locate_eps0=False)
+        assert calls == [m for r in rows for m in (r.m_compensated, r.m_naive - r.m_compensated)]
 
     @pytest.mark.parametrize("arms", [1, 2, 3])
     def test_complex_walks_are_bitwise_the_public_composition(self, arms, power_dtypes):

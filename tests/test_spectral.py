@@ -608,6 +608,19 @@ class TestSecularFunction:
                 diff = sec.z(alone, subset) - sec.z(every[:, subset], subset)
                 assert np.max(np.abs(diff)) <= 4 * np.spacing(1.0)
 
+    @pytest.mark.parametrize("spec_name, arms", [("bolo", 0), (1, 3), (19, 19)],
+                             ids=["bolo", "1", "19-arms19"])
+    def test_every_eps_is_solved_as_if_alone(self, spec_name, arms):
+        # the eps of one call share a Newton solve, and a row stops when it converges:
+        # bitwise the roots of one call per eps
+        spec = (sw.load_spec(spec_name) if isinstance(spec_name, str)
+                else random_spec(np.random.default_rng(spec_name), arms=arms))
+        lam = sw.best_target(sw.right_classifications(spec))[0]
+        for phi in (sw.matched_phi(lam)[0], 0.3):
+            sec = sw.secular_function(spec, phi)
+            alone = [sec.roots([e])[0] for e in DEFAULT_EPS_GRID]
+            assert np.array_equal(sec.roots(DEFAULT_EPS_GRID), alone)
+
     def test_pairing_fit_seeds_only_its_pair(self, monkeypatch):
         # a paired family's fit seeds its two co-centred roots at each eps, not every root,
         # and no field keeps a (root x pole) array
@@ -616,7 +629,7 @@ class TestSecularFunction:
 
         def spy(*args):
             out = seeds(*args)
-            seeded.append(len(out))
+            seeded.extend(len(row) for row in out)      # one row per eps
             return out
 
         monkeypatch.setattr(sw.SecularFunction, "_seeds", spy)
@@ -637,6 +650,9 @@ class TestSecularFunction:
         for cl in sw.right_classifications(spec):
             with pytest.raises(sw.NumericsError, match="secular root"):
                 sw.secular_function(spec, cl.phi).roots([0.6])
+            # next to an eps that solves, the message names the one that failed
+            with pytest.raises(sw.NumericsError, match="secular root.* at eps=6.000e-01"):
+                sw.secular_function(spec, cl.phi).roots([1e-6, 0.6])
 
 
 def track(sec, eps_path, t_path, known=None) -> np.ndarray:
@@ -644,11 +660,12 @@ def track(sec, eps_path, t_path, known=None) -> np.ndarray:
     at the first eps), by Newton from a linear predictor in t: the continuation the direct
     solve is checked against."""
     every = np.arange(len(sec.poles))
-    out = [sec._seeds(eps_path[0], every)] if known is None else list(known)
+    alpha = sec.offsets(every)
+    out = [sec._seeds(eps_path[:1], alpha, every)[0]] if known is None else list(known)
     for k in range(len(out), len(eps_path)):
         guess = out[-1] if k == 1 else out[-1] + (out[-1] - out[-2]) * (
             (t_path[k] - t_path[k - 1]) / (t_path[k - 1] - t_path[k - 2]))
-        out.append(sec._solve(eps_path[k], guess, every))
+        out.append(sec._solve(eps_path[k:k + 1], guess[None], alpha, every)[0])
     return np.array(out)
 
 
@@ -738,6 +755,23 @@ class TestMonodromy:
         spec = sw.SubgraphSpec(verts, "1", ("a0->1", "a1->1", "1->a0", "1->a1"))
         with pytest.raises(sw.NumericsError, match="meets two roots inside the loop"):
             sw.monodromy(spec, 2.0 * (0.5 * eta + 5e-3))
+
+    def test_critical_point_off_its_arc_is_refused(self, bolo_spec, monkeypatch):
+        # a left pole between right poles e^{+-i eta/2}: on its arc to the lower one there is
+        # no real critical point, and Newton from the midpoint crosses the left pole
+        eta = 1e-2
+        phi = 0.2 * eta
+        half = cmath.exp(0.5j * phi)
+        poles = np.array([half, -half, cmath.exp(0.5j * eta), cmath.exp(-0.5j * eta), -1.0])
+        residues = np.zeros((5, 2), dtype=complex)
+        residues[:2, 0] = 0.5
+        residues[2:, 1] = -0.25, -0.25, -0.5
+        sec = sw.SecularFunction(poles=poles, residues=residues, centers=poles,
+                                 fixed=np.zeros(0, dtype=complex), keys=tuple(poles[2:]),
+                                 contacts=np.zeros((3, 3), dtype=complex))
+        monkeypatch.setattr(spectral, "secular_function", lambda spec, phi: sec)
+        with pytest.raises(sw.NumericsError, match="poles 3 and 0 left their arc"):
+            sw.monodromy(bolo_spec, phi)
 
     def test_random_specs_cycles_at_most_two(self):
         rng = np.random.default_rng(11)

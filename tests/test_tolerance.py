@@ -74,6 +74,20 @@ class TestLocateDoubleRoot:
             eps0 = sw.locate_double_root(spec, phi, lam)
             assert abs(eps0) < 1e-8
 
+    def test_zero_detuning_is_exactly_zero_on_every_family(self):
+        # a complex lambda0's matched phase is a float whose e^{i phi/2} misses lambda0 by
+        # ~1e-16; the family's own left pole is lambda0 itself, so no drift is left over
+        specs = [sw.load_spec("bolo"), sw.load_spec("grover")]
+        specs += [random_spec(np.random.default_rng(s), arms=3) for s in range(1, 6)]
+        families = 0
+        for spec in specs:
+            for cl in sw.right_classifications(spec):
+                if cl.c is not None:
+                    phi = sw.detuned_phase(cl.lambda0, 0.0)
+                    assert sw.locate_double_root(spec, phi, cl.lambda0) == 0, cl.lambda0
+                    families += 1
+        assert families == 40 + 4 + 2       # the seeded specs', bolo's and grover's
+
     @pytest.mark.parametrize("delta", [0.02, 0.05, 0.1])
     def test_closed_form(self, grover_spec, delta):
         """For the two-state attachment the drifted double root has the exact
