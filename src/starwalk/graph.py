@@ -612,8 +612,6 @@ def _power(matrix: np.ndarray, x: np.ndarray, m: int, residual: float) -> np.nda
     e^{+-1/2} (and its powers can overflow), norm-conserving or not.  Then
     the norm-drift check.  A float64 matrix and state stay float64.
     """
-    if m < 0:
-        raise ValueError("step count must be nonnegative")
     if not m * residual < 1.0:
         raise NumericsError(f"{m:.3g} steps times the operator's unitarity residual "
                             f"{residual:.2e} is {m * residual:.2e}, not below 1: the "

@@ -515,13 +515,14 @@ def _secular_function(spec: SubgraphSpec, half: complex) -> SecularFunction:
         keys=keys, contacts=V * V[:, :1].conj())
 
 
-def _family(spec: SubgraphSpec, phi: float, cl: RightClassification):
-    """(sec, k, roots): the secular function at phi, the index k of the right pole of
-    ``cl``'s family and the roots centred on it; a bound-only family has none of either.
-    At the family's matched phase its branch's left pole is exactly lambda0, so the pair
-    meets at eps = 0 exactly (e^{i phi/2} of the float phi is ~1e-16 off)."""
-    sec = (_secular_function(spec, cl.branch * cl.lambda0) if phi == cl.phi
-           else secular_function(spec, phi))
+def _family(spec: SubgraphSpec, cl: RightClassification, delta: float):
+    """(sec, k, roots): the secular function with the left pole of ``cl``'s branch at
+    lambda0*e^{i delta} (lambda0 itself at delta = 0, so the pair meets at eps = 0 exactly),
+    the index k of the right pole of ``cl``'s family and the roots centred on it; a
+    bound-only family has none of either.  A phi enters as delta = (phi - cl.phi)/2."""
+    if not math.isfinite(delta):
+        raise SpecError(f"detuning delta = (phi - phi0)/2 must be finite, got {delta!r}")
+    sec = _secular_function(spec, cl.branch * cl.lambda0 * cmath.exp(1j * delta))
     k = None if cl.c is None else 2 + sec.keys.index(cl.lambda0)
     return sec, k, np.arange(0) if k is None else np.flatnonzero(sec.centers == sec.poles[k])
 
@@ -620,7 +621,7 @@ def pairing_fit(spec: SubgraphSpec, phi: float, lambda0: complex) -> PairingFit:
     |lambda+- - lambda0 e^{+-ic sqrt(eps)}| is >= 0.9 for a genuine O(eps) remainder.
     """
     cl = classify_right(spec, lambda0)
-    sec, _, moving = _family(spec, phi, cl)
+    sec, _, moving = _family(spec, cl, 0.5 * (phi - cl.phi))
     balanced = abs(cl.lambda0 ** 2 + cmath.exp(1j * phi)) < 1e-9
     if balanced:
         logger.warning("lambda0^2 + e^{i phi} = 0 at lambda0=%s: no net probability "
@@ -653,7 +654,7 @@ def paired_vectors(spec: SubgraphSpec, phi: float, lambda0: complex, eps: float)
     phase offset from lambda0.
     """
     cl = classify_right(spec, lambda0)
-    sec, _, moving = _family(spec, phi, cl)
+    sec, _, moving = _family(spec, cl, 0.5 * (phi - cl.phi))
     if len(moving) < 2:
         raise ValueError(f"lambda0={cl.lambda0} is a singleton family: nothing pairs")
     theta = sec.roots([eps], moving)[0]

@@ -86,14 +86,14 @@ def predicted_success_compensated(t: float) -> float:
 # Double-root drift
 # ---------------------------------------------------------------------------
 
-def locate_double_root(spec: SubgraphSpec, phi: float, lambda0: complex) -> complex:
+def locate_double_root(spec: SubgraphSpec, lambda0: complex, delta: float) -> complex:
     """Complex eps at which the two branches of the lambda0 family merge: the critical point
     of the secular function between lambda0 and the left pole lambda0*e^{i delta} on the
     search target's branch (``SecularFunction.branch_point``); delta = 0 gives 0.  A
     constant family raises SpecError, a failed Newton NumericsError."""
     target = _search_target(spec, lambda0)
-    sec, k, _ = _family(spec, phi, target)
-    # the left poles are e^{i phi/2} (branch +1, poles[0]) and -e^{i phi/2} (poles[1])
+    sec, k, _ = _family(spec, target, delta)
+    # the left poles are +-branch*lambda0*e^{i delta}: the branch's own is poles[0] on +1
     return sec.branch_point(k, (1 - target.branch) // 2)[1]
 
 
@@ -134,7 +134,7 @@ def tolerance_sweep(spec: SubgraphSpec, N: int, M: int, lambda0: complex,
         l0 = StateVector(embed_left(left_active(phi, target.branch), spec.dim_collapsed), U.basis)
         comp = evolve(U, l0, m_comp)        # t >= 0, so m_comp <= m_naive
         naive = evolve(U, comp, m_naive - m_comp)
-        eps0 = locate_double_root(spec, phi, lam0) if locate_eps0 else complex("nan")
+        eps0 = locate_double_root(spec, lam0, delta) if locate_eps0 else complex("nan")
         profiles.append(ToleranceProfile(
             N=int(N), M=int(M), delta=delta, t=t, epsilon0=eps0,
             m_naive=m_naive, m_compensated=m_comp,
@@ -157,9 +157,9 @@ def paired_mix_angle(spec: SubgraphSpec, N: int, M: int, lambda0: complex,
     """
     check_star(N, M)
     target = _search_target(spec, lambda0)
-    phi = detuned_phase(target.lambda0, delta)
-    sec, k, _ = _family(spec, phi, target)
+    l0 = left_active(detuned_phase(target.lambda0, delta), target.branch)
+    sec, k, _ = _family(spec, target, delta)
     v = sec.vectors(M / N, sec.roots([M / N], [k])[0], [k])[:, 0]
-    left = abs(np.vdot(left_active(phi, target.branch), v[:2])) ** 2
+    left = abs(np.vdot(l0, v[:2])) ** 2
     right = abs(np.vdot(target.active_vector, v[2:])) ** 2
     return float(4.0 * left * right / (left + right) ** 2)

@@ -206,14 +206,14 @@ def test_c09_tolerance_boundary(grover_spec):
 
 
 def test_c10_double_root_drift(grover_spec):
-    with criterion(10, "double root drifts to 1/2 - 1/(2cos(phi/2)) within 1e-8; "
+    with criterion(10, "double root drifts to 1/2 - 1/(2cos(delta)) within 1e-8; "
                        "quadratic law -(delta/2c)^2 to 10%"):
-        for phi in (0.04, 0.1, 0.2):
-            eps0 = sw.locate_double_root(grover_spec, phi, 1.0 + 0j)
-            exact = 0.5 - 1.0 / (2.0 * math.cos(0.5 * phi))
+        for delta in (0.02, 0.05, 0.1):
+            eps0 = sw.locate_double_root(grover_spec, 1.0 + 0j, delta)
+            exact = 0.5 - 1.0 / (2.0 * math.cos(delta))
             assert abs(eps0 - exact) < 1e-8
         deltas = np.array([0.02, 0.04, 0.06, 0.08, 0.1])
-        mags = [abs(sw.locate_double_root(grover_spec, 2.0 * d, 1.0 + 0j)) for d in deltas]
+        mags = [abs(sw.locate_double_root(grover_spec, 1.0 + 0j, d)) for d in deltas]
         slope, intercept = np.polyfit(np.log(deltas), np.log(mags), 1)
         assert abs(slope - 2.0) < 0.1
         assert abs(math.exp(intercept) - 0.25) < 0.025   # (1/2c)^2 with c = 1

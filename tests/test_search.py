@@ -184,7 +184,7 @@ class TestSearchTargetMemo:
         assert search._search_target(spec, -1.0) is target
         assert search._search_target(spec, complex(-1.0, -0.0)) is target
         assert sw.plan_search(spec, 10 ** 6, lambda0=-1.0 + 0j).r0 is target.r0
-        assert sw.locate_double_root(spec, 0.02, -1.0) != 0j
+        assert sw.locate_double_root(spec, -1.0, 0.01) != 0j
         assert spec._derived == before
         monkeypatch.undo()
         assert search._search_target(spec, -1.0 + 1e-9j) is target
@@ -228,12 +228,12 @@ class TestSearchTargetMemo:
         # a lambda0 within LOOKUP_TOL of a group is that group in all seven entry points;
         # one 1e-5 away is no group in any of them
         rec = sw.classify_right(bolo_spec, lam)
-        phi, N = sw.detuned_phase(rec.lambda0, 0.01), 10 ** 4
+        N = 10 ** 4
         entries = [
             lambda x: sw.classify_right(bolo_spec, x),
             lambda x: sw.plan_search(bolo_spec, N, lambda0=x).r0,
             lambda x: sw.tolerance_sweep(bolo_spec, N, 1, x, [0.0, 0.01]),
-            lambda x: sw.locate_double_root(bolo_spec, phi, x),
+            lambda x: sw.locate_double_root(bolo_spec, x, 0.01),
             lambda x: sw.paired_mix_angle(bolo_spec, N, 1, x, 0.01),
             lambda x: sw.pairing_fit(bolo_spec, rec.phi, x),
             lambda x: sw.paired_vectors(bolo_spec, rec.phi, x, 1e-4),

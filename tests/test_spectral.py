@@ -530,7 +530,7 @@ class TestSecularFunction:
         # Newton asks sides for g and g' only; g'' = u*du would overflow here
         spec = sw.load_spec(name)
         cl = sw.classify_right(spec, lam0)
-        sec, _, moving = spectral._family(spec, cl.phi, cl)
+        sec, _, moving = spectral._family(spec, cl, 0.0)
         theta = sec.roots([eps])[0]
         split = cl.c * math.sqrt(eps)
         assert np.all(np.isfinite(theta))
@@ -586,7 +586,7 @@ class TestSecularFunction:
         # root, one of the pair or the pair is asked for
         spec = random_spec(np.random.default_rng(3), arms=4)
         cl = sw.right_classifications(spec)[0]
-        sec, k, moving = spectral._family(spec, cl.phi, cl)
+        sec, k, moving = spectral._family(spec, cl, 0.0)
         for subset in (slice(None), [k], moving):
             with pytest.raises(sw.NumericsError, match="ambiguous"):
                 sec.roots([1e-3], subset)
@@ -601,7 +601,7 @@ class TestSecularFunction:
         spec = (sw.load_spec(spec_name) if isinstance(spec_name, str)
                 else random_spec(np.random.default_rng(spec_name), arms=arms))
         for cl in sw.right_classifications(spec):
-            sec, k, moving = spectral._family(spec, cl.phi + 2e-3, cl)
+            sec, k, moving = spectral._family(spec, cl, 1e-3)
             every = sec.roots(DEFAULT_EPS_GRID)
             for subset in ([k], moving, moving[::-1]) if k is not None else ():
                 alone = sec.roots(DEFAULT_EPS_GRID, subset)
@@ -729,17 +729,17 @@ class TestMonodromy:
                 else random_spec(np.random.default_rng(spec_name), arms=3))
         lam, c, _ = sw.best_target(sw.right_classifications(spec))
         for ratio in (0.3, 0.7, 1.5, 3.0):
-            phi = sw.detuned_phase(lam, 2.0 * c * math.sqrt(ratio * 1e-4))
-            assert abs(sw.locate_double_root(spec, phi, lam)) / 1e-4 == pytest.approx(ratio, rel=0.05)
+            delta = 2.0 * c * math.sqrt(ratio * 1e-4)
+            assert abs(sw.locate_double_root(spec, lam, delta)) / 1e-4 == pytest.approx(ratio, rel=0.05)
+            phi = sw.detuned_phase(lam, delta)
             rep = sw.monodromy(spec, phi)
             assert sorted(rep.cycle_lengths) == dense_monodromy(spec, phi)
 
     def test_branch_point_on_the_loop_is_refused(self, grover_spec):
         # delta = 2c sqrt(rho) puts eps0 = -(delta/2c)^2 within 0.02% of rho
-        phi = sw.detuned_phase(1.0, 0.02)
-        assert abs(sw.locate_double_root(grover_spec, phi, 1.0)) / 1e-4 - 1.0 < 1e-3
+        assert abs(sw.locate_double_root(grover_spec, 1.0, 0.02)) / 1e-4 - 1.0 < 1e-3
         with pytest.raises(sw.NumericsError, match="within 1% of the loop radius"):
-            sw.monodromy(grover_spec, phi)
+            sw.monodromy(grover_spec, sw.detuned_phase(1.0, 0.02))
 
     def test_root_claimed_twice_is_refused(self):
         # right poles e^{+-i eta/2}, eta = 1e-3, and a left pole 5e-3 past the upper one:

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import starwalk as sw
+from starwalk import spectral
 from starwalk.spectral import embed_left, embed_right, left_active
 from starwalk.tolerance import SMALL_ANGLE_GUARD
 
+import exact
 from conftest import random_spec
 
 
@@ -70,8 +72,7 @@ class TestTuningParameter:
 class TestLocateDoubleRoot:
     def test_matched_phase_root_at_zero(self, grover_spec, bolo_spec):
         for spec, lam in ((grover_spec, -1.0 + 0j), (bolo_spec, -1.0 + 0j)):
-            phi, _ = sw.matched_phi(lam)
-            eps0 = sw.locate_double_root(spec, phi, lam)
+            eps0 = sw.locate_double_root(spec, lam, 0.0)
             assert abs(eps0) < 1e-8
 
     def test_zero_detuning_is_exactly_zero_on_every_family(self):
@@ -83,18 +84,18 @@ class TestLocateDoubleRoot:
         for spec in specs:
             for cl in sw.right_classifications(spec):
                 if cl.c is not None:
-                    phi = sw.detuned_phase(cl.lambda0, 0.0)
-                    assert sw.locate_double_root(spec, phi, cl.lambda0) == 0, cl.lambda0
+                    sec, k, _ = spectral._family(spec, cl, 0.0)
+                    assert sec.poles[(1 - cl.branch) // 2] == sec.poles[k] == cl.lambda0
+                    assert sw.locate_double_root(spec, cl.lambda0, 0.0) == 0, cl.lambda0
                     families += 1
         assert families == 40 + 4 + 2       # the seeded specs', bolo's and grover's
 
     @pytest.mark.parametrize("delta", [0.02, 0.05, 0.1])
     def test_closed_form(self, grover_spec, delta):
         """For the two-state attachment the drifted double root has the exact
-        closed form 1/2 - 1/(2 cos(phi/2))."""
-        phi = 2.0 * delta
-        eps0 = sw.locate_double_root(grover_spec, phi, -1.0 + 0j)
-        exact = 0.5 - 1.0 / (2.0 * math.cos(0.5 * phi))
+        closed form 1/2 - 1/(2 cos(delta))."""
+        eps0 = sw.locate_double_root(grover_spec, -1.0 + 0j, delta)
+        exact = 0.5 - 1.0 / (2.0 * math.cos(delta))
         assert abs(eps0 - exact) < 1e-8
 
     def test_quadratic_drift_law(self, grover_spec):
@@ -102,8 +103,7 @@ class TestLocateDoubleRoot:
         deltas = np.array([0.02, 0.04, 0.06, 0.08, 0.1])
         mags = []
         for d in deltas:
-            eps0 = sw.locate_double_root(grover_spec, sw.detuned_phase(-1.0 + 0j, d),
-                                         -1.0 + 0j)
+            eps0 = sw.locate_double_root(grover_spec, -1.0 + 0j, d)
             assert abs(eps0.imag) < 1e-8       # drift stays on the real axis here
             assert eps0.real < 0
             mags.append(abs(eps0))
@@ -114,8 +114,7 @@ class TestLocateDoubleRoot:
     def test_bolo_drift(self, bolo_spec):
         delta = 0.05
         c = math.sqrt(3.0 / 4.0)
-        phi = sw.detuned_phase(-1.0 + 0j, delta)
-        eps0 = sw.locate_double_root(bolo_spec, phi, -1.0 + 0j)
+        eps0 = sw.locate_double_root(bolo_spec, -1.0 + 0j, delta)
         assert abs(eps0 - (-(delta / (2 * c)) ** 2)) < 2e-4
 
 
@@ -123,8 +122,27 @@ class TestLocateDoubleRoot:
                                                       (-1.0, 1e-3, -1.0 / 3.0e6)])
     def test_bolo_follows_the_requested_family(self, bolo_spec, lam, delta, expected):
         # +1 (c^2 = 1/2) and -1 (c^2 = 3/4) both pair: each keeps its own law
-        eps0 = sw.locate_double_root(bolo_spec, sw.detuned_phase(lam, delta), lam)
+        eps0 = sw.locate_double_root(bolo_spec, lam, delta)
         assert abs(eps0 / expected - 1.0) < 0.01
+
+    def test_matches_60_digit_reference(self, bolo_spec):
+        # the same poles in mpmath (exact.py): every active family of bolo and three seeded
+        # specs at N = 1e8 and 1e12, t = 1/8; a left pole built from a float phase
+        # phi0 + 2 delta puts eps0 4.4e-9 off, lambda0*e^{i delta} 1.1e-9
+        specs = [bolo_spec] + [random_spec(np.random.default_rng(s), arms=3) for s in (1, 2, 3)]
+        errors = []
+        for spec in specs:
+            for cl in sw.right_classifications(spec):
+                for N in (10 ** 8, 10 ** 12) if cl.c is not None else ():
+                    delta = 0.5 * cl.c * math.sqrt(2.0 / N)
+                    sec, k, _ = spectral._family(spec, cl, delta)
+                    theta, eps0 = sec.branch_point(k, (1 - cl.branch) // 2)
+                    assert sw.locate_double_root(spec, cl.lambda0, delta) == eps0
+                    ref = exact.double_root(spec, cl, delta, theta)
+                    errors.append(abs(eps0 - ref) / abs(ref))
+        assert len(errors) == 56
+        assert max(errors) <= 2e-9
+        assert np.median(errors) <= 1e-11
 
     @pytest.mark.parametrize("N", [10 ** 12, 10 ** 20])
     @pytest.mark.parametrize("lam", [1.0 + 0j, -1.0 + 0j])
@@ -132,7 +150,7 @@ class TestLocateDoubleRoot:
         for spec in (grover_spec, bolo_spec):
             c = sw.classify_right(spec, lam).c
             delta = c * math.sqrt(2.0 / N)
-            eps0 = sw.locate_double_root(spec, sw.detuned_phase(lam, delta), lam)
+            eps0 = sw.locate_double_root(spec, lam, delta)
             assert abs(eps0 / -(delta / (2.0 * c)) ** 2 - 1.0) < 1e-6
 
     def test_no_dense_eigensolver_once_classified(self, bolo_spec, monkeypatch):
@@ -144,12 +162,12 @@ class TestLocateDoubleRoot:
         for module, name in ((np.linalg, "eig"), (np.linalg, "eigvals"), (np.linalg, "eigh"),
                              (scipy.linalg, "schur")):
             monkeypatch.setattr(module, name, forbidden)
-        assert sw.locate_double_root(bolo_spec, sw.detuned_phase(-1.0, 1e-3), -1.0) != 0
+        assert sw.locate_double_root(bolo_spec, -1.0, 1e-3) != 0
 
     def test_rejects_inactive_lambda(self):
         from test_spectral import _decoupled_spec
         with pytest.raises(ValueError, match="no active"):
-            sw.locate_double_root(_decoupled_spec(), 0.0, cmath.exp(0.5j))
+            sw.locate_double_root(_decoupled_spec(), cmath.exp(0.5j), 0.0)
 
 
 class TestToleranceSweep:
@@ -207,7 +225,8 @@ class TestToleranceSweep:
     @pytest.mark.parametrize("name", ["grover", "bolo"])
     def test_rows_are_the_public_composition(self, name):
         # a detuned walk is complex and bit-identical to build_collapsed + evolve;
-        # at delta = 0 and lambda0 = +-1 the walk is real and squares in float64
+        # at delta = 0 and lambda0 = +-1 the walk is real and squares in float64;
+        # epsilon0 is locate_double_root at the row's own delta
         spec = sw.load_spec(name)
         dim = spec.dim_collapsed
         real_rows = 0
@@ -217,9 +236,10 @@ class TestToleranceSweep:
             r0 = embed_right(cl.active_vector, dim)
             _, branch = sw.matched_phi(cl.lambda0)
             for N, M in ((100, 1), (10 ** 4, 3), (10 ** 8, 1)):
-                rows = sw.tolerance_sweep(spec, N, M, cl.lambda0, [0.0, 0.003, -0.02],
-                                          locate_eps0=False)
+                rows = sw.tolerance_sweep(spec, N, M, cl.lambda0,
+                                          [0.0, 0.003, -0.02, 0.01 + 2.0 * math.pi])
                 for row in rows:
+                    assert row.epsilon0 == sw.locate_double_root(spec, cl.lambda0, row.delta)
                     phi = sw.detuned_phase(cl.lambda0, row.delta)
                     U = sw.build_collapsed(spec, sw.hub_coefficients(N, M), phi)
                     l0 = sw.StateVector(embed_left(sw.left_active(phi, branch), dim), U.basis)
@@ -252,8 +272,13 @@ class TestToleranceSweep:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_detuning(self, grover_spec, bad):
+        # as input, in each entry point that takes a detuning, not by a Newton that diverges
         with pytest.raises(sw.SpecError, match="finite"):
             sw.tolerance_sweep(grover_spec, 1000, 1, -1.0 + 0j, [0.0, bad])
+        with pytest.raises(sw.SpecError, match="finite"):
+            sw.locate_double_root(grover_spec, -1.0, bad)
+        with pytest.raises(sw.SpecError, match="finite"):
+            sw.paired_mix_angle(grover_spec, 10 ** 4, 1, -1.0, bad)
 
     def test_rejects_inactive_lambda(self):
         # decoupled arm: bound-only eigenvalue cannot drive a sweep
