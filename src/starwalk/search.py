@@ -8,13 +8,14 @@ lambda0, prepare the accessible uniform superposition, iterate the walk for
 m = floor(pi*sqrt(N/M)/(2c)) steps, and read out the mass on the marked edge.
 
 The search target, everything of a search that does not depend on N or M
-(lambda0, c, phi, branch, the active vector r0, the predicted success and the
-start's |in> factor), is the family's ``RightClassification``, kept on the spec;
-the detuning analysis reads the same record.  The walk itself is the one way
-to evolve a state: ``hub_coefficients`` -> ``build_collapsed`` -> ``evolve``.
+(lambda0, c, phi, branch, the active vector r0 and the predicted success), is
+the family's ``RightClassification``, kept on the spec.  ``run_search`` is the
+one way to evolve a state: ``hub_coefficients`` -> ``build_collapsed`` ->
+``evolve``; the detuning analysis runs its rows through it too.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -22,8 +23,7 @@ import numpy as np
 
 from .graph import (SpecError, StateVector, SubgraphSpec, build_collapsed, check_star, evolve,
                     hub_coefficients)
-from .spectral import (RightClassification, _alpha, best_target, classify_right,
-                       right_classifications)
+from .spectral import RightClassification, best_target, classify_right, right_classifications
 
 SHOTS_MAX = 2 ** 63 - 1         # the multinomial sampler counts in int64
 
@@ -58,20 +58,17 @@ def initial_state(spec: SubgraphSpec, N: int, M: int, branch: int, phi: float) -
 
     (1/sqrt(N)) * sum_j (beta|0,j> + alpha|j,0>) with beta = 1/sqrt(2) and
     alpha = branch*e^{i phi/2}/sqrt(2); equals the left active vector up to
-    O(sqrt(M/N)).
+    O(sqrt(M/N)).  The amplitudes are read-only, so a real walk's start stays real.
     """
     check_star(N, M)
-    return StateVector(_start(spec.dim_collapsed, N, M, _alpha(branch, phi)), spec.basis)
-
-
-def _start(dim: int, N: int, M: int, alpha: complex) -> np.ndarray:
-    """``initial_state``'s amplitudes, for a star already checked."""
+    alpha = branch * cmath.exp(0.5j * phi) / math.sqrt(2.0)
     beta = 1.0 / math.sqrt(2.0)
     wL = math.sqrt((N - M) / N)
     wR = math.sqrt(M / N)
-    amp = np.zeros(dim, dtype=complex)
+    amp = np.zeros(spec.dim_collapsed, dtype=complex)
     amp[:4] = beta * wL, alpha * wL, beta * wR, alpha * wR
-    return amp
+    amp.flags.writeable = False
+    return StateVector(amp, spec.basis)
 
 
 def _search_target(spec: SubgraphSpec, lambda0) -> RightClassification:
@@ -91,17 +88,13 @@ def _search_target(spec: SubgraphSpec, lambda0) -> RightClassification:
 
 
 def plan_search(spec: SubgraphSpec, N: int, M: int = 1, lambda0="auto") -> SearchPlan:
-    """Build a SearchPlan for the given star size, choosing lambda0 if "auto".
-
-    The initial amplitudes are read-only, so a real walk's start stays real.
-    """
+    """Build a SearchPlan for the given star size, choosing lambda0 if "auto"; its
+    start is ``initial_state``."""
     check_star(N, M)
     t = _search_target(spec, lambda0)
     m = math.floor(math.pi * math.sqrt(N / M) / (2.0 * t.c))
-    amp = _start(spec.dim_collapsed, N, M, t.alpha)
-    amp.flags.writeable = False
     return SearchPlan(lambda0=t.lambda0, phi=t.phi, branch=t.branch, c=t.c,
-                      N=int(N), M=int(M), m=m, initial=StateVector(amp, spec.basis),
+                      N=int(N), M=int(M), m=m, initial=initial_state(spec, N, M, t.branch, t.phi),
                       predicted_success=t.predicted_success, r0=t.r0)
 
 

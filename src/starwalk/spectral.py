@@ -176,8 +176,8 @@ class RightClassification:
     active family, the N- and M-independent part of a search on it (read-only arrays).
 
     ``phi, branch = matched_phi(lambda0)``; an active family also carries its active
-    vector embedded in the collapsed basis (``r0``), the predicted success
-    |<0,1|r0>|^2 + |<1,0|r0>|^2 and the start's |in> factor ``alpha``, None otherwise.
+    vector embedded in the collapsed basis (``r0``) and the predicted success
+    |<0,1|r0>|^2 + |<1,0|r0>|^2, None otherwise.
     """
     lambda0: complex
     bound_basis: np.ndarray            # (dim_right, n_bound), orthonormal columns
@@ -187,7 +187,6 @@ class RightClassification:
     branch: int
     r0: np.ndarray | None = None
     predicted_success: float | None = None
-    alpha: complex | None = None
 
     @property
     def n_bound(self) -> int:
@@ -232,8 +231,7 @@ def _classify_group(sys: EigenSystem, g: EigenvalueGroup) -> RightClassification
     active.flags.writeable = bound.flags.writeable = r0.flags.writeable = False
     return RightClassification(
         lambda0=g.lambda0, bound_basis=bound, active_vector=active, c=float(c), phi=phi,
-        branch=branch, r0=r0, predicted_success=float(abs(r0[2]) ** 2 + abs(r0[3]) ** 2),
-        alpha=_alpha(branch, phi))
+        branch=branch, r0=r0, predicted_success=float(abs(r0[2]) ** 2 + abs(r0[3]) ** 2))
 
 
 def _classes(spec: SubgraphSpec) -> dict[complex, RightClassification]:
@@ -279,10 +277,6 @@ def left_active(phi: float, branch: int) -> np.ndarray:
     if branch not in (+1, -1):
         raise ValueError("branch must be +1 or -1")
     return np.array([1.0, branch * cmath.exp(0.5j * phi)], dtype=complex) / math.sqrt(2.0)
-
-
-def _alpha(branch: int, phi: float) -> complex:
-    return branch * cmath.exp(0.5j * phi) / math.sqrt(2.0)
 
 
 def embed_left(vec2: np.ndarray, dim: int) -> np.ndarray:

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import (SpecError, StateVector, SubgraphSpec, build_collapsed, check_star, evolve,
-                    hub_coefficients)
-from .search import _search_target
+from .graph import SpecError, StateVector, SubgraphSpec, check_star
+from .search import _search_target, plan_search, run_search
 from .spectral import _family, embed_left, left_active, matched_phi
 
 logger = logging.getLogger(__name__)
@@ -67,7 +66,7 @@ def tuning_t(delta: float, c: float, N: int, M: int = 1) -> float:
 
 
 def predicted_success_naive(t: float) -> float:
-    """Peak success on the naive schedule m = floor(pi/(2c sqrt(eps))); 0 at t = inf."""
+    """Peak success on the naive schedule, the search's m; 0 at t = inf."""
     if not t >= 0:
         raise ValueError("t must be nonnegative")
     if t == math.inf:           # sin(inf) has no value; the limit is 0
@@ -76,7 +75,7 @@ def predicted_success_naive(t: float) -> float:
 
 
 def predicted_success_compensated(t: float) -> float:
-    """Peak success on the compensated schedule m = floor(pi/(2c sqrt((1+t) eps)))."""
+    """Peak success on the compensated schedule, the search's m with c*sqrt(1+t) for c."""
     if not t >= 0:
         raise ValueError("t must be nonnegative")
     return float(1.0 / (1.0 + t))
@@ -106,17 +105,14 @@ def tolerance_sweep(spec: SubgraphSpec, N: int, M: int, lambda0: complex,
     """Measured vs predicted success across a grid of detunings.
 
     Success here is |<r0|U^m|l0>|^2 — the quantity the tuning theory bounds —
-    recorded on both the naive and the compensated schedule.  (lambda0, c,
-    branch, r0) come from the search target.  Each detuning builds one operator
-    (``build_collapsed``) and ``evolve``s |l0> on it twice: the compensated
-    schedule, then the rest of the naive one.  A detuning is a phase: it is
-    reduced mod 2pi to [-pi, pi] and reported so, but from ``PHASE_UNRESOLVED``
-    up, where a float names no phase, kept.
+    recorded on both the naive and the compensated schedule.  Each row is the
+    planned search (``plan_search``) run at the detuned phase from |l0>: the
+    compensated schedule, m with c*sqrt(1+t) in place of c, then the rest of
+    the naive one, the plan's m, each through ``run_search``.  A detuning is a
+    phase: it is reduced mod 2pi to [-pi, pi] and reported so, but from
+    ``PHASE_UNRESOLVED`` up, where a float names no phase, kept.
     """
-    target = _search_target(spec, lambda0)
-    lam0, c, r0 = target.lambda0, target.c, target.r0
-    hub = hub_coefficients(N, M)
-    eps = M / N
+    plan = plan_search(spec, N, M, lambda0)
 
     deltas = [float(delta) for delta in delta_grid]
     if not all(math.isfinite(delta) for delta in deltas):
@@ -125,24 +121,21 @@ def tolerance_sweep(spec: SubgraphSpec, N: int, M: int, lambda0: complex,
     for delta in deltas:
         if abs(delta) < PHASE_UNRESOLVED:       # exact, and a no-op inside [-pi, pi]
             delta = math.remainder(delta, 2.0 * math.pi)
-        phi = detuned_phase(lam0, delta)
-        extrapolated = abs(delta) >= SMALL_ANGLE_GUARD
-        t = tuning_t(delta, c, N, M)
-        m_naive = math.floor(math.pi / (2.0 * c * math.sqrt(eps)))
-        m_comp = math.floor(math.pi / (2.0 * c * math.sqrt((1.0 + t) * eps)))
-        U = build_collapsed(spec, hub, phi)
-        l0 = StateVector(embed_left(left_active(phi, target.branch), spec.dim_collapsed), U.basis)
-        comp = evolve(U, l0, m_comp)        # t >= 0, so m_comp <= m_naive
-        naive = evolve(U, comp, m_naive - m_comp)
-        eps0 = locate_double_root(spec, lam0, delta) if locate_eps0 else complex("nan")
+        phi = detuned_phase(plan.lambda0, delta)
+        t = tuning_t(delta, plan.c, N, M)
+        m_comp = math.floor(math.pi * math.sqrt(N / M) / (2.0 * plan.c * math.sqrt(1.0 + t)))
+        l0 = StateVector(embed_left(left_active(phi, plan.branch), spec.dim_collapsed), spec.basis)
+        detuned = replace(plan, phi=phi, initial=l0, m=m_comp)    # t >= 0, so m_comp <= plan.m
+        comp = run_search(detuned, spec)
+        naive = run_search(replace(detuned, initial=comp.final_state, m=plan.m - m_comp), spec)
+        eps0 = locate_double_root(spec, plan.lambda0, delta) if locate_eps0 else complex("nan")
         profiles.append(ToleranceProfile(
             N=int(N), M=int(M), delta=delta, t=t, epsilon0=eps0,
-            m_naive=m_naive, m_compensated=m_comp,
-            P_measured_naive=float(abs(np.vdot(r0, naive.amplitudes)) ** 2),
-            P_measured_comp=float(abs(np.vdot(r0, comp.amplitudes)) ** 2),
+            m_naive=plan.m, m_compensated=m_comp,
+            P_measured_naive=naive.overlap_r0, P_measured_comp=comp.overlap_r0,
             P_predicted_naive=predicted_success_naive(t),
             P_predicted_comp=predicted_success_compensated(t),
-            extrapolated=extrapolated,
+            extrapolated=abs(delta) >= SMALL_ANGLE_GUARD,
         ))
     return profiles
 

@@ -279,11 +279,13 @@ class TestClassifyRight:
         for cl in sw.right_classifications(bolo_spec):
             assert (cl.phi, cl.branch) == sw.matched_phi(cl.lambda0)
             if cl.c is None:
-                assert cl.r0 is cl.predicted_success is cl.alpha is None
+                assert cl.r0 is cl.predicted_success is None
                 continue
             assert np.array_equal(cl.r0, embed_right(cl.active_vector, bolo_spec.dim_collapsed))
             assert abs(cl.predicted_success - abs(cl.active_vector[0]) ** 2 - cl.c ** 2 / 2) < 1e-15
-            assert abs(cl.alpha - sw.left_active(cl.phi, cl.branch)[1]) < 1e-15
+            plan = sw.plan_search(bolo_spec, 10 ** 6, M=3, lambda0=cl.lambda0)
+            start = sw.initial_state(bolo_spec, 10 ** 6, 3, cl.branch, cl.phi)
+            assert plan.initial.amplitudes.tobytes() == start.amplitudes.tobytes()
 
     def test_contact_rank_above_one_raises(self):
         # two orthonormal vectors both touching |0,1>, |1,0>: two active vectors

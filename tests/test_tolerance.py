@@ -254,6 +254,21 @@ class TestToleranceSweep:
                         assert np.array_equal(got, want)
         assert real_rows > 0
 
+    @pytest.mark.parametrize("name, N", [("grover", 10 ** 6), ("grover", 10 ** 33),
+                                         ("bolo", 10 ** 6)])
+    def test_naive_schedule_is_the_search_step_count(self, name, N):
+        # the naive schedule is the planned search's m at any N, also where its last digits
+        # move with the rounding order (grover 1e33 plans 49672941328980496 steps)
+        spec = sw.load_spec(name)
+        grid = [0.0] if N > 10 ** 12 else [0.0, 0.003, -0.02]
+        for cl in sw.right_classifications(spec):
+            if cl.c is None:
+                continue
+            m = sw.plan_search(spec, N, 1, cl.lambda0).m
+            rows = sw.tolerance_sweep(spec, N, 1, cl.lambda0, grid, locate_eps0=False)
+            assert [row.m_naive for row in rows] == [m] * len(grid)
+            assert rows[0].m_compensated == m
+
     def test_detuning_is_reduced_mod_two_pi(self, grover_spec):
         near, far = sw.tolerance_sweep(grover_spec, 10 ** 4, 1, -1.0 + 0j,
                                        [0.01, 0.01 + 2.0 * math.pi], locate_eps0=False)
