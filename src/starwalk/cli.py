@@ -154,7 +154,7 @@ def cmd_search(args) -> int:
                  "m": plan.m, "predicted_success": plan.predicted_success},
         "result": {"p_marked": result.p_marked, "p_null": result.p_null,
                    "p_unmarked": result.p_unmarked,
-                   "overlap_r0": result.overlap_r0},
+                   "overlap_r0": result.overlap_r0, "norm_drift": result.norm_drift},
         "counts": counts,
     }
     _emit(args, SEARCH_COLUMNS, [_search_row(plan, result)], payload)

@@ -93,9 +93,9 @@ class SubgraphSpec:
     A spec is immutable (vertex matrices are read-only), so data derived from
     it lives on it and goes away with it: ``vertex_columns``, ``basis`` and the
     vertex part of the collapsed operator's unitarity residual, and in the
-    private dict ``_derived`` the spectral classification, one record per
-    eigenvalue family, and the "auto" search target.  A consumer stores an entry
-    only once it is computed, so a failed computation leaves nothing behind.
+    private dict ``_derived`` the spectral classification, one record per eigenvalue
+    family, the "auto" search target and the secular right side.  A consumer stores
+    an entry only once it is computed, so a failed computation leaves nothing behind.
     """
     vertices: tuple[Vertex, ...]
     attachment: str

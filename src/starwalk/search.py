@@ -45,12 +45,13 @@ class SearchPlan:
 
 @dataclass(frozen=True, eq=False)
 class SearchResult:
-    """Mass distribution after the planned number of steps."""
+    """Mass distribution after the planned number of steps, of the unit final state."""
     final_state: StateVector
     p_marked: float         # mass on |0,1>, |1,0>
     p_null: float           # mass inside G
     p_unmarked: float       # mass on |out>, |in>
     overlap_r0: float       # |<r0|psi>|^2
+    norm_drift: float = 0.0     # ||psi||^2 - 1 of the final state as walked
 
 
 def initial_state(spec: SubgraphSpec, N: int, M: int, branch: int, phi: float) -> StateVector:
@@ -104,15 +105,18 @@ def run_search(plan: SearchPlan, spec: SubgraphSpec) -> SearchResult:
     The walk is ``evolve`` on ``build_collapsed`` at the plan's (N, M, phi), with
     their checks.  It depends on the plan's fields only: a real walk (a real spec
     at phi = 0 from a real start, such as grover and bolo at lambda0 = +-1)
-    squares in float64.
+    squares in float64.  Masses and overlap are of the final state over its norm,
+    the masses' sum as read, so p_marked <= 1; the rounding shows in ``norm_drift``.
     """
     U = build_collapsed(spec, hub_coefficients(plan.N, plan.M), plan.phi)
     final = evolve(U, plan.initial, plan.m)
     a = final.amplitudes
     p = (np.abs(a) ** 2).tolist()
-    return SearchResult(final_state=final, p_marked=p[2] + p[3],
-                        p_null=sum(p[4:], 0.0), p_unmarked=p[0] + p[1],
-                        overlap_r0=abs(complex(np.vdot(plan.r0, a))) ** 2)
+    marked, null, unmarked = p[2] + p[3], sum(p[4:], 0.0), p[0] + p[1]
+    norm = marked + null + unmarked
+    return SearchResult(final_state=final, p_marked=marked / norm, p_null=null / norm,
+                        p_unmarked=unmarked / norm, norm_drift=norm - 1.0,
+                        overlap_r0=abs(complex(np.vdot(plan.r0, a))) ** 2 / norm)
 
 
 def sample_measurement(result: SearchResult, seed: int, shots: int) -> dict[str, int]:

@@ -276,7 +276,7 @@ def left_active(phi: float, branch: int) -> np.ndarray:
     """
     if branch not in (+1, -1):
         raise ValueError("branch must be +1 or -1")
-    return np.array([1.0, branch * cmath.exp(0.5j * phi)], dtype=complex) / math.sqrt(2.0)
+    return np.array([1.0 / math.sqrt(2.0), branch * cmath.exp(0.5j * phi) / math.sqrt(2.0)])
 
 
 def embed_left(vec2: np.ndarray, dim: int) -> np.ndarray:
@@ -336,8 +336,6 @@ class SecularFunction:
     poles: np.ndarray        # the two left poles, then the active right eigenvalues
     residues: np.ndarray     # (pole, side): g_L, g_R = sum of residue * mu/(mu - z)
     centers: np.ndarray      # per root, the pole it leaves
-    fixed: np.ndarray        # bound eigenvalues, with multiplicity
-    keys: tuple              # the classification key (lambda0) of each right pole
     contacts: np.ndarray     # (active, dim_right): r_j conj(r_j[0]) per active right vector
 
     @staticmethod
@@ -490,34 +488,37 @@ def secular_function(spec: SubgraphSpec, phi: float) -> SecularFunction:
 
 
 def _secular_function(spec: SubgraphSpec, half: complex) -> SecularFunction:
-    """``secular_function`` at the phase whose e^{i phi/2} is ``half``."""
+    """``secular_function`` at the phase whose e^{i phi/2} is ``half``: the left poles
+    +-half*sqrt(R_L0), then the spec's right side, which does not depend on phi: the active
+    eigenvalues, the residues and the contacts, read-only and kept on the spec as "right"."""
     R_L0, R_R0, _ = collapsed_coefficients(0.0)
+    if "right" not in spec._derived:
+        active = [cl for cl in right_classifications(spec) if cl.c is not None]
+        V, c = np.array([cl.active_vector for cl in active]), np.array([cl.c for cl in active])
+        right = np.array([cl.lambda0 for cl in active], dtype=complex)
+        residues = np.zeros((2 + len(active), 2), dtype=complex)
+        residues[:2, 0] = 0.5 / R_L0
+        residues[2:, 1] = R_R0.conjugate() * (c * c / 2.0)
+        contacts = V * V[:, :1].conj()
+        right.flags.writeable = residues.flags.writeable = contacts.flags.writeable = False
+        spec._derived["right"] = right, residues, contacts
+    right, residues, contacts = spec._derived["right"]
     p = half * cmath.sqrt(R_L0)
-    classes = right_classifications(spec)
-    active = [cl for cl in classes if cl.c is not None]
-    keys = tuple(cl.lambda0 for cl in active)
-    V, c = np.array([cl.active_vector for cl in active]), np.array([cl.c for cl in active])
-    poles = np.concatenate(([p, -p], keys))
-    residues = np.zeros((len(poles), 2), dtype=complex)
-    residues[:2, 0] = 0.5 / R_L0
-    residues[2:, 1] = R_R0.conjugate() * (c * c / 2.0)
-    gap = np.abs(poles[:2, None] - poles[2:])
-    centers = np.where(gap.min(axis=1) <= CLUSTER_TOL, poles[2 + np.argmin(gap, axis=1)], poles[:2])
-    return SecularFunction(
-        poles=poles, residues=residues, centers=np.concatenate((centers, poles[2:])),
-        fixed=np.array([cl.lambda0 for cl in classes for _ in range(cl.n_bound)], dtype=complex),
-        keys=keys, contacts=V * V[:, :1].conj())
+    gap = np.abs(np.array([[p], [-p]]) - right)
+    centers = np.where(gap.min(axis=1) <= CLUSTER_TOL, right[np.argmin(gap, axis=1)], [p, -p])
+    return SecularFunction(poles=np.concatenate(([p, -p], right)), residues=residues,
+                           centers=np.concatenate((centers, right)), contacts=contacts)
 
 
 def _family(spec: SubgraphSpec, cl: RightClassification, delta: float):
-    """(sec, k, roots): the secular function with the left pole of ``cl``'s branch at
-    lambda0*e^{i delta} (lambda0 itself at delta = 0, so the pair meets at eps = 0 exactly),
-    the index k of the right pole of ``cl``'s family and the roots centred on it; a
-    bound-only family has none of either.  A phi enters as delta = (phi - cl.phi)/2."""
+    """(sec, k, roots): the secular function with its first left pole at lambda0*e^{i delta}
+    (lambda0 itself at delta = 0, so the pair meets at eps = 0 exactly), the index k of the
+    right pole of ``cl``'s family and the roots centred on it; a bound-only family has none
+    of either.  A phi enters as delta = (phi - cl.phi)/2."""
     if not math.isfinite(delta):
         raise SpecError(f"detuning delta = (phi - phi0)/2 must be finite, got {delta!r}")
-    sec = _secular_function(spec, cl.branch * cl.lambda0 * cmath.exp(1j * delta))
-    k = None if cl.c is None else 2 + sec.keys.index(cl.lambda0)
+    sec = _secular_function(spec, cl.lambda0 * cmath.exp(1j * delta))
+    k = None if cl.c is None else 2 + int(np.argmax(sec.poles[2:] == cl.lambda0))
     return sec, k, np.arange(0) if k is None else np.flatnonzero(sec.centers == sec.poles[k])
 
 
@@ -575,7 +576,8 @@ def monodromy(spec: SubgraphSpec, phi: float) -> MonodromyReport:
             claimed |= {k, l}
             if l < 2:
                 perm[k], perm[l] = l, k
-    start = np.concatenate((sec.z(sec.roots([rho])[0]), sec.fixed))
+    start = np.concatenate((sec.z(sec.roots([rho])[0]), [
+        cl.lambda0 for cl in right_classifications(spec) for _ in range(cl.n_bound)]))
     perm = tuple(perm) + tuple(range(len(perm), len(start)))
     return MonodromyReport(rho=rho, start_eigenvalues=start, permutation=perm, cycles=tuple(
         (i,) if j == i else (i, j) for i, j in enumerate(perm) if j >= i))

@@ -87,13 +87,11 @@ def predicted_success_compensated(t: float) -> float:
 
 def locate_double_root(spec: SubgraphSpec, lambda0: complex, delta: float) -> complex:
     """Complex eps at which the two branches of the lambda0 family merge: the critical point
-    of the secular function between lambda0 and the left pole lambda0*e^{i delta} on the
-    search target's branch (``SecularFunction.branch_point``); delta = 0 gives 0.  A
-    constant family raises SpecError, a failed Newton NumericsError."""
-    target = _search_target(spec, lambda0)
-    sec, k, _ = _family(spec, target, delta)
-    # the left poles are +-branch*lambda0*e^{i delta}: the branch's own is poles[0] on +1
-    return sec.branch_point(k, (1 - target.branch) // 2)[1]
+    of the secular function between lambda0 and the left pole lambda0*e^{i delta}, the first
+    (``SecularFunction.branch_point``); delta = 0 gives 0.  A constant family raises
+    SpecError, a failed Newton NumericsError."""
+    sec, k, _ = _family(spec, _search_target(spec, lambda0), delta)
+    return sec.branch_point(k, 0)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ rationals is refused.
 The double root's reference works at 60 digits.  The secular function
 s = g_R - g_L - 2 g_L g_R of ``starwalk.spectral.SecularFunction`` is rebuilt from the
 same pole data, every float taken as exact: the right poles are the
-classification keys with residues conj(R_R0) c^2/2, the left poles +-p, p = branch *
+classification keys with residues conj(R_R0) c^2/2, the left poles +-p, p =
 lambda0 * e^{i delta} * sqrt(R_L0), with residues 1/(2 R_L0), where g = sum of residue *
 mu/(mu - z).  The critical point z* = lambda0 e^{i theta*} is the root of ds/dtheta
 bracketed by two points around the program's theta*, and eps0 = -1/(2 s(z*)).
@@ -106,12 +106,12 @@ def _overlap(r0: np.ndarray, x) -> float:
 
 def double_root(spec: sw.SubgraphSpec, cl: sw.RightClassification, delta: float,
                 theta: complex) -> complex:
-    """eps0 of the critical point of s between ``cl``'s right pole and its branch's left
+    """eps0 of the critical point of s between ``cl``'s right pole and its first left
     pole lambda0*e^{i delta}, found next to the program's offset ``theta`` (from lambda0)."""
     with mp.workdps(DIGITS):
         R_L0, R_R0, _ = (mp.mpc(x) for x in collapsed_coefficients(0.0))
         lam0 = mp.mpc(cl.lambda0)
-        p = cl.branch * lam0 * mp.expj(mp.mpf(delta)) * mp.sqrt(R_L0)
+        p = lam0 * mp.expj(mp.mpf(delta)) * mp.sqrt(R_L0)
         left = [(p, 1 / (2 * R_L0)), (-p, 1 / (2 * R_L0))]
         right = [(mp.mpc(r.lambda0), mp.conj(R_R0) * mp.mpf(r.c) ** 2 / 2)
                  for r in sw.right_classifications(spec) if r.c is not None]

@@ -520,7 +520,9 @@ class TestSecularFunction:
         for eps in (1e-6, 1e-3, 0.3):
             roots = sec.z(sec.roots([eps])[0])
             dense = np.linalg.eigvals(sw.collapsed_matrix(bolo_spec, eps, phi))
-            every = np.concatenate((roots, sec.fixed))
+            bound = [cl.lambda0 for cl in sw.right_classifications(bolo_spec)
+                     for _ in range(cl.n_bound)]
+            every = np.concatenate((roots, bound))
             dist = np.abs(every[:, None] - dense[None, :])
             assert sorted(np.argmin(dist, axis=1)) == list(range(len(dense)))
             assert np.max(np.min(dist, axis=1)) < 1e-12
@@ -549,7 +551,27 @@ class TestSecularFunction:
                                             for s in range(1, 6)]
         for spec in specs:
             sec = sw.secular_function(spec, 0.0)
-            assert sec.poles[2:].tolist() == list(sec.keys)
+            keys = [cl.lambda0 for cl in sw.right_classifications(spec) if cl.c is not None]
+            assert sec.poles[2:].tolist() == keys
+
+    def test_right_side_is_built_once_per_spec(self, grover_spec, bolo_spec):
+        for spec in (grover_spec, bolo_spec, random_spec(np.random.default_rng(4))):
+            a, b = sw.secular_function(spec, 0.0), sw.secular_function(spec, 1.3)
+            assert a.residues is b.residues and a.contacts is b.contacts
+            assert np.array_equal(a.poles[2:], b.poles[2:]) and a.poles[0] != b.poles[0]
+            for arr in (a.residues, a.contacts):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0, 0] = 1.0
+
+    def test_family_pole_comes_first(self, grover_spec, bolo_spec):
+        R_L0 = spectral.collapsed_coefficients(0.0)[0]
+        specs = [grover_spec, bolo_spec] + [random_spec(np.random.default_rng(s), arms=3)
+                                            for s in (1, 2)]
+        for spec in specs:
+            for cl in sw.right_classifications(spec):
+                for delta in (0.0, 0.3):
+                    sec = spectral._family(spec, cl, delta)[0]
+                    assert sec.poles[0] == cl.lambda0 * cmath.exp(1j * delta) * cmath.sqrt(R_L0)
 
     @pytest.mark.parametrize("eps", [0.0, -1e-4, math.nan, math.inf, 1.0, 2.0])
     def test_eps_outside_unit_interval_is_refused(self, bolo_spec, eps):
@@ -769,7 +791,6 @@ class TestMonodromy:
         residues[:2, 0] = 0.5
         residues[2:, 1] = -0.25, -0.25, -0.5
         sec = sw.SecularFunction(poles=poles, residues=residues, centers=poles,
-                                 fixed=np.zeros(0, dtype=complex), keys=tuple(poles[2:]),
                                  contacts=np.zeros((3, 3), dtype=complex))
         monkeypatch.setattr(spectral, "secular_function", lambda spec, phi: sec)
         with pytest.raises(sw.NumericsError, match="poles 3 and 0 left their arc"):
