@@ -51,7 +51,7 @@ class SearchResult:
     p_null: float           # mass inside G
     p_unmarked: float       # mass on |out>, |in>
     overlap_r0: float       # |<r0|psi>|^2
-    norm_drift: float = 0.0     # ||psi||^2 - 1 of the final state as walked
+    norm_drift: float       # ||psi||^2 - 1 of the final state as walked
 
 
 def initial_state(spec: SubgraphSpec, N: int, M: int, branch: int, phi: float) -> StateVector:

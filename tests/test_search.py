@@ -290,6 +290,7 @@ class TestRunSearch:
         assert res.overlap_r0 > 0.99
         total = res.p_marked + res.p_null + res.p_unmarked
         assert abs(total - 1.0) < 1e-10
+        assert abs(res.norm_drift) < 1e-10     # the masses are divided by their sum
 
     @pytest.mark.parametrize("N,floor", [(100, 1 - 5 / 10), (10 ** 4, 1 - 5 / 100)])
     def test_grover_success(self, grover_spec, N, floor):
@@ -598,13 +599,13 @@ class TestSampleMeasurement:
 
     def test_certain_outcome(self):
         res = sw.SearchResult(final_state=None, p_marked=1.0, p_null=0.0,
-                              p_unmarked=0.0, overlap_r0=1.0)
+                              p_unmarked=0.0, overlap_r0=1.0, norm_drift=0.0)
         counts = sw.sample_measurement(res, seed=0, shots=50)
         assert counts == {"marked": 50, "unmarked": 0, "null": 0}
 
     def test_rejects_zero_shots(self):
         res = sw.SearchResult(final_state=None, p_marked=1.0, p_null=0.0,
-                              p_unmarked=0.0, overlap_r0=1.0)
+                              p_unmarked=0.0, overlap_r0=1.0, norm_drift=0.0)
         with pytest.raises(ValueError):
             sw.sample_measurement(res, seed=0, shots=0)
 
@@ -618,6 +619,6 @@ class TestSampleMeasurement:
     @pytest.mark.parametrize("p", [(0.0, 0.0, 0.0), (math.nan, 0.5, 0.5)])
     def test_rejects_no_positive_total(self, p):
         res = sw.SearchResult(final_state=None, p_marked=p[0], p_null=p[1],
-                              p_unmarked=p[2], overlap_r0=1.0)
+                              p_unmarked=p[2], overlap_r0=1.0, norm_drift=0.0)
         with pytest.raises(sw.SpecError, match="cannot sample"):
             sw.sample_measurement(res, seed=0, shots=10)
