@@ -485,11 +485,11 @@ def build_collapsed(spec: SubgraphSpec, hub: HubModel, phi: float) -> UnitaryOpe
 class FullWalk:
     """The literal N-edge walk with M disjoint copies of G, applied matrix-free.
 
-    One step maps amplitudes ``x`` (shape ``(D,)`` or ``(D, k)``) to ``y``:
-    the hub sends ``y[0:N] = t*sum(x_in) + (r-t)*x_in`` with ``x_in = x[N:2N]``;
-    each unmarked edge j > M reflects, ``y[N+j-1] = e^{i phi} x[j-1]``; copy k
-    of G applies ``port_block`` to ``[x[k-1], interior_k]`` and writes
-    ``[y[N+k-1], interior_k]``.
+    One step maps amplitudes ``x`` (shape ``(D,)``) to ``y``: the hub sends
+    ``y[0:N] = t*sum(x_in) + (r-t)*x_in`` with ``x_in = x[N:2N]``; each
+    unmarked edge j > M reflects, ``y[N+j-1] = e^{i phi} x[j-1]``; copy k of G
+    applies ``port_block`` to ``[x[k-1], interior_k]`` and writes
+    ``[y[N+k-1], interior_k]``.  It steps one state at a time, through ``apply``.
     """
     basis: EdgeBasis
     hub: HubModel
@@ -499,17 +499,15 @@ class FullWalk:
     def step(self, x: np.ndarray) -> np.ndarray:
         N, M, n = self.basis.N, self.basis.M, len(self.basis.interior)
         r, t = self.hub.r, self.hub.t
-        X = x.reshape(len(self.basis), -1)      # one column per state
-        k = X.shape[1]
-        y = np.empty(X.shape, dtype=complex)
-        x_in = X[N:2 * N]
-        y[:N] = t * x_in.sum(axis=0) + (r - t) * x_in
-        y[N + M:2 * N] = cmath.exp(1j * self.phi) * X[M:N]
-        slab = np.concatenate((X[:M, None], X[2 * N:].reshape(M, n, k)), axis=1)
-        out = self.port_block @ slab
+        y = np.empty(x.shape, dtype=complex)
+        x_in = x[N:2 * N]
+        y[:N] = t * x_in.sum() + (r - t) * x_in
+        y[N + M:2 * N] = cmath.exp(1j * self.phi) * x[M:N]
+        slab = np.concatenate((x[:M, None], x[2 * N:].reshape(M, n)), axis=1)
+        out = (self.port_block @ slab[:, :, None])[:, :, 0]
         y[N:N + M] = out[:, 0]
-        y[2 * N:] = out[:, 1:].reshape(M * n, k)
-        return y.reshape(x.shape)
+        y[2 * N:] = out[:, 1:].reshape(M * n)
+        return y
 
 
 def build_full(spec: SubgraphSpec, N: int, M: int = 1, phi: float = 0.0) -> FullWalk:
@@ -575,26 +573,21 @@ def apply(U: UnitaryOperator | FullWalk, s: StateVector) -> StateVector:
     return StateVector(amplitudes=U.step(s.amplitudes), basis=s.basis)
 
 
-def evolve(U: UnitaryOperator | FullWalk, s: StateVector, m: int) -> StateVector:
-    """m time steps (m >= 0).
-
-    A dense operator is applied by ``_power``, which also refuses a walk whose
-    operator is too far from unitary for m steps: a float64 one (a real walk's)
-    squares in float64 from a real start, whose result is cast to complex, and
-    is cast to complex itself for a complex start.  The matrix-free full walk
-    steps m times.  Raises NumericsError when the norm drifts by more than
-    NORM_DRIFT_TOL (relative): the result would be silently wrong.
-    """
+def evolve(U: UnitaryOperator, s: StateVector, m: int) -> StateVector:
+    """m time steps (m a nonnegative integer) of a collapsed operator, by ``_power``,
+    which refuses a walk too far from unitary for m steps or whose norm drifts by more
+    than NORM_DRIFT_TOL (relative): the result would be silently wrong.  A float64
+    operator (a real walk's) squares in float64 from a real start, whose result is cast
+    to complex, and is cast to complex itself for a complex start.  A full walk steps
+    one state at a time, through ``apply``."""
+    if not isinstance(U, UnitaryOperator):
+        raise SpecError(f"evolve powers a collapsed UnitaryOperator, got {type(U).__name__}; "
+                        f"step a full walk with apply")
     if U.basis is not s.basis and U.basis != s.basis:
         raise SpecError("operator/state basis mismatch")
-    if m < 0:
-        raise ValueError("step count must be nonnegative")
-    if isinstance(U, FullWalk):
-        amp = s.amplitudes
-        for _ in range(m):
-            amp = U.step(amp)
-        _check_drift(s.amplitudes, amp, m)
-    elif U.matrix.dtype == complex or s.amplitudes.imag.any():
+    if not (isinstance(m, (int, np.integer)) and m >= 0):
+        raise ValueError(f"step count must be a nonnegative integer, got {m!r}")
+    if U.matrix.dtype == complex or s.amplitudes.imag.any():
         amp = _power(U.matrix.astype(complex, copy=False), s.amplitudes, m, U.residual)
     else:
         amp = _power(U.matrix, s.amplitudes.real, m, U.residual).astype(complex)
@@ -626,14 +619,9 @@ def _power(matrix: np.ndarray, x: np.ndarray, m: int, residual: float) -> np.nda
     for p, bit in zip(reversed(powers), bits):
         if bit == "1":
             amp = p.dot(amp)
-    _check_drift(x, amp, m)
-    return amp
-
-
-def _check_drift(x: np.ndarray, amp: np.ndarray, m: int) -> None:
-    """NumericsError when m steps took x to amp with a relative norm change past NORM_DRIFT_TOL."""
     n0 = math.sqrt(np.vdot(x, x).real)
     drift = abs(math.sqrt(np.vdot(amp, amp).real) - n0) / n0 if n0 else 0.0
     if not drift <= NORM_DRIFT_TOL:
         raise NumericsError(f"norm drifted by {drift:.2e} (relative) over {m} steps, past "
                             f"{NORM_DRIFT_TOL:g}: this many steps exhaust double precision")
+    return amp

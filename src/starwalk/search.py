@@ -88,14 +88,19 @@ def _search_target(spec: SubgraphSpec, lambda0) -> RightClassification:
     return target
 
 
+def _schedule(N: int, M: int, c: float) -> int:
+    """The search's step count floor(pi*sqrt(N/M)/(2c)) at coupling c."""
+    return math.floor(math.pi * math.sqrt(N / M) / (2.0 * c))
+
+
 def plan_search(spec: SubgraphSpec, N: int, M: int = 1, lambda0="auto") -> SearchPlan:
     """Build a SearchPlan for the given star size, choosing lambda0 if "auto"; its
     start is ``initial_state``."""
     check_star(N, M)
     t = _search_target(spec, lambda0)
-    m = math.floor(math.pi * math.sqrt(N / M) / (2.0 * t.c))
     return SearchPlan(lambda0=t.lambda0, phi=t.phi, branch=t.branch, c=t.c,
-                      N=int(N), M=int(M), m=m, initial=initial_state(spec, N, M, t.branch, t.phi),
+                      N=int(N), M=int(M), m=_schedule(N, M, t.c),
+                      initial=initial_state(spec, N, M, t.branch, t.phi),
                       predicted_success=t.predicted_success, r0=t.r0)
 
 

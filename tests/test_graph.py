@@ -19,8 +19,8 @@ from conftest import random_collapsed_state, random_spec
 
 
 def dense(walk: sw.FullWalk) -> np.ndarray:
-    """A full walk's dense operator, built by stepping the identity (small N only)."""
-    return walk.step(np.eye(len(walk.basis), dtype=complex))
+    """A full walk's dense operator, built by stepping each basis vector (small N only)."""
+    return np.column_stack([walk.step(e) for e in np.eye(len(walk.basis), dtype=complex)])
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +345,8 @@ class TestBuildFull:
         walk = sw.build_full(spec, N, M=M, phi=phi)
         D = ref.shape[0]
         assert len(walk.basis) == D
-        x = rng.normal(size=(D, 3)) + 1j * rng.normal(size=(D, 3))
+        x = rng.normal(size=D) + 1j * rng.normal(size=D)
         assert np.max(np.abs(walk.step(x) - ref @ x)) < 1e-13
-        assert np.max(np.abs(walk.step(x[:, 0]) - ref @ x[:, 0])) < 1e-13
         assert np.max(np.abs(dense(walk) - ref)) < 1e-15
 
     def test_positions_are_arithmetic(self, bolo_spec):
@@ -450,7 +449,9 @@ class TestLiftRestrict:
         sc = random_collapsed_state(rng, bolo_spec)
         sf = sw.lift_collapsed_state(sc, N, M)
         sc50 = sw.evolve(Uc, sc, 50)
-        sf50 = sw.evolve(Uf, sf, 50)
+        sf50 = sf
+        for _ in range(50):
+            sf50 = sw.apply(Uf, sf50)
         back, leak = sw.restrict_full_state(sf50)
         assert leak < 1e-10
         assert np.max(np.abs(back.amplitudes - sc50.amplitudes)) < 1e-10
@@ -824,6 +825,15 @@ class TestInputChecks:
             sw.evolve(U, sw.initial_state(bolo_spec, 100, 1, 1, 0.0), 3)
 
     def test_evolve_negative_steps(self, grover_spec):
+        # a count that is not a nonnegative integer is bad input, not a numerical diagnostic
         U = sw.build_collapsed(grover_spec, sw.hub_coefficients(100), 0.0)
-        with pytest.raises(ValueError, match="step count must be nonnegative"):
-            sw.evolve(U, sw.initial_state(grover_spec, 100, 1, 1, 0.0), -1)
+        for m in (-1, np.int64(-1), 2.5, 10.0, math.nan, "3"):
+            with pytest.raises(ValueError, match="step count must be a nonnegative integer"):
+                sw.evolve(U, sw.initial_state(grover_spec, 100, 1, 1, 0.0), m)
+
+    def test_evolve_refuses_the_full_walk(self, grover_spec):
+        # the full walk steps one state at a time through apply; evolve powers a collapsed operator
+        Uf = sw.build_full(grover_spec, 8)
+        state = sw.lift_collapsed_state(sw.initial_state(grover_spec, 8, 1, 1, 0.0), 8)
+        with pytest.raises(sw.SpecError, match="step a full walk with apply"):
+            sw.evolve(Uf, state, 1)

@@ -276,6 +276,20 @@ class TestToleranceSweep:
             assert [row.m_naive for row in rows] == [m] * len(grid)
             assert rows[0].m_compensated == m
 
+    @pytest.mark.parametrize("name", ["grover", "bolo"])
+    def test_compensated_schedule_is_the_search_step_count_at_c_sqrt_1_plus_t(self, name):
+        # the compensated schedule is the search's floor(pi sqrt(N/M) / 2c) with c*sqrt(1+t)
+        spec = sw.load_spec(name)
+        grid = [0.0, 0.003, -0.02, 0.1, 1.0, 3.0]
+        for cl in sw.right_classifications(spec):
+            if cl.c is None:
+                continue
+            for N, M in ((100, 1), (10 ** 4, 3), (10 ** 12, 1)):
+                rows = sw.tolerance_sweep(spec, N, M, cl.lambda0, grid, locate_eps0=False)
+                assert [row.m_compensated for row in rows] == [
+                    math.floor(math.pi * math.sqrt(N / M) / (2.0 * cl.c * math.sqrt(1.0 + row.t)))
+                    for row in rows]
+
     def test_detuning_is_reduced_mod_two_pi(self, grover_spec):
         near, far = sw.tolerance_sweep(grover_spec, 10 ** 4, 1, -1.0 + 0j,
                                        [0.01, 0.01 + 2.0 * math.pi], locate_eps0=False)
