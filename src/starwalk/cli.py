@@ -15,11 +15,13 @@ demo          narrated end-to-end run on the bundled 'bolo' fixture
 Exit codes: 0 ok; 1 standard output closed by its reader; 2 bad input or
 unwritable --out; 3 numerical diagnostic; 4 oracle-check deviation above
 threshold.  CSV output is byte-deterministic for a fixed config and seed; set
-STARWALK_LOG=debug|info|... for verbosity.
+STARWALK_LOG to debug, info, warning, error or critical (any case) for
+verbosity; any other value means warning.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import math
@@ -46,6 +48,7 @@ ORACLE_TOL = 1e-8
 ORACLE_MAX_STATES = 4_000_000
 # sweep grids hold 8 bytes per point; 1M points keep the grid at 8 MB
 SWEEP_MAX_POINTS = 1_000_000
+LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
 
 SEARCH_COLUMNS = ["N", "M", "lambda0_re", "lambda0_im", "phi", "c", "m",
                   "p_marked", "p_null", "p_unmarked", "overlap_r0"]
@@ -352,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("STARWALK_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    level = os.environ.get("STARWALK_LOG", "warning").lower()
+    logging.basicConfig(level=level.upper() if level in LOG_LEVELS else logging.WARNING,
                         stream=sys.stderr)
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -376,5 +379,12 @@ def main(argv=None) -> int:
         return EXIT_PIPE
 
 
+def entry() -> int:
+    """Process entry of ``python -m starwalk.cli`` and the ``starwalk`` script: the
+    interpreter's final collections skip the import-time heap frozen here."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -11,11 +12,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import starwalk
+import starwalk.cli as cli
 from starwalk.cli import (EXIT_NUMERICS, EXIT_OK, EXIT_ORACLE, EXIT_PIPE, EXIT_SPEC,
                           ORACLE_MAX_STATES, main)
 
 from conftest import random_spec
 from test_graph import BAD_WIRING, bad_wiring
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(starwalk.__file__)))
+ROOT = os.path.dirname(SRC)
 
 
 def run(argv):
@@ -417,8 +422,6 @@ class TestArgParsing:
 
     def test_numerics_exit_code(self, monkeypatch, tmp_path):
         # force a numerical diagnostic through the analyze path
-        import starwalk.cli as cli
-
         def boom(*a, **k):
             from starwalk.graph import NumericsError
             raise NumericsError("synthetic")
@@ -433,8 +436,7 @@ class TestClosedStdout:
         ["search", "bolo", "--n", "1000", "--shots", "100"],
     ], ids=lambda argv: argv[0])
     def test_reader_gone_leaves_no_traceback(self, argv, buffered, tmp_path):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(starwalk.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONPATH=SRC)
         env.pop("PYTHONUNBUFFERED", None)
         if not buffered:        # each print reaches the pipe, not only the exit flush
             env["PYTHONUNBUFFERED"] = "1"
@@ -518,7 +520,6 @@ class TestSpecCompiledOnce:
     def _loaded_after(argvs, modules=("scipy", "numpy.ma")) -> list[tuple[bool, ...]]:
         """Which of ``modules`` are in sys.modules of a fresh interpreter, after
         ``import starwalk.cli`` and after each argv run through ``main``."""
-        src = os.path.dirname(os.path.dirname(os.path.abspath(starwalk.__file__)))
         code = ("import sys, starwalk.cli\n"
                 f"mods = {modules!r}\n"
                 "print('LOADED', *(m in sys.modules for m in mods))\n"
@@ -526,7 +527,7 @@ class TestSpecCompiledOnce:
                 "    assert starwalk.cli.main(argv) == 0, argv\n"
                 "    print('LOADED', *(m in sys.modules for m in mods))\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True)
+                              env=dict(os.environ, PYTHONPATH=SRC), timeout=120, check=True)
         return [tuple(word == "True" for word in line.split()[1:])
                 for line in proc.stdout.splitlines() if line.startswith("LOADED")]
 
@@ -547,3 +548,78 @@ class TestSpecCompiledOnce:
                  ["oracle-check", "bolo", "--n", "64", "--steps", "20"],
                  ["demo"]]
         assert self._loaded_after(argvs) == [(False, False)] * 7
+
+
+def cold(argv, cwd, **env) -> subprocess.CompletedProcess:
+    """``python -m starwalk.cli`` in a fresh interpreter, as a shell would run it."""
+    return subprocess.run([sys.executable, "-m", "starwalk.cli", *argv], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=SRC, **env),
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestLogLevel:
+    # `basic_format` and `_styles` name attributes of `logging` that are not
+    # levels; they once reached basicConfig as levels: a traceback and exit 1
+    @pytest.mark.parametrize("value, warns", [("basic_format", True), ("_styles", True),
+                                              ("root", True), ("nonsense", True),
+                                              ("ErRoR", False)])
+    def test_any_value_runs(self, value, warns, tmp_path):
+        # a detuning outside the small-angle regime logs one warning
+        proc = cold(["tolerance", "grover", "--n", "1000", "--delta-grid", "0,1", "--out", "t"],
+                    tmp_path, STARWALK_LOG=value)
+        assert proc.returncode == EXIT_OK
+        assert "Traceback" not in proc.stderr
+        assert ("outside the small-angle regime" in proc.stderr) == warns
+
+
+class TestEntry:
+    """The process entry freezes the import-time heap; ``main`` never does."""
+
+    def test_entry_freezes_then_runs_main(self, monkeypatch):
+        calls = []
+        real_main = cli.main
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or real_main())
+        monkeypatch.setattr(sys, "argv", ["starwalk", "search", "bolo", "--n", "1"])
+        assert cli.entry() == EXIT_SPEC
+        assert calls == ["freeze", "main"]
+
+    def test_main_does_not_freeze(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert run(["search", "bolo", "--n", "1000", "--out", str(tmp_path / "s")]) == EXIT_OK
+        assert run(["demo", "--seed", "1"]) == EXIT_OK
+        assert gc.get_freeze_count() == before
+
+    def test_console_script_is_the_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"starwalk": "starwalk.cli:entry"}
+
+    @pytest.mark.parametrize("argv, code", [
+        (["analyze", "bolo", "--out", "o"], EXIT_OK),
+        (["search", "bolo", "--n", "1000000", "--shots", "100", "--seed", "1", "--out", "o"],
+         EXIT_OK),
+        (["sweep", "grover", "--n", "100..1000000", "--log", "--points", "4", "--out", "o"],
+         EXIT_OK),
+        (["tolerance", "grover", "--n", "10000", "--out", "o"], EXIT_OK),
+        (["oracle-check", "bolo", "--n", "1000", "--steps", "20"], EXIT_OK),
+        (["demo", "--seed", "1"], EXIT_OK),
+        (["search", "bolo", "--n", "1"], EXIT_SPEC),
+        (["search", "bolo", "--n", str(10 ** 22), "--out", "o"], EXIT_NUMERICS),
+        (["oracle-check", "bolo", "--n", "1000", "--steps", "20", "--tol", "0"], EXIT_ORACLE),
+    ], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+    def test_same_program_as_main(self, argv, code, tmp_path, monkeypatch, capsys):
+        """A cold run writes the same exit code, files and stdout as ``main(argv)``."""
+        (tmp_path / "cold").mkdir()
+        (tmp_path / "warm").mkdir()
+        proc = cold(argv, tmp_path / "cold")
+        monkeypatch.chdir(tmp_path / "warm")
+        assert (proc.returncode, run(argv)) == (code, code)
+        assert proc.stdout == capsys.readouterr().out
+
+        def files(d):
+            return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+        written = files(tmp_path / "cold")
+        assert written == files(tmp_path / "warm")
+        assert bool(written) == ("--out" in argv and code == EXIT_OK)
