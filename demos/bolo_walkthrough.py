@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 import starwalk as sw
+from starwalk.graph import RESERVED_LABELS
 
 
 def main() -> None:
@@ -23,8 +24,7 @@ def main() -> None:
     N = 10 ** 6
 
     print("=== 1. Spectrum of the attached structure ===")
-    A, labels = sw.right_block(spec)
-    print(f"right-side basis: {labels}")
+    print(f"right-side basis: {RESERVED_LABELS[2:] + spec.interior}")
     cls = sw.right_classifications(spec)
     for cl in cls:
         tag = (f"active, c = {cl.c:.6f}" if cl.c is not None

@@ -29,8 +29,6 @@ from .search import (
     sample_measurement,
 )
 from .spectral import (
-    EigenSystem,
-    EigenvalueGroup,
     MonodromyReport,
     PairingFit,
     RightClassification,

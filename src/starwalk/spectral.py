@@ -44,13 +44,6 @@ ROUNDOFF = 1e-12         # parts of a unit-modulus lambda0 below this are round-
 # Eigendecomposition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class EigenSystem:
-    """Eigenvalues and unit-norm, phase-gauged eigenvectors (columns)."""
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 GAUGE_TIE = 1e-9         # moduli this close (relative) to a column's largest tie for its gauge
 
 
@@ -68,20 +61,22 @@ def _gauge(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def eigendecompose(U) -> EigenSystem:
-    """Eigenvalues and an orthonormal eigenbasis of a unitary matrix.
+def eigendecompose(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of a unitary matrix, the vectors orthonormal, phase-gauged
+    columns (``_gauge``), as numpy's solvers return them.
 
     The input must be unitary.  It is turned by e^{-i beta} so that the centre
     of its largest gap between eigenvalue angles sits at -1; the Cayley
     transform H = i (I + B)^{-1} (I - B) of B = e^{-i beta} U is then Hermitian
     with the eigenvectors of U, and ``eigh`` gives an orthonormal eigenbasis,
     degenerate clusters included.  The eigenvalues are the Rayleigh quotients
-    of U in that basis.  Non-square, empty or non-finite input raises SpecError;
-    a residual above ``RESIDUAL_TOL`` means the input is not unitary.
+    of U in that basis.  Non-square, empty or non-finite input (an operator record too)
+    raises SpecError; a residual above ``RESIDUAL_TOL`` means the input is not unitary.
     """
-    A = np.asarray(getattr(U, "matrix", U), dtype=complex)   # an operator or a bare matrix
+    A = np.asarray(U)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise SpecError(f"eigendecompose needs a non-empty square matrix, got shape {A.shape}")
+    A = A.astype(complex, copy=False)
     if not np.all(np.isfinite(A)):
         raise SpecError("eigendecompose got a matrix with NaN or infinite entries")
     angles = np.sort(np.angle(np.linalg.eigvals(A)))
@@ -98,20 +93,12 @@ def eigendecompose(U) -> EigenSystem:
         raise NumericsError(
             f"eigendecomposition residual {res:.2e} exceeds {RESIDUAL_TOL:.1e} "
             f"(matrix condition number {cond:.2e})")
-    return EigenSystem(eigenvalues=vals, eigenvectors=_gauge(Z))
+    return vals, _gauge(Z)
 
 
 # ---------------------------------------------------------------------------
 # Eigenvalue grouping
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EigenvalueGroup:
-    """A lambda0 family: representative value, multiplicity, member indices."""
-    lambda0: complex
-    multiplicity: int
-    members: tuple[int, ...]
-
 
 def _snap(z: complex) -> complex:
     """z with its round-off-level real and imaginary parts set to +0."""
@@ -120,14 +107,14 @@ def _snap(z: complex) -> complex:
                    0.0 if abs(z.imag) < ROUNDOFF else z.imag)
 
 
-def group_eigenvalues(sys: EigenSystem) -> list[EigenvalueGroup]:
-    """Cluster eigenvalues into lambda0 families by single-linkage on the circle.
+def group_eigenvalues(vals: np.ndarray) -> list[tuple[complex, tuple[int, ...]]]:
+    """Cluster eigenvalues into lambda0 families by single-linkage on the circle: a
+    ``(lambda0, members)`` pair per family, its sorted member indices, by angle of lambda0.
 
     Two clusters whose representatives lie within 2*CLUSTER_TOL are reported as
     ambiguous rather than silently merged.  A representative's round-off-level
     parts are set to +0, so +-1 carry no sign of the eigensolver's rounding.
     """
-    vals = sys.eigenvalues
     n = len(vals)
     order = np.argsort(np.angle(vals))
     # chain clusters over sorted angles, then check the wrap-around seam
@@ -145,29 +132,28 @@ def group_eigenvalues(sys: EigenSystem) -> list[EigenvalueGroup]:
     for members in clusters:
         mean = np.mean(vals[members])
         rep = complex(mean / abs(mean)) if abs(mean) > 0 else complex(vals[members[0]])
-        groups.append(EigenvalueGroup(lambda0=_snap(rep), multiplicity=len(members),
-                                      members=tuple(sorted(members))))
+        groups.append((_snap(rep), tuple(sorted(members))))
     for a in range(len(groups)):
         for b in range(a + 1, len(groups)):
-            gap = abs(groups[a].lambda0 - groups[b].lambda0)
+            gap = abs(groups[a][0] - groups[b][0])
             if gap < 2 * CLUSTER_TOL:
                 raise NumericsError(
-                    f"ambiguous eigenvalue clustering: groups at {groups[a].lambda0:.9f} "
-                    f"and {groups[b].lambda0:.9f} are {gap:.2e} apart (< 2*CLUSTER_TOL)")
-    return sorted(groups, key=lambda g: round(float(np.angle(g.lambda0)), 12))
+                    f"ambiguous eigenvalue clustering: groups at {groups[a][0]:.9f} "
+                    f"and {groups[b][0]:.9f} are {gap:.2e} apart (< 2*CLUSTER_TOL)")
+    return sorted(groups, key=lambda g: round(float(np.angle(g[0])), 12))
 
 
 # ---------------------------------------------------------------------------
 # Right block and bound/active classification
 # ---------------------------------------------------------------------------
 
-def right_block(spec: SubgraphSpec) -> tuple[np.ndarray, tuple[str, ...]]:
+def right_block(spec: SubgraphSpec) -> np.ndarray:
     """The eps=0 operator restricted to the right side.
 
-    Basis order [|0,1>, |1,0>, interior...].  At eps=0 the hub does not couple
-    the two sides and returns |1,0> to |0,1> with amplitude R_R(0) = -1.
+    Basis order [|0,1>, |1,0>, interior...], the report's ``right_basis``.  At eps=0 the
+    hub does not couple the two sides and returns |1,0> to |0,1> with amplitude R_R(0) = -1.
     """
-    return collapsed_matrix(spec, 0.0, 0.0)[2:, 2:], RESERVED_LABELS[2:] + spec.interior
+    return collapsed_matrix(spec, 0.0, 0.0)[2:, 2:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,26 +189,29 @@ def _nearest(values, lambda0: complex) -> int:
     return k
 
 
-def _classify_group(sys: EigenSystem, g: EigenvalueGroup) -> RightClassification:
-    """Split one eigenspace of the right block into bound and active parts.
+def _classify_group(vecs: np.ndarray,
+                    group: tuple[complex, tuple[int, ...]]) -> RightClassification:
+    """Split one eigenspace of the right block, the ``vecs`` columns of a ``(lambda0,
+    members)`` group, into bound and active parts.
 
     Bound vectors have (numerically) zero amplitude on the hub-adjacent states
     |0,1> and |1,0>; the rank of the hub-contact map is decided by its singular
     values against ``RANK_TOL``.  A contact rank above 1 would contradict the
     one-active-vector-per-side structure and raises a diagnostic.
     """
-    basis = sys.eigenvectors[:, list(g.members)]   # orthonormal columns
+    lambda0, members = group
+    basis = vecs[:, list(members)]              # orthonormal columns
     contact = basis[:2, :]                      # amplitudes on |0,1>, |1,0>
     _, svals, vh = np.linalg.svd(contact)
     rank = int(np.sum(svals > RANK_TOL))
     if rank > 1:
         raise NumericsError(
-            f"eigenspace at lambda0={g.lambda0:.6f} touches the hub with rank "
+            f"eigenspace at lambda0={lambda0:.6f} touches the hub with rank "
             f"{rank} (singular values {svals}); expected at most one active vector")
-    phi, branch = matched_phi(g.lambda0)
+    phi, branch = matched_phi(lambda0)
     if rank == 0:
         basis.flags.writeable = False
-        return RightClassification(lambda0=g.lambda0, bound_basis=basis, active_vector=None,
+        return RightClassification(lambda0=lambda0, bound_basis=basis, active_vector=None,
                                    c=None, phi=phi, branch=branch)
     active = _gauge((basis @ vh[0].conj())[:, None])[:, 0]
     bound = basis @ vh[1:].conj().T
@@ -230,7 +219,7 @@ def _classify_group(sys: EigenSystem, g: EigenvalueGroup) -> RightClassification
     r0 = embed_right(active, 2 + len(active))      # after the left pair (|out>, |in>)
     active.flags.writeable = bound.flags.writeable = r0.flags.writeable = False
     return RightClassification(
-        lambda0=g.lambda0, bound_basis=bound, active_vector=active, c=float(c), phi=phi,
+        lambda0=lambda0, bound_basis=bound, active_vector=active, c=float(c), phi=phi,
         branch=branch, r0=r0, predicted_success=float(abs(r0[2]) ** 2 + abs(r0[3]) ** 2))
 
 
@@ -240,8 +229,8 @@ def _classes(spec: SubgraphSpec) -> dict[complex, RightClassification]:
     classification (SpecError, NumericsError) is not kept."""
     cached = spec._derived.get("classes")
     if cached is None:
-        sys = eigendecompose(right_block(spec)[0])
-        classes = (_classify_group(sys, g) for g in group_eigenvalues(sys))
+        vals, vecs = eigendecompose(right_block(spec))
+        classes = (_classify_group(vecs, g) for g in group_eigenvalues(vals))
         cached = spec._derived["classes"] = {cl.lambda0: cl for cl in classes}
     return cached
 
@@ -528,15 +517,16 @@ def _family(spec: SubgraphSpec, cl: RightClassification, delta: float):
 
 @dataclass(frozen=True)
 class MonodromyReport:
-    """Permutation of the eigenvalue branches after one loop of eps around 0."""
+    """The loop radius and the permutation of U(eps)'s eigenvalue branches after one loop of
+    eps around 0: branch i ends where branch permutation[i] began, the secular roots in
+    pole order (two left, then the active right), then the bound eigenvalues."""
     rho: float
-    start_eigenvalues: np.ndarray
     permutation: tuple[int, ...]
-    cycles: tuple[tuple[int, ...], ...]
 
     @property
     def cycle_lengths(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.cycles)
+        """Each cycle's length, by its smallest branch: the loop only swaps pairs."""
+        return tuple(1 if j == i else 2 for i, j in enumerate(self.permutation) if j >= i)
 
 
 def monodromy(spec: SubgraphSpec, phi: float) -> MonodromyReport:
@@ -546,7 +536,8 @@ def monodromy(spec: SubgraphSpec, phi: float) -> MonodromyReport:
     roots iff |eps0| < rho; two right poles', at ~|delta/((A_k + A_l)(1 - 2g_L))|, is one of a
     conjugate pair (s is real on the circle), so theirs stay.  Pairs estimated within 16 rho are
     located; an eps0 within 1% of rho, a z* off the pair's arc or a root in two enclosed pairs
-    raises NumericsError.  The bound eigenvalues, listed last, stay."""
+    raises NumericsError.  The bound eigenvalues, listed last, stay.  No root of U(eps) is
+    solved: the branches are numbered by their poles."""
     rho = 1e-4
     sec = secular_function(spec, phi)
     perm, claimed = list(range(len(sec.poles))), set()
@@ -576,11 +567,9 @@ def monodromy(spec: SubgraphSpec, phi: float) -> MonodromyReport:
             claimed |= {k, l}
             if l < 2:
                 perm[k], perm[l] = l, k
-    start = np.concatenate((sec.z(sec.roots([rho])[0]), [
-        cl.lambda0 for cl in right_classifications(spec) for _ in range(cl.n_bound)]))
-    perm = tuple(perm) + tuple(range(len(perm), len(start)))
-    return MonodromyReport(rho=rho, start_eigenvalues=start, permutation=perm, cycles=tuple(
-        (i,) if j == i else (i, j) for i, j in enumerate(perm) if j >= i))
+    n_bound = sum(cl.n_bound for cl in right_classifications(spec))
+    return MonodromyReport(rho=rho, permutation=tuple(perm) + tuple(
+        range(len(perm), len(perm) + n_bound)))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ def test_c01_bolo_reproduction(bolo_spec):
     with criterion(1, "five-state fixture: eigenvalues, c table, m=1813, "
                       "p_marked=0.75 +- 0.01, < 1 s"):
         t0 = time.perf_counter()
-        A, _ = sw.right_block(bolo_spec)
+        A = sw.right_block(bolo_spec)
         vals = np.sort_complex(np.linalg.eigvals(A))
         expected = np.sort_complex(np.array(
             [-1, -1, 1, (1 + 2j * math.sqrt(2)) / 3, (1 - 2j * math.sqrt(2)) / 3]))

@@ -49,15 +49,15 @@ class TestEigendecompose:
     def test_residual_on_random_unitaries(self):
         for n in (2, 5, 9):
             U = haar_unitary(RNG, n)
-            sys = sw.eigendecompose(U)
-            R = U @ sys.eigenvectors - sys.eigenvectors * sys.eigenvalues
+            vals, vecs = sw.eigendecompose(U)
+            R = U @ vecs - vecs * vals
             assert np.max(np.abs(R)) < 1e-9
-            assert np.allclose(np.abs(sys.eigenvalues), 1.0, atol=1e-10)
+            assert np.allclose(np.abs(vals), 1.0, atol=1e-10)
 
     def test_gauge_fixing(self):
-        sys = sw.eigendecompose(haar_unitary(RNG, 6))
+        _, vecs = sw.eigendecompose(haar_unitary(RNG, 6))
         for k in range(6):
-            v = sys.eigenvectors[:, k]
+            v = vecs[:, k]
             i = int(np.argmax(np.abs(v)))
             assert abs(v[i].imag) < 1e-12
             assert v[i].real > 0
@@ -67,8 +67,8 @@ class TestEigendecompose:
         # fourfold-degenerate unitary: the eigenbasis must still be orthonormal
         Q = haar_unitary(RNG, 5)
         U = Q @ np.diag([1, 1, 1, 1, -1]).astype(complex) @ Q.conj().T
-        sys = sw.eigendecompose(U)
-        G = sys.eigenvectors.conj().T @ sys.eigenvectors
+        _, vecs = sw.eigendecompose(U)
+        G = vecs.conj().T @ vecs
         assert np.max(np.abs(G - np.eye(5))) < 1e-12
 
     def test_non_normal_input_raises(self):
@@ -83,18 +83,20 @@ class TestEigendecompose:
         np.array([[np.nan, 0.0], [0.0, 1.0]]),
         np.array([[1.0, 0.0], [0.0, np.inf]]),
         np.array([[1.0, 0.0], [0.0, complex(0.0, -np.inf)]]),
-    ], ids=["non-square", "empty", "one-dimensional", "nan", "inf", "imag-inf"])
-    def test_malformed_input_is_spec_error(self, A):
+        "operator",
+    ], ids=["non-square", "empty", "one-dimensional", "nan", "inf", "imag-inf", "operator"])
+    def test_malformed_input_is_spec_error(self, A, bolo_spec):
+        if isinstance(A, str):      # the operator record, not its matrix
+            A = sw.build_collapsed(bolo_spec, sw.hub_coefficients(100), 0.0)
         with pytest.raises(sw.SpecError) as info:
             sw.eigendecompose(A)
         assert len(str(info.value).splitlines()) == 1
 
     @staticmethod
-    def _check_basis(U, sys, tol=1e-12):
+    def _check_basis(U, vals, Z, tol=1e-12):
         n = len(U)
-        Z = sys.eigenvectors
         assert np.max(np.abs(Z.conj().T @ Z - np.eye(n))) < tol
-        assert np.max(np.linalg.norm(U @ Z - Z * sys.eigenvalues, axis=0)) < tol
+        assert np.max(np.linalg.norm(U @ Z - Z * vals, axis=0)) < tol
 
     def test_evenly_spread_spectrum(self):
         # n = 400 equally spaced eigenvalues: the largest gap is the smallest
@@ -103,10 +105,10 @@ class TestEigendecompose:
         lams = np.exp(2j * np.pi * (np.arange(n) + 0.3) / n)
         Q = haar_unitary(RNG, n)
         U = (Q * lams) @ Q.conj().T
-        sys = sw.eigendecompose(U)
-        self._check_basis(U, sys)
-        assert np.max(np.min(np.abs(sys.eigenvalues[:, None] - lams), axis=1)) < 1e-12
-        assert len(sw.group_eigenvalues(sys)) == n
+        vals, vecs = sw.eigendecompose(U)
+        self._check_basis(U, vals, vecs)
+        assert np.max(np.min(np.abs(vals[:, None] - lams), axis=1)) < 1e-12
+        assert len(sw.group_eigenvalues(vals)) == n
 
     def test_clusters_at_plus_minus_one_with_close_neighbours(self):
         # degenerate clusters at +-1 with simple eigenvalues 1e-6 away from each
@@ -115,15 +117,15 @@ class TestEigendecompose:
         lams = np.array([lam for lam, k in spectrum.items() for _ in range(k)], dtype=complex)
         Q = haar_unitary(RNG, len(lams))
         U = (Q * lams) @ Q.conj().T
-        sys = sw.eigendecompose(U)
-        self._check_basis(U, sys)
-        groups = sw.group_eigenvalues(sys)
+        vals, vecs = sw.eigendecompose(U)
+        self._check_basis(U, vals, vecs)
+        groups = sw.group_eigenvalues(vals)
         assert len(groups) == len(spectrum)
-        for g in groups:
-            lam = min(spectrum, key=lambda z: abs(z - g.lambda0))
-            assert g.multiplicity == spectrum[lam]
-            assert abs(g.lambda0 - lam) < 1e-12
-            V = sys.eigenvectors[:, list(g.members)]
+        for lambda0, members in groups:
+            lam = min(spectrum, key=lambda z: abs(z - lambda0))
+            assert len(members) == spectrum[lam]
+            assert abs(lambda0 - lam) < 1e-12
+            V = vecs[:, list(members)]
             Q_g = Q[:, np.abs(lams - lam) < 1e-12]
             assert np.max(np.abs(V @ V.conj().T - Q_g @ Q_g.conj().T)) < 1e-9
 
@@ -139,31 +141,31 @@ class TestEigendecompose:
         else:
             lams = RNG.choice([1.0, -1.0, 1j, cmath.exp(0.3j)], size=n)
             U = (Q * lams) @ Q.conj().T
-        sys = sw.eigendecompose(U)
+        vals, vecs = sw.eigendecompose(U)
         T, Z = scipy.linalg.schur(U, output="complex")
-        ref = sw.EigenSystem(eigenvalues=np.diag(T).copy(), eigenvectors=Z)
-        assert np.max(np.min(np.abs(sys.eigenvalues[:, None] - ref.eigenvalues), axis=1)) < 1e-12
-        groups, ref_groups = sw.group_eigenvalues(sys), sw.group_eigenvalues(ref)
-        assert [g.multiplicity for g in groups] == [g.multiplicity for g in ref_groups]
-        for g, r in zip(groups, ref_groups):
-            assert abs(g.lambda0 - r.lambda0) < 1e-12
-            V = sys.eigenvectors[:, list(g.members)]
-            W = Z[:, list(r.members)]
+        ref_vals = np.diag(T).copy()
+        assert np.max(np.min(np.abs(vals[:, None] - ref_vals), axis=1)) < 1e-12
+        groups, ref_groups = sw.group_eigenvalues(vals), sw.group_eigenvalues(ref_vals)
+        assert [len(m) for _, m in groups] == [len(m) for _, m in ref_groups]
+        for (lambda0, members), (ref_lambda0, ref_members) in zip(groups, ref_groups):
+            assert abs(lambda0 - ref_lambda0) < 1e-12
+            V = vecs[:, list(members)]
+            W = Z[:, list(ref_members)]
             assert np.max(np.abs(V @ V.conj().T - W @ W.conj().T)) < 1e-10
 
-    def test_accepts_operator_wrapper(self, bolo_spec):
+    def test_operator_matrix(self, bolo_spec):
         U = sw.build_collapsed(bolo_spec, sw.hub_coefficients(100), 0.0)
-        sys = sw.eigendecompose(U)
-        assert len(sys.eigenvalues) == bolo_spec.dim_collapsed
+        vals, _ = sw.eigendecompose(U.matrix)
+        assert len(vals) == bolo_spec.dim_collapsed
 
 
 class TestGroupEigenvalues:
     def test_bolo_collapsed_groups(self, bolo_spec):
         U0 = sw.collapsed_matrix(bolo_spec, 0.0, 0.0)
-        groups = sw.group_eigenvalues(sw.eigendecompose(U0))
+        groups = sw.group_eigenvalues(sw.eigendecompose(U0)[0])
         # eps=0, phi=0: left contributes +-1, right {-1,-1,1,(1+-2sqrt2 i)/3}
-        by_val = {complex(round(g.lambda0.real, 6), round(g.lambda0.imag, 6)): g.multiplicity
-                  for g in groups}
+        by_val = {complex(round(lam.real, 6), round(lam.imag, 6)): len(members)
+                  for lam, members in groups}
         assert by_val[complex(1, 0)] == 2
         assert by_val[complex(-1, 0)] == 3
         assert len(groups) == 4
@@ -171,34 +173,30 @@ class TestGroupEigenvalues:
     def test_multiplicity_sums_to_dimension(self, grover_spec, bolo_spec):
         for spec in (grover_spec, bolo_spec):
             U0 = sw.collapsed_matrix(spec, 0.0, 0.3)
-            groups = sw.group_eigenvalues(sw.eigendecompose(U0))
-            assert sum(g.multiplicity) if False else \
-                sum(g.multiplicity for g in groups) == spec.dim_collapsed
+            groups = sw.group_eigenvalues(sw.eigendecompose(U0)[0])
+            assert sum(len(members) for _, members in groups) == spec.dim_collapsed
 
     def test_wraparound_cluster_at_minus_pi(self):
         # one family straddling the angle cut at +-pi
         vals = np.array([cmath.exp(1j * (math.pi - 1e-9)),
                          cmath.exp(1j * (-math.pi + 1e-9)),
                          1.0 + 0j])
-        sys = sw.EigenSystem(eigenvalues=vals, eigenvectors=np.eye(3, dtype=complex))
-        groups = sw.group_eigenvalues(sys)
-        assert sorted(g.multiplicity for g in groups) == [1, 2]
+        groups = sw.group_eigenvalues(vals)
+        assert sorted(len(members) for _, members in groups) == [1, 2]
 
     def test_ambiguous_clustering_raises(self):
         # two clusters separated by 1.5*tol: too far to merge, too close to trust
         vals = np.array([1.0 + 0j, cmath.exp(1.5e-7j)])
-        sys = sw.EigenSystem(eigenvalues=vals, eigenvectors=np.eye(2, dtype=complex))
         with pytest.raises(sw.NumericsError, match="ambiguous"):
-            sw.group_eigenvalues(sys)
+            sw.group_eigenvalues(vals)
 
     def test_round_off_of_plus_minus_one_is_snapped(self, bolo_spec):
         # +-1 with round-off parts of either sign: lambda0 has exact +0.0 parts
         vals = np.array([complex(1.0, -3e-17), complex(1.0 - 1e-16, 2e-17),
                          complex(-1.0, -5e-17), complex(-1.0, 4e-17), 1j * (1 + 1e-16)])
-        sys = sw.EigenSystem(eigenvalues=vals, eigenvectors=np.eye(5, dtype=complex))
-        groups = sw.group_eigenvalues(sys)
-        assert [g.lambda0 for g in groups] == [1.0, 1j, -1.0]
-        assert all(math.copysign(1.0, g.lambda0.imag) == 1.0 for g in groups)
+        groups = sw.group_eigenvalues(vals)
+        assert [lam for lam, _ in groups] == [1.0, 1j, -1.0]
+        assert all(math.copysign(1.0, lam.imag) == 1.0 for lam, _ in groups)
         for cl in sw.right_classifications(bolo_spec):
             if abs(abs(cl.lambda0.real) - 1.0) < 1e-9:
                 assert cl.lambda0.imag == 0.0 and math.copysign(1.0, cl.lambda0.imag) == 1.0
@@ -210,20 +208,20 @@ class TestGroupEigenvalues:
 
 class TestRightBlock:
     def test_bolo_eigenvalues(self, bolo_spec):
-        A, labels = sw.right_block(bolo_spec)
-        assert labels[:2] == ("0->1", "1->0")
+        A = sw.right_block(bolo_spec)
+        assert spectral_report(bolo_spec)["right_basis"][:2] == ["0->1", "1->0"]
         vals = np.sort_complex(np.linalg.eigvals(A))
         expected = np.sort_complex(np.array(
             [-1, -1, 1, (1 + 2j * math.sqrt(2)) / 3, (1 - 2j * math.sqrt(2)) / 3]))
         assert np.max(np.abs(vals - expected)) < 1e-9
 
     def test_grover_eigenvalues(self, grover_spec):
-        A, _ = sw.right_block(grover_spec)
+        A = sw.right_block(grover_spec)
         vals = sorted(np.linalg.eigvals(A), key=lambda z: z.real)
         assert abs(vals[0] + 1) < 1e-12 and abs(vals[1] - 1) < 1e-12
 
     def test_block_is_unitary(self, bolo_spec):
-        A, _ = sw.right_block(bolo_spec)
+        A = sw.right_block(bolo_spec)
         assert np.max(np.abs(A.conj().T @ A - np.eye(A.shape[0]))) < 1e-12
 
 
@@ -246,7 +244,7 @@ class TestClassifyRight:
         b = cl.bound_basis[:, 0]
         # bound vectors carry no amplitude on the hub-adjacent states
         assert abs(b[0]) < 1e-10 and abs(b[1]) < 1e-10
-        A, _ = sw.right_block(bolo_spec)
+        A = sw.right_block(bolo_spec)
         assert np.linalg.norm(A @ b - (-1.0) * b) < 1e-9
 
     def test_simple_eigenvalues_have_no_bound_part(self, bolo_spec):
@@ -267,7 +265,7 @@ class TestClassifyRight:
             sw.classify_right(bolo_spec, complex(math.nan, 0.0))
 
     def test_active_vector_is_eigenvector(self, bolo_spec):
-        A, _ = sw.right_block(bolo_spec)
+        A = sw.right_block(bolo_spec)
         for cl in sw.right_classifications(bolo_spec):
             if cl.active_vector is None:
                 continue
@@ -289,11 +287,8 @@ class TestClassifyRight:
 
     def test_contact_rank_above_one_raises(self):
         # two orthonormal vectors both touching |0,1>, |1,0>: two active vectors
-        system = sw.EigenSystem(eigenvalues=np.ones(3, dtype=complex),
-                                eigenvectors=np.eye(3, dtype=complex))
-        group = sw.EigenvalueGroup(lambda0=1.0 + 0j, multiplicity=3, members=(0, 1, 2))
         with pytest.raises(sw.NumericsError, match="rank 2"):
-            spectral._classify_group(system, group)
+            spectral._classify_group(np.eye(3, dtype=complex), (1.0 + 0j, (0, 1, 2)))
 
 
 class TestClassificationMemo:
@@ -746,18 +741,23 @@ class TestMonodromy:
         assert rep.permutation == tuple(range(7))
 
     @pytest.mark.parametrize("spec_name", ["grover", "bolo", 1, 2, 3])
-    def test_matches_dense_reference_near_the_loop(self, spec_name):
-        # one family detuned so that its branch point |eps0| ~ (delta/2c)^2 sits at
-        # 0.3..3 rho: swapped inside the loop, in place outside
+    def test_matches_dense_reference_near_the_loop(self, spec_name, monkeypatch):
+        # one family matched or detuned so that its branch point |eps0| ~ (delta/2c)^2
+        # sits at 0.3..3 rho: swapped inside the loop, in place outside; the branch
+        # points alone decide, with no secular root solved
+        def no_roots(self, *args, **kwargs):
+            raise AssertionError("monodromy solved a secular root")
+        monkeypatch.setattr(spectral.SecularFunction, "roots", no_roots)
         spec = (sw.load_spec(spec_name) if isinstance(spec_name, str)
                 else random_spec(np.random.default_rng(spec_name), arms=3))
         lam, c, _ = sw.best_target(sw.right_classifications(spec))
-        for ratio in (0.3, 0.7, 1.5, 3.0):
+        for ratio in (0.0, 0.3, 0.7, 1.5, 3.0):
             delta = 2.0 * c * math.sqrt(ratio * 1e-4)
             assert abs(sw.locate_double_root(spec, lam, delta)) / 1e-4 == pytest.approx(ratio, rel=0.05)
             phi = sw.detuned_phase(lam, delta)
             rep = sw.monodromy(spec, phi)
             assert sorted(rep.cycle_lengths) == dense_monodromy(spec, phi)
+            assert sorted(rep.permutation) == list(range(spec.dim_collapsed))
 
     def test_branch_point_on_the_loop_is_refused(self, grover_spec):
         # delta = 2c sqrt(rho) puts eps0 = -(delta/2c)^2 within 0.02% of rho
@@ -917,11 +917,11 @@ class TestPairedVectors:
                 for eps in (1e-12, 1e-8, 1e-4, 1e-2):
                     lp, vp, lm, vm = sw.paired_vectors(spec, phi, cl.lambda0, eps)
                     U = sw.collapsed_matrix(spec, eps, phi)
-                    dense = sw.eigendecompose(U)
+                    vals, vecs = sw.eigendecompose(U)
                     for lam, v in ((lp, vp), (lm, vm)):
                         assert np.linalg.norm(U @ v - lam * v) <= 1e-13
                         assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
-                        w = dense.eigenvectors[:, np.argmin(np.abs(dense.eigenvalues - lam))]
+                        w = vecs[:, np.argmin(np.abs(vals - lam))]
                         assert 1.0 - abs(np.vdot(w, v)) <= 1e-12
                         assert np.linalg.norm(v - w) <= 1e-8        # the same gauge
                         checked += 1

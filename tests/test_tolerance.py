@@ -355,8 +355,8 @@ class TestMixingAngle:
                         sec = sw.secular_function(spec, phi)
                         k = 2 + int(np.argmin(np.abs(sec.poles[2:] - cl.lambda0)))
                         root = sec.z(sec.roots([1.0 / N], [k])[0], [k])[0]
-                        dense = sw.eigendecompose(sw.collapsed_matrix(spec, 1.0 / N, phi))
-                        w = dense.eigenvectors[:, np.argmin(np.abs(dense.eigenvalues - root))]
+                        vals, vecs = sw.eigendecompose(sw.collapsed_matrix(spec, 1.0 / N, phi))
+                        w = vecs[:, np.argmin(np.abs(vals - root))]
                         half = cmath.exp(0.5j * phi)
                         branch = 1 if abs(half - cl.lambda0) < abs(half + cl.lambda0) else -1
                         l0 = embed_left(left_active(phi, branch), spec.dim_collapsed)
