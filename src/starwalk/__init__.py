@@ -1,12 +1,10 @@
 """Quantum-walk search on star graphs with an attached marked subgraph."""
 
 from .graph import (
-    EdgeBasis,
     FullWalk,
     HubModel,
     NumericsError,
     SpecError,
-    StateVector,
     SubgraphSpec,
     UnitaryOperator,
     Vertex,

@@ -14,9 +14,10 @@ demo          narrated end-to-end run on the bundled 'bolo' fixture
 
 Exit codes: 0 ok; 1 standard output closed by its reader; 2 bad input or
 unwritable --out; 3 numerical diagnostic; 4 oracle-check deviation above
-threshold.  CSV output is byte-deterministic for a fixed config and seed; set
-STARWALK_LOG to debug, info, warning, error or critical (any case) for
-verbosity; any other value means warning.
+threshold.  CSV output is byte-deterministic for a fixed config and seed on one
+numpy/BLAS build with one BLAS thread count (across those, values can move in
+the last bits); set STARWALK_LOG to debug, info, warning, error or critical
+(any case) for verbosity; any other value means warning.
 """
 from __future__ import annotations
 
@@ -234,13 +235,13 @@ def cmd_oracle_check(args) -> int:
     Uc = graph.build_collapsed(spec, graph.hub_coefficients(N, M=M), plan.phi)
     Uf = graph.build_full(spec, N, M=M, phi=plan.phi)
     state_c = plan.initial
-    state_f = graph.lift_collapsed_state(state_c, N, M)
+    state_f = graph.lift_collapsed_state(spec, state_c, N, M)
     worst = 0.0
     for _ in range(args.steps):
         state_c = graph.apply(Uc, state_c)
         state_f = graph.apply(Uf, state_f)
-        restricted, leak = graph.restrict_full_state(state_f)
-        dev = float(np.linalg.norm(restricted.amplitudes - state_c.amplitudes))
+        restricted, leak = graph.restrict_full_state(spec, state_f, N, M)
+        dev = float(np.linalg.norm(restricted - state_c))
         worst = max(worst, dev, leak)
     print(f"oracle-check: N={N} M={M} steps={args.steps} max deviation = {worst:.3e}")
     if worst > args.tol:

@@ -13,7 +13,9 @@ Two operator builders are provided:
 * ``build_collapsed`` — the symmetry-collapsed walk on the fixed basis
                         ``[|out>, |in>, |0,1>, |1,0>, G-interior...]``.
 
-``lift_collapsed_state`` / ``restrict_full_state`` map between the two pictures.
+States are complex arrays: a collapsed one of length ``spec.dim_collapsed``, a
+full one of length ``2N + M*n``.  ``lift_collapsed_state`` / ``restrict_full_state``
+map between the two pictures.
 """
 from __future__ import annotations
 
@@ -91,8 +93,8 @@ class SubgraphSpec:
     same vertex, which encodes arms that return in a single step).
 
     A spec is immutable (vertex matrices are read-only), so data derived from
-    it lives on it and goes away with it: ``vertex_columns``, ``basis`` and the
-    vertex part of the collapsed operator's unitarity residual, and in the
+    it lives on it and goes away with it: ``vertex_columns`` and the vertex part
+    of the collapsed operator's unitarity residual, and in the
     private dict ``_derived`` the spectral classification, one record per eigenvalue
     family, the "auto" search target and the secular right side.  A consumer stores
     an entry only once it is computed, so a failed computation leaves nothing behind.
@@ -196,11 +198,6 @@ class SubgraphSpec:
         real = self.vertex_columns.real.copy()
         real.flags.writeable = False
         return real
-
-    @cached_property
-    def basis(self) -> "EdgeBasis":
-        """The collapsed edge basis, one object per spec."""
-        return EdgeBasis(self.interior)
 
     # -- (de)serialization --------------------------------------------------
     @classmethod
@@ -345,35 +342,26 @@ def hub_coefficients(N: int, M: int = 1) -> HubModel:
 
 
 # ---------------------------------------------------------------------------
-# Bases, operators, states
+# Operators and states
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EdgeBasis:
-    """Ordered edge states of the collapsed (``N == 0``) or the full picture.
-
-    Collapsed: ``[|out>, |in>, |0,1>, |1,0>, interior...]``.  Full (N edges, M
-    copies of G, n interior states): ``0->j`` at ``j-1``, ``j->0`` at ``N+j-1``,
-    interior state ``i`` of copy ``k`` at ``2N+(k-1)n+i``.
-    """
-    interior: tuple[str, ...]
-    N: int = 0
-    M: int = 0
-
-    def __len__(self) -> int:
-        n = len(self.interior)
-        return 2 * self.N + self.M * n if self.N else 4 + n
+def _state(x, dim: int, picture: str) -> np.ndarray:
+    """x as an array, refused unless it is one state of length dim."""
+    x = np.asarray(x)
+    if x.shape != (dim,):
+        raise SpecError(f"expected a {picture} state of length {dim}, "
+                        f"got an array of shape {x.shape}")
+    return x
 
 
 @dataclass(frozen=True, eq=False)
 class UnitaryOperator:
-    """Dense one-step operator bound to an ordered edge basis.
+    """Dense one-step operator on the collapsed basis.
 
     ``residual`` is ||U^H U - I||_F.  A builder that knows it from the matrix's
     structure passes it (``build_collapsed``); otherwise it is computed densely.
     """
     matrix: np.ndarray
-    basis: EdgeBasis
     residual: float | None = None
 
     def __post_init__(self):
@@ -386,13 +374,6 @@ class UnitaryOperator:
 
     def step(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
-
-
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """Complex amplitudes aligned with an EdgeBasis."""
-    amplitudes: np.ndarray
-    basis: EdgeBasis
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +455,7 @@ def build_collapsed(spec: SubgraphSpec, hub: HubModel, phi: float) -> UnitaryOpe
     else:
         U = _assemble(spec.vertex_columns, reflect, *coeffs)
     residual = math.sqrt(spec._vertex_residual_sq + _hub_residual_sq(*coeffs, reflect))
-    return UnitaryOperator(U, spec.basis, residual)
+    return UnitaryOperator(U, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -485,19 +466,22 @@ def build_collapsed(spec: SubgraphSpec, hub: HubModel, phi: float) -> UnitaryOpe
 class FullWalk:
     """The literal N-edge walk with M disjoint copies of G, applied matrix-free.
 
-    One step maps amplitudes ``x`` (shape ``(D,)``) to ``y``: the hub sends
+    A full state has ``D = 2N + M*n`` entries, n = ``len(port_block) - 1`` interior
+    states per copy: ``0->j`` at ``j-1``, ``j->0`` at ``N+j-1``, interior state ``i``
+    of copy ``k`` at ``2N+(k-1)n+i``.  One step maps ``x`` to ``y``: the hub sends
     ``y[0:N] = t*sum(x_in) + (r-t)*x_in`` with ``x_in = x[N:2N]``; each
     unmarked edge j > M reflects, ``y[N+j-1] = e^{i phi} x[j-1]``; copy k of G
     applies ``port_block`` to ``[x[k-1], interior_k]`` and writes
     ``[y[N+k-1], interior_k]``.  It steps one state at a time, through ``apply``.
     """
-    basis: EdgeBasis
+    N: int
+    M: int
     hub: HubModel
     phi: float
     port_block: np.ndarray      # (1+n)x(1+n): [0->1, interior] -> [1->0, interior]
 
     def step(self, x: np.ndarray) -> np.ndarray:
-        N, M, n = self.basis.N, self.basis.M, len(self.basis.interior)
+        N, M, n = self.N, self.M, len(self.port_block) - 1
         r, t = self.hub.r, self.hub.t
         y = np.empty(x.shape, dtype=complex)
         x_in = x[N:2 * N]
@@ -516,49 +500,43 @@ def build_full(spec: SubgraphSpec, N: int, M: int = 1, phi: float = 0.0) -> Full
     # rows [1->0, interior], columns [0->1, interior] of the collapsed base
     interior = list(range(4, spec.dim_collapsed))
     block = spec.vertex_columns[np.ix_([3] + interior, [2] + interior)]
-    return FullWalk(basis=EdgeBasis(spec.interior, int(N), int(M)), hub=hub, phi=float(phi),
-                    port_block=block)
+    return FullWalk(N=int(N), M=int(M), hub=hub, phi=float(phi), port_block=block)
 
 
 # ---------------------------------------------------------------------------
 # Lift / restrict between pictures
 # ---------------------------------------------------------------------------
 
-def lift_collapsed_state(state: StateVector, N: int, M: int = 1) -> StateVector:
-    """Embed a collapsed state into the full basis (inverse of restriction)."""
-    if state.basis.N:
-        raise SpecError("expected a collapsed-basis state")
+def lift_collapsed_state(spec: SubgraphSpec, x: np.ndarray, N: int, M: int = 1) -> np.ndarray:
+    """Embed a collapsed state of spec into the full basis (inverse of restriction)."""
     check_star(N, M)
-    basis = EdgeBasis(state.basis.interior, int(N), int(M))
-    a = state.amplitudes
+    a = _state(x, spec.dim_collapsed, "collapsed")
     wL, wR = 1.0 / math.sqrt(N - M), 1.0 / math.sqrt(M)
-    full = np.empty(len(basis), dtype=complex)
+    full = np.empty(2 * N + M * spec.n_interior, dtype=complex)
     full[:M] = a[2] * wR                # |0,1>
     full[M:N] = a[0] * wL               # |out>
     full[N:N + M] = a[3] * wR           # |1,0>
     full[N + M:2 * N] = a[1] * wL       # |in>
     full[2 * N:] = np.tile(a[4:] * wR, M)
-    return StateVector(amplitudes=full, basis=basis)
+    return full
 
 
-def restrict_full_state(state: StateVector) -> tuple[StateVector, float]:
-    """Project a full state onto the symmetric (collapsed) subspace.
+def restrict_full_state(spec: SubgraphSpec, y: np.ndarray, N: int,
+                        M: int = 1) -> tuple[np.ndarray, float]:
+    """Project a full state of the (spec, N, M) star onto the symmetric (collapsed) subspace.
 
     Returns the collapsed state and the leakage norm of the discarded
-    asymmetric component (0 for symmetric states).  N, M and the interior
-    come from the state's basis.
+    asymmetric component (0 for symmetric states).
     """
-    b = state.basis
-    if not b.N:
-        raise SpecError("expected a full-basis state")
-    N, M, n, a = b.N, b.M, len(b.interior), state.amplitudes
+    check_star(N, M)
+    n = spec.n_interior
+    a = _state(y, 2 * N + M * n, "full")
     wL, wR = 1.0 / math.sqrt(N - M), 1.0 / math.sqrt(M)
     hub = [wL * a[M:N].sum(), wL * a[N + M:2 * N].sum(), wR * a[:M].sum(), wR * a[N:N + M].sum()]
-    coll = StateVector(np.concatenate((hub, wR * a[2 * N:].reshape(M, n).sum(axis=0))),
-                       EdgeBasis(b.interior))
+    coll = np.concatenate((hub, wR * a[2 * N:].reshape(M, n).sum(axis=0)))
     # leakage = norm of the component outside the symmetric subspace, computed
     # by re-embedding the projection (a norm-difference would cancel badly)
-    leakage = float(np.linalg.norm(a - lift_collapsed_state(coll, N, M).amplitudes))
+    leakage = float(np.linalg.norm(a - lift_collapsed_state(spec, coll, N, M)))
     return coll, leakage
 
 
@@ -566,14 +544,14 @@ def restrict_full_state(state: StateVector) -> tuple[StateVector, float]:
 # Evolution
 # ---------------------------------------------------------------------------
 
-def apply(U: UnitaryOperator | FullWalk, s: StateVector) -> StateVector:
-    """One time step."""
-    if U.basis is not s.basis and U.basis != s.basis:
-        raise SpecError("operator/state basis mismatch")
-    return StateVector(amplitudes=U.step(s.amplitudes), basis=s.basis)
+def apply(U: UnitaryOperator | FullWalk, x: np.ndarray) -> np.ndarray:
+    """One time step of a collapsed operator or a full walk."""
+    if isinstance(U, UnitaryOperator):
+        return U.step(_state(x, len(U.matrix), "collapsed"))
+    return U.step(_state(x, 2 * U.N + U.M * (len(U.port_block) - 1), "full"))
 
 
-def evolve(U: UnitaryOperator, s: StateVector, m: int) -> StateVector:
+def evolve(U: UnitaryOperator, x: np.ndarray, m: int) -> np.ndarray:
     """m time steps (m a nonnegative integer) of a collapsed operator, by ``_power``,
     which refuses a walk too far from unitary for m steps or whose norm drifts by more
     than NORM_DRIFT_TOL (relative): the result would be silently wrong.  A float64
@@ -583,15 +561,12 @@ def evolve(U: UnitaryOperator, s: StateVector, m: int) -> StateVector:
     if not isinstance(U, UnitaryOperator):
         raise SpecError(f"evolve powers a collapsed UnitaryOperator, got {type(U).__name__}; "
                         f"step a full walk with apply")
-    if U.basis is not s.basis and U.basis != s.basis:
-        raise SpecError("operator/state basis mismatch")
+    x = _state(x, len(U.matrix), "collapsed")
     if not (isinstance(m, (int, np.integer)) and m >= 0):
         raise ValueError(f"step count must be a nonnegative integer, got {m!r}")
-    if U.matrix.dtype == complex or s.amplitudes.imag.any():
-        amp = _power(U.matrix.astype(complex, copy=False), s.amplitudes, m, U.residual)
-    else:
-        amp = _power(U.matrix, s.amplitudes.real, m, U.residual).astype(complex)
-    return StateVector(amplitudes=amp, basis=s.basis)
+    if U.matrix.dtype == complex or x.imag.any():
+        return _power(U.matrix.astype(complex, copy=False), x, m, U.residual)
+    return _power(U.matrix, x.real, m, U.residual).astype(complex)
 
 
 def _power(matrix: np.ndarray, x: np.ndarray, m: int, residual: float) -> np.ndarray:

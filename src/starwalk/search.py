@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (SpecError, StateVector, SubgraphSpec, build_collapsed, check_star, evolve,
-                    hub_coefficients)
+from .graph import SpecError, SubgraphSpec, build_collapsed, check_star, evolve, hub_coefficients
 from .spectral import RightClassification, best_target, classify_right, right_classifications
 
 SHOTS_MAX = 2 ** 63 - 1         # the multinomial sampler counts in int64
@@ -38,7 +37,7 @@ class SearchPlan:
     N: int
     M: int
     m: int
-    initial: StateVector
+    initial: np.ndarray     # collapsed start, read-only
     predicted_success: float
     r0: np.ndarray          # active right vector, embedded in the collapsed basis
 
@@ -46,7 +45,7 @@ class SearchPlan:
 @dataclass(frozen=True, eq=False)
 class SearchResult:
     """Mass distribution after the planned number of steps, of the unit final state."""
-    final_state: StateVector
+    final_state: np.ndarray
     p_marked: float         # mass on |0,1>, |1,0>
     p_null: float           # mass inside G
     p_unmarked: float       # mass on |out>, |in>
@@ -54,12 +53,12 @@ class SearchResult:
     norm_drift: float       # ||psi||^2 - 1 of the final state as walked
 
 
-def initial_state(spec: SubgraphSpec, N: int, M: int, branch: int, phi: float) -> StateVector:
+def initial_state(spec: SubgraphSpec, N: int, M: int, branch: int, phi: float) -> np.ndarray:
     """Exact collapsed form of the accessible uniform superposition.
 
     (1/sqrt(N)) * sum_j (beta|0,j> + alpha|j,0>) with beta = 1/sqrt(2) and
     alpha = branch*e^{i phi/2}/sqrt(2); equals the left active vector up to
-    O(sqrt(M/N)).  The amplitudes are read-only, so a real walk's start stays real.
+    O(sqrt(M/N)).  The array is read-only, so a real walk's start stays real.
     """
     check_star(N, M)
     alpha = branch * cmath.exp(0.5j * phi) / math.sqrt(2.0)
@@ -69,7 +68,7 @@ def initial_state(spec: SubgraphSpec, N: int, M: int, branch: int, phi: float) -
     amp = np.zeros(spec.dim_collapsed, dtype=complex)
     amp[:4] = beta * wL, alpha * wL, beta * wR, alpha * wR
     amp.flags.writeable = False
-    return StateVector(amp, spec.basis)
+    return amp
 
 
 def _search_target(spec: SubgraphSpec, lambda0) -> RightClassification:
@@ -114,12 +113,11 @@ def run_search(plan: SearchPlan, spec: SubgraphSpec) -> SearchResult:
     the masses' sum as read, so p_marked <= 1; the rounding shows in ``norm_drift``.
     """
     U = build_collapsed(spec, hub_coefficients(plan.N, plan.M), plan.phi)
-    final = evolve(U, plan.initial, plan.m)
-    a = final.amplitudes
+    a = evolve(U, plan.initial, plan.m)
     p = (np.abs(a) ** 2).tolist()
     marked, null, unmarked = p[2] + p[3], sum(p[4:], 0.0), p[0] + p[1]
     norm = marked + null + unmarked
-    return SearchResult(final_state=final, p_marked=marked / norm, p_null=null / norm,
+    return SearchResult(final_state=a, p_marked=marked / norm, p_null=null / norm,
                         p_unmarked=unmarked / norm, norm_drift=norm - 1.0,
                         overlap_r0=abs(complex(np.vdot(plan.r0, a))) ** 2 / norm)
 

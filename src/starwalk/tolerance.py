@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import SpecError, StateVector, SubgraphSpec, check_star
+from .graph import SpecError, SubgraphSpec, check_star
 from .search import _schedule, _search_target, plan_search, run_search
 from .spectral import _family, embed_left, left_active, matched_phi
 
@@ -122,7 +122,7 @@ def tolerance_sweep(spec: SubgraphSpec, N: int, M: int, lambda0: complex,
         phi = detuned_phase(plan.lambda0, delta)
         t = tuning_t(delta, plan.c, N, M)
         m_comp = _schedule(N, M, plan.c * math.sqrt(1.0 + t))
-        l0 = StateVector(embed_left(left_active(phi, plan.branch), spec.dim_collapsed), spec.basis)
+        l0 = embed_left(left_active(phi, plan.branch), spec.dim_collapsed)
         detuned = replace(plan, phi=phi, initial=l0, m=m_comp)    # t >= 0, so m_comp <= plan.m
         comp = run_search(detuned, spec)
         naive = run_search(replace(detuned, initial=comp.final_state, m=plan.m - m_comp), spec)

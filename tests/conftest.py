@@ -53,8 +53,8 @@ def random_spec(rng, max_arms: int = 3, arms: int | None = None) -> sw.SubgraphS
     return sw.SubgraphSpec(tuple(verts), "1", interior)
 
 
-def random_collapsed_state(rng, spec: sw.SubgraphSpec) -> sw.StateVector:
+def random_collapsed_state(rng, spec: sw.SubgraphSpec) -> np.ndarray:
     d = spec.dim_collapsed
     amp = rng.normal(size=d) + 1j * rng.normal(size=d)
     amp /= np.linalg.norm(amp)
-    return sw.StateVector(amplitudes=amp, basis=spec.basis)
+    return amp

@@ -91,12 +91,12 @@ def test_c03_oracle_equivalence(grover_spec, bolo_spec):
                     Uc = sw.build_collapsed(spec, sw.hub_coefficients(N, M=M), phi)
                     Uf = sw.build_full(spec, N, M=M, phi=phi)
                     sc = sw.initial_state(spec, N, M, branch, phi)
-                    sf = sw.lift_collapsed_state(sc, N, M)
+                    sf = sw.lift_collapsed_state(spec, sc, N, M)
                     for _ in range(200):
                         sc = sw.apply(Uc, sc)
                         sf = sw.apply(Uf, sf)
-                        restricted, leak = sw.restrict_full_state(sf)
-                        dev = np.linalg.norm(restricted.amplitudes - sc.amplitudes)
+                        restricted, leak = sw.restrict_full_state(spec, sf, N, M)
+                        dev = np.linalg.norm(restricted - sc)
                         assert max(dev, leak) < 1e-10
         assert time.perf_counter() - t0 < 10.0
 

@@ -20,7 +20,8 @@ from conftest import random_collapsed_state, random_spec
 
 def dense(walk: sw.FullWalk) -> np.ndarray:
     """A full walk's dense operator, built by stepping each basis vector (small N only)."""
-    return np.column_stack([walk.step(e) for e in np.eye(len(walk.basis), dtype=complex)])
+    D = 2 * walk.N + walk.M * (len(walk.port_block) - 1)
+    return np.column_stack([walk.step(e) for e in np.eye(D, dtype=complex)])
 
 
 # ---------------------------------------------------------------------------
@@ -180,18 +181,19 @@ class TestBuildCollapsed:
                              (complex_entry, hub, 0.0)):
             assert sw.build_collapsed(spec, h, phi).matrix.dtype == complex
         # a complex start walks the complex cast of the operator; a real one squares in float64
-        cast = sw.UnitaryOperator(U.matrix.astype(complex), U.basis, U.residual)
+        cast = sw.UnitaryOperator(U.matrix.astype(complex), U.residual)
         s = random_collapsed_state(np.random.default_rng(5), bolo_spec)
-        assert np.array_equal(sw.evolve(U, s, 999).amplitudes, sw.evolve(cast, s, 999).amplitudes)
-        real = sw.StateVector(s.amplitudes.real.astype(complex), s.basis)
-        out = sw.evolve(U, real, 999).amplitudes
+        assert np.array_equal(sw.evolve(U, s, 999), sw.evolve(cast, s, 999))
+        real = s.real.astype(complex)
+        out = sw.evolve(U, real, 999)
         assert out.dtype == complex and not out.imag.any()
-        assert np.max(np.abs(out - sw.evolve(cast, real, 999).amplitudes)) <= 2e-15
+        assert np.max(np.abs(out - sw.evolve(cast, real, 999))) <= 2e-15
 
     def test_basis_ordering_contract(self, bolo_spec):
         assert graph.RESERVED_LABELS == ("out", "in", "0->1", "1->0")
-        assert bolo_spec.basis == sw.EdgeBasis(bolo_spec.interior)
-        assert len(bolo_spec.basis) == 4 + len(bolo_spec.interior)
+        d = 4 + len(bolo_spec.interior)
+        assert bolo_spec.dim_collapsed == d
+        assert sw.build_collapsed(bolo_spec, sw.hub_coefficients(100), 0.0).matrix.shape == (d, d)
 
     def test_rejects_non_unitary_wiring(self):
         # a 2x2 non-unitary matrix fails at spec validation already
@@ -208,7 +210,7 @@ class TestBuildCollapsed:
 
     def test_nan_operator_rejected(self, grover_spec):
         with pytest.raises(sw.SpecError, match="not unitary"):
-            sw.UnitaryOperator(np.full((4, 4), math.nan), grover_spec.basis)
+            sw.UnitaryOperator(np.full((4, 4), math.nan))
 
     def test_non_finite_reflector_phase_rejected(self, bolo_spec):
         # a NaN phase would pass the unitarity check (NaN compares false)
@@ -297,13 +299,14 @@ class TestStructuredUnitarity:
             U = sw.build_collapsed(spec, sw.hub_coefficients(10 ** 9, M=3), 1.1)
             assert U.residual < 1e-14
         with pytest.raises(AssertionError, match="dense"):     # the patch is live
-            sw.UnitaryOperator(U.matrix, U.basis)
+            sw.UnitaryOperator(U.matrix)
 
     def test_one_basis_per_spec(self, bolo_spec):
         plan = sw.plan_search(bolo_spec, 10 ** 4)
         U = sw.build_collapsed(bolo_spec, sw.hub_coefficients(10 ** 4), plan.phi)
-        assert U.basis is plan.initial.basis is bolo_spec.basis
-        assert sw.evolve(U, plan.initial, 3).basis is U.basis
+        d = bolo_spec.dim_collapsed
+        assert U.matrix.shape == (d, d) and plan.initial.shape == (d,)
+        assert sw.evolve(U, plan.initial, 3).shape == (d,)
 
 
 class TestBuildFull:
@@ -311,7 +314,7 @@ class TestBuildFull:
         # oracle: write out the six basis images by hand for N=3, with 0->j at
         # j-1 and j->0 at 3+j-1
         U = sw.build_full(grover_spec, 3, phi=0.0)
-        assert U.basis == sw.EdgeBasis((), 3, 1) and len(U.basis) == 6
+        assert (U.N, U.M, len(U.port_block)) == (3, 1, 1) and dense(U).shape == (6, 6)
         r, t = -1 / 3, 2 / 3
         expected = np.zeros((6, 6), dtype=complex)
         for j, col in ((1, 3), (2, 4), (3, 5)):
@@ -344,7 +347,7 @@ class TestBuildFull:
         ref = literal_full_matrix(spec, N, M, phi)
         walk = sw.build_full(spec, N, M=M, phi=phi)
         D = ref.shape[0]
-        assert len(walk.basis) == D
+        assert 2 * walk.N + walk.M * (len(walk.port_block) - 1) == D
         x = rng.normal(size=D) + 1j * rng.normal(size=D)
         assert np.max(np.abs(walk.step(x) - ref @ x)) < 1e-13
         assert np.max(np.abs(dense(walk) - ref)) < 1e-15
@@ -353,18 +356,18 @@ class TestBuildFull:
         # 0->j at j-1, j->0 at N+j-1, interior state i of copy k at
         # 2N+(k-1)n+i, and every lifted state restricts back exactly
         N, M, n = 5, 2, bolo_spec.n_interior
-        basis = sw.build_full(bolo_spec, N, M=M).basis
-        assert basis == sw.EdgeBasis(bolo_spec.interior, N, M) and len(basis) == 2 * N + M * n
+        walk = sw.build_full(bolo_spec, N, M=M)
+        assert (walk.N, walk.M, len(walk.port_block)) == (N, M, 1 + n)
 
         def lift(pos, values):
             a = np.zeros(bolo_spec.dim_collapsed, dtype=complex)
             a[pos] = values
-            lifted = sw.lift_collapsed_state(sw.StateVector(a, bolo_spec.basis), N, M)
-            assert lifted.basis == basis
-            back, leak = sw.restrict_full_state(lifted)
+            lifted = sw.lift_collapsed_state(bolo_spec, a, N, M)
+            assert lifted.shape == (2 * N + M * n,)
+            back, leak = sw.restrict_full_state(bolo_spec, lifted, N, M)
             assert leak < 1e-12
-            assert np.max(np.abs(back.amplitudes - a)) < 1e-12
-            return lifted.amplitudes
+            assert np.max(np.abs(back - a)) < 1e-12
+            return lifted
 
         wL, wR = 1 / math.sqrt(N - M), 1 / math.sqrt(M)
         x = lift(1, 1.0)                                        # |in>
@@ -381,16 +384,16 @@ class TestBuildFull:
 
     def test_million_edge_basis_needs_no_labels(self, bolo_spec):
         N, n = 10 ** 6, bolo_spec.n_interior
-        b = sw.EdgeBasis(bolo_spec.interior, N, 1)
-        assert len(b) == 2 * N + n
-        assert b == sw.build_full(bolo_spec, N).basis
-        assert b != sw.EdgeBasis(bolo_spec.interior, N, 2)
+        walk = sw.build_full(bolo_spec, N)
+        assert (walk.N, walk.M, len(walk.port_block)) == (N, 1, 1 + n)
         # interior state b (index 1) of the single copy sits at 2N+1
         i = bolo_spec.interior.index("b")
         a = np.zeros(bolo_spec.dim_collapsed, dtype=complex)
         a[4 + i] = 1.0
-        lifted = sw.lift_collapsed_state(sw.StateVector(a, bolo_spec.basis), N, 1)
-        assert np.array_equal(np.flatnonzero(lifted.amplitudes), [2 * N + 1])
+        lifted = sw.lift_collapsed_state(bolo_spec, a, N, 1)
+        assert len(lifted) == 2 * N + n
+        assert len(sw.lift_collapsed_state(bolo_spec, a, N, 2)) == 2 * N + 2 * n
+        assert np.array_equal(np.flatnonzero(lifted), [2 * N + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -402,43 +405,44 @@ class TestLiftRestrict:
         N = 10
         amp = np.zeros(4, dtype=complex)
         amp[1] = 1.0  # |in>
-        lifted = sw.lift_collapsed_state(sw.StateVector(amp, grover_spec.basis), N, 1)
+        lifted = sw.lift_collapsed_state(grover_spec, amp, N, 1)
         # j->0 sits at N+j-1: 1->0 at N, the unmarked edges after it
-        assert lifted.amplitudes[N + 1:2 * N] == pytest.approx(np.full(N - 1, 1 / math.sqrt(N - 1)))
-        assert lifted.amplitudes[N] == 0
-        assert not lifted.amplitudes[:N].any()
+        assert lifted[N + 1:2 * N] == pytest.approx(np.full(N - 1, 1 / math.sqrt(N - 1)))
+        assert lifted[N] == 0
+        assert not lifted[:N].any()
 
     def test_marked_edge_state_unchanged(self, grover_spec):
         amp = np.zeros(4, dtype=complex)
         amp[2] = 1.0  # |0,1>
-        lifted = sw.lift_collapsed_state(sw.StateVector(amp, grover_spec.basis), 10, 1)
-        assert lifted.amplitudes[0] == pytest.approx(1.0)      # 0->1
-        assert not lifted.amplitudes[1:].any()
+        lifted = sw.lift_collapsed_state(grover_spec, amp, 10, 1)
+        assert lifted[0] == pytest.approx(1.0)      # 0->1
+        assert not lifted[1:].any()
 
     def test_roundtrip_identity(self, bolo_spec):
         rng = np.random.default_rng(0)
         s = random_collapsed_state(rng, bolo_spec)
-        lifted = sw.lift_collapsed_state(s, 12, 2)
-        back, leak = sw.restrict_full_state(lifted)
+        lifted = sw.lift_collapsed_state(bolo_spec, s, 12, 2)
+        back, leak = sw.restrict_full_state(bolo_spec, lifted, 12, 2)
         assert leak < 1e-12
-        assert np.max(np.abs(back.amplitudes - s.amplitudes)) < 1e-12
+        assert np.max(np.abs(back - s)) < 1e-12
 
     def test_roundtrip_without_interior_infers_copies(self, grover_spec):
-        # grover has no interior states, so M can only come from the basis
+        # grover has no interior states, so a full state's length 2N cannot tell M:
+        # restriction takes it
         rng = np.random.default_rng(7)
         s = random_collapsed_state(rng, grover_spec)
-        back, leak = sw.restrict_full_state(sw.lift_collapsed_state(s, 12, 3))
+        back, leak = sw.restrict_full_state(
+            grover_spec, sw.lift_collapsed_state(grover_spec, s, 12, 3), 12, 3)
         assert leak < 1e-12
-        assert np.max(np.abs(back.amplitudes - s.amplitudes)) < 1e-12
+        assert np.max(np.abs(back - s)) < 1e-12
 
     def test_inner_products_preserved(self, bolo_spec):
         rng = np.random.default_rng(1)
         s1 = random_collapsed_state(rng, bolo_spec)
         s2 = random_collapsed_state(rng, bolo_spec)
-        l1 = sw.lift_collapsed_state(s1, 9, 1)
-        l2 = sw.lift_collapsed_state(s2, 9, 1)
-        assert np.vdot(l1.amplitudes, l2.amplitudes) == pytest.approx(
-            np.vdot(s1.amplitudes, s2.amplitudes), abs=1e-12)
+        l1 = sw.lift_collapsed_state(bolo_spec, s1, 9, 1)
+        l2 = sw.lift_collapsed_state(bolo_spec, s2, 9, 1)
+        assert np.vdot(l1, l2) == pytest.approx(np.vdot(s1, s2), abs=1e-12)
 
     def test_50_step_equivalence(self, bolo_spec):
         N, M = 8, 1
@@ -447,23 +451,22 @@ class TestLiftRestrict:
         Uf = sw.build_full(bolo_spec, N, M=M, phi=0.0)
         rng = np.random.default_rng(2)
         sc = random_collapsed_state(rng, bolo_spec)
-        sf = sw.lift_collapsed_state(sc, N, M)
+        sf = sw.lift_collapsed_state(bolo_spec, sc, N, M)
         sc50 = sw.evolve(Uc, sc, 50)
         sf50 = sf
         for _ in range(50):
             sf50 = sw.apply(Uf, sf50)
-        back, leak = sw.restrict_full_state(sf50)
+        back, leak = sw.restrict_full_state(bolo_spec, sf50, N, M)
         assert leak < 1e-10
-        assert np.max(np.abs(back.amplitudes - sc50.amplitudes)) < 1e-10
+        assert np.max(np.abs(back - sc50)) < 1e-10
 
     def test_asymmetric_state_reports_leakage(self, grover_spec):
         N = 5
-        basis = sw.EdgeBasis(grover_spec.interior, N, 1)
-        amp = np.zeros(len(basis), dtype=complex)
+        amp = np.zeros(2 * N, dtype=complex)
         amp[N + 1] = 1.0  # 2->0, one unmarked edge only: not symmetric
-        restricted, leak = sw.restrict_full_state(sw.StateVector(amp, basis))
+        restricted, leak = sw.restrict_full_state(grover_spec, amp, N, 1)
         # symmetric component is 1/sqrt(N-1) of |in>; the rest leaks
-        assert abs(restricted.amplitudes[1]) == pytest.approx(1 / math.sqrt(N - 1))
+        assert abs(restricted[1]) == pytest.approx(1 / math.sqrt(N - 1))
         assert leak == pytest.approx(math.sqrt(1 - 1 / (N - 1)), abs=1e-12)
 
 
@@ -478,7 +481,7 @@ class TestEvolution:
         rng = np.random.default_rng(3)
         s = random_collapsed_state(rng, grover_spec)
         out = sw.evolve(U, s, 0)
-        assert np.array_equal(out.amplitudes, s.amplitudes)
+        assert np.array_equal(out, s)
 
     def test_basis_mismatch_rejected(self, grover_spec, bolo_spec):
         hub = sw.hub_coefficients(100)
@@ -487,6 +490,14 @@ class TestEvolution:
         s = random_collapsed_state(rng, bolo_spec)
         with pytest.raises(sw.SpecError):
             sw.apply(U, s)
+        # a wrong length, a 2-D array, and a full state for a collapsed one and the reverse
+        good = random_collapsed_state(rng, grover_spec)
+        Uf = sw.build_full(grover_spec, 8)
+        full = sw.lift_collapsed_state(grover_spec, good, 8)
+        for walk, x in ((U, good[:3]), (U, good[:, None]), (U, np.stack([good, good])),
+                        (U, full), (Uf, good), (Uf, full[:-1]), (Uf, full[None, :])):
+            with pytest.raises(sw.SpecError, match="expected a (collapsed|full) state of length"):
+                sw.apply(walk, x)
 
     def test_grover_rotation_amplitudes(self, grover_spec):
         # starting from the left active vector the walk rotates into the marked
@@ -499,9 +510,8 @@ class TestEvolution:
         U = sw.build_collapsed(grover_spec, hub, 0.0)
         l0 = np.zeros(4, dtype=complex)
         l0[:2] = sw.left_active(0.0, +1)
-        s = sw.StateVector(l0, grover_spec.basis)
         for m in (10, 50, 120):
-            out = sw.evolve(U, s, m).amplitudes
+            out = sw.evolve(U, l0, m)
             th = m * math.sqrt(eps)
             expected = np.array([math.cos(th), math.cos(th),
                                  math.sin(th), -math.sin(th)]) / math.sqrt(2)
@@ -514,12 +524,11 @@ class TestEvolution:
         v = np.zeros(7, dtype=complex)
         assert bolo_spec.interior == ("A->1", "b", "1->A")    # at 4, 5, 6
         v[4:] = np.array([1, -1, 1]) / math.sqrt(3)
-        s = sw.StateVector(v, bolo_spec.basis)
         for N in (10, 1000):
             hub = sw.hub_coefficients(N)  # eps = 1/N, including eps=1e-3
             U = sw.build_collapsed(bolo_spec, hub, 0.0)
-            out = sw.evolve(U, s, 7)
-            assert np.max(np.abs(out.amplitudes - (-1) ** 7 * v)) < 1e-12
+            out = sw.evolve(U, v, 7)
+            assert np.max(np.abs(out - (-1) ** 7 * v)) < 1e-12
 
     def test_dense_power_matches_stepping(self, bolo_spec):
         hub = sw.hub_coefficients(1000)
@@ -528,7 +537,7 @@ class TestEvolution:
         stepped = s
         for _ in range(300):
             stepped = sw.apply(U, stepped)
-        assert np.max(np.abs(sw.evolve(U, s, 300).amplitudes - stepped.amplitudes)) < 1e-12
+        assert np.max(np.abs(sw.evolve(U, s, 300) - stepped)) < 1e-12
 
     @staticmethod
     def _walk(name):
@@ -541,9 +550,9 @@ class TestEvolution:
     @pytest.mark.parametrize("name", ["grover", "bolo", "random"])
     def test_squaring_matches_literal_stepping(self, name):
         U, s = self._walk(name)
-        x = s.amplitudes
+        x = s
         for m in range(301):
-            assert np.max(np.abs(sw.evolve(U, s, m).amplitudes - x)) < 1e-12, m
+            assert np.max(np.abs(sw.evolve(U, s, m) - x)) < 1e-12, m
             x = U.matrix @ x
 
     @pytest.mark.parametrize("name", ["grover", "bolo", "random"])
@@ -551,20 +560,20 @@ class TestEvolution:
         U, s = self._walk(name)
         steps = sorted({0, 1, 2, 3} | {2 ** k + d for k in range(2, 22) for d in (-1, 0, 1)})
         for m in steps:
-            reference = np.linalg.matrix_power(U.matrix, m) @ s.amplitudes
-            assert np.max(np.abs(sw.evolve(U, s, m).amplitudes - reference)) < 1e-12, m
+            reference = np.linalg.matrix_power(U.matrix, m) @ s
+            assert np.max(np.abs(sw.evolve(U, s, m) - reference)) < 1e-12, m
 
     @pytest.mark.parametrize("name", ["grover", "bolo", "random"])
     def test_squaring_is_bitwise_the_matmul_product(self, name):
         U, s = self._walk(name)
         for m in (1, 5, 1000, 2 ** 20 + 7):
-            powers, reference = [U.matrix], s.amplitudes
+            powers, reference = [U.matrix], s
             while 1 << len(powers) <= m:
                 powers.append(powers[-1] @ powers[-1])
             for j in reversed(range(len(powers))):
                 if m >> j & 1:
                     reference = powers[j] @ reference
-            assert np.array_equal(sw.evolve(U, s, m).amplitudes, reference), m
+            assert np.array_equal(sw.evolve(U, s, m), reference), m
 
     def test_precision_envelope(self, bolo_spec):
         # past N ~ 1e21 the m-step phases exhaust double precision; at 1e30
@@ -592,7 +601,7 @@ class TestEvolution:
         rng = np.random.default_rng(5)
         s = random_collapsed_state(rng, bolo_spec)
         out = sw.evolve(U, s, 10 ** 4)
-        assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-8
+        assert abs(np.linalg.norm(out) - 1) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -633,13 +642,13 @@ class TestRandomSpecProperties:
         Uc = sw.build_collapsed(spec, hub, phi)
         Uf = dataclasses.replace(sw.build_full(spec, N, M=M, phi=phi), hub=hub)
         sc = random_collapsed_state(rng, spec)
-        sf = sw.lift_collapsed_state(sc, N, M)
+        sf = sw.lift_collapsed_state(spec, sc, N, M)
         for _ in range(200):
             sc = sw.apply(Uc, sc)
             sf = sw.apply(Uf, sf)
-            restricted, leak = sw.restrict_full_state(sf)
+            restricted, leak = sw.restrict_full_state(spec, sf, N, M)
             assert leak < 1e-10
-            assert np.linalg.norm(restricted.amplitudes - sc.amplitudes) < 1e-10
+            assert np.linalg.norm(restricted - sc) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -810,19 +819,34 @@ class TestInputChecks:
         with pytest.raises(sw.SpecError, match="is not valid JSON"):
             sw.load_spec(str(path))
 
-    def test_lift_needs_a_collapsed_state(self, grover_spec):
-        full = sw.lift_collapsed_state(sw.initial_state(grover_spec, 8, 1, 1, 0.0), 8)
-        with pytest.raises(sw.SpecError, match="expected a collapsed-basis state"):
-            sw.lift_collapsed_state(full, 8)
+    def test_lift_needs_a_collapsed_state(self, grover_spec, bolo_spec):
+        start = sw.initial_state(grover_spec, 8, 1, 1, 0.0)
+        full = sw.lift_collapsed_state(grover_spec, start, 8)
+        # a full state, a wrong length (another spec's state), a 2-D array
+        for x in (full, sw.initial_state(bolo_spec, 8, 1, 1, 0.0), start[:, None],
+                  np.stack([start, start])):
+            with pytest.raises(sw.SpecError, match="expected a collapsed state of length 4"):
+                sw.lift_collapsed_state(grover_spec, x, 8)
 
     def test_restrict_needs_a_full_state(self, grover_spec):
-        with pytest.raises(sw.SpecError, match="expected a full-basis state"):
-            sw.restrict_full_state(sw.initial_state(grover_spec, 8, 1, 1, 0.0))
+        start = sw.initial_state(grover_spec, 8, 1, 1, 0.0)
+        full = sw.lift_collapsed_state(grover_spec, start, 8)
+        # a collapsed state, a wrong length (another star's state), a 2-D array
+        for x in (start, sw.lift_collapsed_state(grover_spec, start, 9), full[None, :],
+                  full.reshape(2, 8)):
+            with pytest.raises(sw.SpecError, match="expected a full state of length 16"):
+                sw.restrict_full_state(grover_spec, x, 8)
 
     def test_evolve_basis_mismatch(self, grover_spec, bolo_spec):
         U = sw.build_collapsed(grover_spec, sw.hub_coefficients(100), 0.0)
-        with pytest.raises(sw.SpecError, match="operator/state basis mismatch"):
+        with pytest.raises(sw.SpecError, match="expected a collapsed state of length 4"):
             sw.evolve(U, sw.initial_state(bolo_spec, 100, 1, 1, 0.0), 3)
+        # a wrong length, a 2-D array and a full state
+        start = sw.initial_state(grover_spec, 100, 1, 1, 0.0)
+        for x in (start[:3], start[:, None], np.stack([start, start]),
+                  sw.lift_collapsed_state(grover_spec, start, 100)):
+            with pytest.raises(sw.SpecError, match="expected a collapsed state of length 4"):
+                sw.evolve(U, x, 3)
 
     def test_evolve_negative_steps(self, grover_spec):
         # a count that is not a nonnegative integer is bad input, not a numerical diagnostic
@@ -834,6 +858,7 @@ class TestInputChecks:
     def test_evolve_refuses_the_full_walk(self, grover_spec):
         # the full walk steps one state at a time through apply; evolve powers a collapsed operator
         Uf = sw.build_full(grover_spec, 8)
-        state = sw.lift_collapsed_state(sw.initial_state(grover_spec, 8, 1, 1, 0.0), 8)
+        start = sw.initial_state(grover_spec, 8, 1, 1, 0.0)
+        state = sw.lift_collapsed_state(grover_spec, start, 8)
         with pytest.raises(sw.SpecError, match="step a full walk with apply"):
             sw.evolve(Uf, state, 1)

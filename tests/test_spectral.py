@@ -283,7 +283,7 @@ class TestClassifyRight:
             assert abs(cl.predicted_success - abs(cl.active_vector[0]) ** 2 - cl.c ** 2 / 2) < 1e-15
             plan = sw.plan_search(bolo_spec, 10 ** 6, M=3, lambda0=cl.lambda0)
             start = sw.initial_state(bolo_spec, 10 ** 6, 3, cl.branch, cl.phi)
-            assert plan.initial.amplitudes.tobytes() == start.amplitudes.tobytes()
+            assert plan.initial.tobytes() == start.tobytes()
 
     def test_contact_rank_above_one_raises(self):
         # two orthonormal vectors both touching |0,1>, |1,0>: two active vectors

@@ -170,9 +170,9 @@ class TestLocateDoubleRoot:
             sw.locate_double_root(_decoupled_spec(), cmath.exp(0.5j), 0.0)
 
 
-def _mass(s: sw.StateVector) -> float:
+def _mass(s: np.ndarray) -> float:
     """The norm of a state as ``run_search`` reads it: its marked, null and unmarked masses."""
-    p = (np.abs(s.amplitudes) ** 2).tolist()
+    p = (np.abs(s) ** 2).tolist()
     return p[2] + p[3] + sum(p[4:], 0.0) + (p[0] + p[1])
 
 
@@ -248,10 +248,10 @@ class TestToleranceSweep:
                     assert row.epsilon0 == sw.locate_double_root(spec, cl.lambda0, row.delta)
                     phi = sw.detuned_phase(cl.lambda0, row.delta)
                     U = sw.build_collapsed(spec, sw.hub_coefficients(N, M), phi)
-                    l0 = sw.StateVector(embed_left(sw.left_active(phi, branch), dim), U.basis)
+                    l0 = embed_left(sw.left_active(phi, branch), dim)
                     comp = sw.evolve(U, l0, row.m_compensated)
                     naive = sw.evolve(U, comp, row.m_naive - row.m_compensated)
-                    want = np.array([abs(np.vdot(r0, s.amplitudes)) ** 2 / _mass(s)
+                    want = np.array([abs(np.vdot(r0, s)) ** 2 / _mass(s)
                                      for s in (naive, comp)])
                     got = np.array([row.P_measured_naive, row.P_measured_comp])
                     if phi == 0.0:
