@@ -104,11 +104,18 @@ def _parse_lambda(text: str):
 
 
 def _parse_n_range(text: str) -> tuple[int, int | None]:
-    a, dots, b = text.partition("..")
-    try:
-        return int(a), int(b) if dots else None
-    except ValueError:
-        raise SpecError(f"--n must be an integer N or a range A..B, got {text!r}") from None
+    """N or A..B, each an integer or <digits>e<digits>, built exactly as int(a) * 10**int(b)."""
+    ends = []
+    for part in text.split("..", 1):
+        exp = re.fullmatch(r"(\d+)[eE](\d+)", part)
+        try:
+            mantissa, power = (int(exp[1]), int(exp[2])) if exp else (int(part), 0)
+        except ValueError:
+            raise SpecError(f"--n must be an integer N or a range A..B, got {text!r}") from None
+        if power > 308:         # N is at most 1.8e308: refused before the integer is built
+            raise SpecError(f"--n exponent {power} is above 308, got {text!r}")
+        ends.append(mantissa * 10 ** power)
+    return ends[0], ends[1] if len(ends) > 1 else None
 
 
 def _single_n(args) -> int:
@@ -238,7 +245,7 @@ def cmd_oracle_check(args) -> int:
     state_f = graph.lift_collapsed_state(spec, state_c, N, M)
     worst = 0.0
     for _ in range(args.steps):
-        state_c = graph.apply(Uc, state_c)
+        state_c = Uc.matrix @ state_c
         state_f = graph.apply(Uf, state_f)
         restricted, leak = graph.restrict_full_state(spec, state_f, N, M)
         dev = float(np.linalg.norm(restricted - state_c))
@@ -301,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("spec", help="subgraph JSON file or bundled name (grover, bolo)")
         if n:
             p.add_argument("--n", required=True,
-                           help="hub degree N, or a range A..B for sweeps")
+                           help="hub degree N (digits or <digits>e<digits>), or A..B for sweeps")
             p.add_argument("--m-copies", type=int, default=1, metavar="INT",
                            help="number of marked copies M (default 1)")
         if fmt:

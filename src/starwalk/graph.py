@@ -206,17 +206,14 @@ class SubgraphSpec:
             vertices = tuple(
                 Vertex(
                     id=str(v["id"]),
-                    ports_in=tuple(v["ports_in"]),
-                    ports_out=tuple(v["ports_out"]),
+                    ports_in=_labels(v["ports_in"]),
+                    ports_out=_labels(v["ports_out"]),
                     matrix=_matrix_from_json(v["matrix"]),
                 )
                 for v in data["vertices"]
             )
-            return cls(
-                vertices=vertices,
-                attachment=str(data["attachment"]),
-                interior=tuple(data["interior"]),
-            )
+            return cls(vertices=vertices, attachment=str(data["attachment"]),
+                       interior=_labels(data["interior"]))
         except (KeyError, TypeError) as exc:
             raise SpecError(f"malformed subgraph description: {exc}") from exc
 
@@ -236,20 +233,26 @@ class SubgraphSpec:
         }
 
 
+def _labels(value) -> tuple[str, ...]:
+    """A JSON list of state labels as a tuple; anything but a list of strings is refused."""
+    if isinstance(value, list) and all(isinstance(lab, str) for lab in value):
+        return tuple(value)
+    raise TypeError(f"state labels must be a list of strings, got {value!r}")
+
+
+def _number(x):
+    """x if it is a JSON number (not a boolean), else TypeError."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"{x!r} is not a number or an [re, im] pair of numbers")
+    return x
+
+
 def _matrix_from_json(rows) -> np.ndarray:
-    out = []
+    """Rows of entries, each a number or an [re, im] pair of numbers."""
     try:
-        for row in rows:
-            r = []
-            for entry in row:
-                if isinstance(entry, (int, float)):
-                    r.append(complex(entry))
-                else:
-                    re, im = entry
-                    r.append(complex(re, im))
-            out.append(r)
-        return np.array(out, dtype=complex)
-    except (ValueError, OverflowError) as exc:
+        return np.array([[complex(*map(_number, e)) if isinstance(e, list) and len(e) == 2
+                          else complex(_number(e)) for e in row] for row in rows], dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"malformed matrix entry: {exc}") from exc
 
 
@@ -356,24 +359,17 @@ def _state(x, dim: int, picture: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class UnitaryOperator:
-    """Dense one-step operator on the collapsed basis.
+    """Dense one-step operator on the collapsed basis, powered by ``evolve``.
 
-    ``residual`` is ||U^H U - I||_F.  A builder that knows it from the matrix's
-    structure passes it (``build_collapsed``); otherwise it is computed densely.
+    ``residual`` is ||U^H U - I||_F, which its builder, ``build_collapsed``, knows
+    in closed form from the matrix's structure.
     """
     matrix: np.ndarray
-    residual: float | None = None
+    residual: float
 
     def __post_init__(self):
-        res = self.residual
-        if res is None:
-            res = _unitarity_residual(self.matrix)
-            object.__setattr__(self, "residual", res)
-        if not res <= OPERATOR_UNITARITY_TOL:      # NaN entries fail here too
-            raise SpecError(f"constructed operator not unitary (residual {res:.2e})")
-
-    def step(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
+        if not self.residual <= OPERATOR_UNITARITY_TOL:      # a NaN residual fails here too
+            raise SpecError(f"constructed operator not unitary (residual {self.residual:.2e})")
 
 
 # ---------------------------------------------------------------------------
@@ -544,11 +540,12 @@ def restrict_full_state(spec: SubgraphSpec, y: np.ndarray, N: int,
 # Evolution
 # ---------------------------------------------------------------------------
 
-def apply(U: UnitaryOperator | FullWalk, x: np.ndarray) -> np.ndarray:
-    """One time step of a collapsed operator or a full walk."""
-    if isinstance(U, UnitaryOperator):
-        return U.step(_state(x, len(U.matrix), "collapsed"))
-    return U.step(_state(x, 2 * U.N + U.M * (len(U.port_block) - 1), "full"))
+def apply(W: FullWalk, x: np.ndarray) -> np.ndarray:
+    """One time step of a full walk; a collapsed operator is powered by ``evolve``."""
+    if not isinstance(W, FullWalk):
+        raise SpecError(f"apply steps a FullWalk, got {type(W).__name__}; "
+                        f"power a collapsed operator with evolve")
+    return W.step(_state(x, 2 * W.N + W.M * (len(W.port_block) - 1), "full"))
 
 
 def evolve(U: UnitaryOperator, x: np.ndarray, m: int) -> np.ndarray:

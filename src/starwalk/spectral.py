@@ -242,15 +242,11 @@ def right_classifications(spec: SubgraphSpec) -> list[RightClassification]:
 
 
 def classify_right(spec: SubgraphSpec, lambda0: complex) -> RightClassification:
-    """The classification of the right-block eigenspace nearest to ``lambda0``: a
-    group's exact eigenvalue is found by its key, any other by distance.  Every entry
-    point that takes a lambda0 resolves it here."""
-    classes = _classes(spec)
-    cl = classes.get(complex(lambda0))
-    if cl is None:
-        keys = list(classes)
-        cl = classes[keys[_nearest(keys, lambda0)]]
-    return cl
+    """The classification of the right-block eigenspace nearest to ``lambda0``, within
+    ``LOOKUP_TOL`` (a group's exact eigenvalue is at distance 0).  Every entry point
+    that takes a lambda0 resolves it here."""
+    classes = list(_classes(spec).values())
+    return classes[_nearest([cl.lambda0 for cl in classes], lambda0)]
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ class ToleranceProfile:
     P_measured_comp: float
     P_predicted_naive: float
     P_predicted_comp: float
-    extrapolated: bool      # |delta| beyond the small-angle regime
 
 
 def detuned_phase(lambda0: complex, delta: float) -> float:
@@ -133,7 +132,6 @@ def tolerance_sweep(spec: SubgraphSpec, N: int, M: int, lambda0: complex,
             P_measured_naive=naive.overlap_r0, P_measured_comp=comp.overlap_r0,
             P_predicted_naive=predicted_success_naive(t),
             P_predicted_comp=predicted_success_compensated(t),
-            extrapolated=abs(delta) >= SMALL_ANGLE_GUARD,
         ))
     return profiles
 

@@ -93,7 +93,7 @@ def test_c03_oracle_equivalence(grover_spec, bolo_spec):
                     sc = sw.initial_state(spec, N, M, branch, phi)
                     sf = sw.lift_collapsed_state(spec, sc, N, M)
                     for _ in range(200):
-                        sc = sw.apply(Uc, sc)
+                        sc = Uc.matrix @ sc
                         sf = sw.apply(Uf, sf)
                         restricted, leak = sw.restrict_full_state(spec, sf, N, M)
                         dev = np.linalg.norm(restricted - sc)

@@ -114,6 +114,22 @@ class TestSearch:
         assert run(["search", "grover", "--n", "10..20",
                     "--out", str(tmp_path / "s")]) == EXIT_SPEC
 
+    def test_boolean_matrix_entry_exits_2(self, tmp_path, capsys):
+        data = {"vertices": [{"id": "1", "ports_in": ["0->1", "b"], "ports_out": ["1->0", "a"],
+                              "matrix": [[0.6, 0.8], [0.8, -0.6]]},
+                             {"id": "2", "ports_in": ["a"], "ports_out": ["b"], "matrix": [[1]]}],
+                "attachment": "1", "interior": ["a", "b"]}
+        path = tmp_path / "spec.json"
+        argv = ["search", str(path), "--n", "100", "--out", str(tmp_path / "s")]
+        path.write_text(json.dumps(data))
+        assert run(argv) == EXIT_OK
+        data["vertices"][1]["matrix"] = [[True]]        # not the number 1
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run(argv) == EXIT_SPEC
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("spec error: malformed matrix entry: True is not a number")
+
 
 class TestSweep:
     def test_grover_success_floor(self, tmp_path):
@@ -140,6 +156,16 @@ class TestSweep:
                         "--out", str(out)]) == EXIT_OK
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_exponent_form_is_the_integer(self, tmp_path):
+        # <digits>e<digits> is int(a) * 10**int(b) exactly, at each end of a range
+        for n, out in (("100..1e12", "e"), ("100..1000000000000", "digits")):
+            assert run(["sweep", "bolo", "--n", n, "--points", "11", "--log",
+                        "--out", str(tmp_path / out)]) == EXIT_OK
+        for ext in ("csv", "json"):
+            assert (tmp_path / f"e.{ext}").read_bytes() == (tmp_path / f"digits.{ext}").read_bytes()
+        assert cli._parse_n_range("3E2..12e0") == (300, 12)
+        assert cli._parse_n_range("1e308") == (10 ** 308, None)
 
     def test_dense_grid_gives_one_row_per_n(self, tmp_path):
         assert run(["sweep", "bolo", "--n", "100..1000", "--points", "100000",
@@ -314,7 +340,13 @@ class TestArgParsing:
             assert line.endswith(f'argument --lambda: must be "auto" or "re,im", got {lam!r}')
 
     @pytest.mark.parametrize("argv", [
-        ["search", "bolo", "--n", "1e6"],
+        ["search", "bolo", "--n", "1.5e3"],
+        ["search", "bolo", "--n", "1e-3"],
+        ["search", "bolo", "--n", "1e"],
+        ["search", "bolo", "--n", "e5"],
+        ["search", "bolo", "--n", "1e309"],
+        ["search", "bolo", "--n", "1e999999999"],
+        ["sweep", "bolo", "--n", "100..1e999999999"],
         ["search", "bolo", "--n", "1000", "--shots", "-5"],
         ["search", "bolo", "--n", "1000", "--shots", "100000000000000000000"],
         ["search", "bolo", "--n", "1000000", "--m-copies", "0"],

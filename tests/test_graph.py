@@ -210,7 +210,7 @@ class TestBuildCollapsed:
 
     def test_nan_operator_rejected(self, grover_spec):
         with pytest.raises(sw.SpecError, match="not unitary"):
-            sw.UnitaryOperator(np.full((4, 4), math.nan))
+            sw.UnitaryOperator(np.full((4, 4), math.nan), math.nan)
 
     def test_non_finite_reflector_phase_rejected(self, bolo_spec):
         # a NaN phase would pass the unitarity check (NaN compares false)
@@ -299,7 +299,7 @@ class TestStructuredUnitarity:
             U = sw.build_collapsed(spec, sw.hub_coefficients(10 ** 9, M=3), 1.1)
             assert U.residual < 1e-14
         with pytest.raises(AssertionError, match="dense"):     # the patch is live
-            sw.UnitaryOperator(U.matrix)
+            sw.load_spec("bolo")                                # vertex validation
 
     def test_one_basis_per_spec(self, bolo_spec):
         plan = sw.plan_search(bolo_spec, 10 ** 4)
@@ -489,15 +489,17 @@ class TestEvolution:
         rng = np.random.default_rng(4)
         s = random_collapsed_state(rng, bolo_spec)
         with pytest.raises(sw.SpecError):
-            sw.apply(U, s)
+            sw.evolve(U, s, 1)
         # a wrong length, a 2-D array, and a full state for a collapsed one and the reverse
         good = random_collapsed_state(rng, grover_spec)
         Uf = sw.build_full(grover_spec, 8)
         full = sw.lift_collapsed_state(grover_spec, good, 8)
-        for walk, x in ((U, good[:3]), (U, good[:, None]), (U, np.stack([good, good])),
-                        (U, full), (Uf, good), (Uf, full[:-1]), (Uf, full[None, :])):
-            with pytest.raises(sw.SpecError, match="expected a (collapsed|full) state of length"):
-                sw.apply(walk, x)
+        for x in (good[:3], good[:, None], np.stack([good, good]), full):
+            with pytest.raises(sw.SpecError, match="expected a collapsed state of length"):
+                sw.evolve(U, x, 1)
+        for x in (good, full[:-1], full[None, :]):
+            with pytest.raises(sw.SpecError, match="expected a full state of length"):
+                sw.apply(Uf, x)
 
     def test_grover_rotation_amplitudes(self, grover_spec):
         # starting from the left active vector the walk rotates into the marked
@@ -536,7 +538,7 @@ class TestEvolution:
         s = random_collapsed_state(np.random.default_rng(6), bolo_spec)
         stepped = s
         for _ in range(300):
-            stepped = sw.apply(U, stepped)
+            stepped = U.matrix @ stepped
         assert np.max(np.abs(sw.evolve(U, s, 300) - stepped)) < 1e-12
 
     @staticmethod
@@ -644,7 +646,7 @@ class TestRandomSpecProperties:
         sc = random_collapsed_state(rng, spec)
         sf = sw.lift_collapsed_state(spec, sc, N, M)
         for _ in range(200):
-            sc = sw.apply(Uc, sc)
+            sc = Uc.matrix @ sc
             sf = sw.apply(Uf, sf)
             restricted, leak = sw.restrict_full_state(spec, sf, N, M)
             assert leak < 1e-10
@@ -734,7 +736,8 @@ class TestSpecSerialization:
                 (sw.Vertex("1", ("0->1",), ("1->0",), np.array([[math.nan]])),),
                 "1", ())
 
-    @pytest.mark.parametrize("entry", ["a", [1, 0, 0], 10 ** 400, [1e308, 0], math.inf])
+    @pytest.mark.parametrize("entry", ["a", [1, 0, 0], 10 ** 400, [1e308, 0], math.inf,
+                                       True, [1, False], [True, 0]])
     def test_malformed_matrix_entry_rejected(self, entry):
         data = {"vertices": [{"id": "1", "ports_in": ["0->1"], "ports_out": ["1->0"],
                               "matrix": [[entry]]}],
@@ -774,7 +777,7 @@ def _vertex(vid, ports_in, ports_out):
             "matrix": np.eye(len(ports_in)).tolist()}
 
 
-# Spec descriptions that break one wiring rule each, with the message that names it.
+# Spec descriptions that break one wiring or type rule each, with the message that names it.
 BAD_WIRING = {
     "duplicate_vertex_ids": (
         [_vertex("1", ["0->1"], ["1->0"]), _vertex("1", ["a"], ["a"])], ["a"],
@@ -791,6 +794,9 @@ BAD_WIRING = {
     "marked_in_produced_elsewhere": (
         [_vertex("1", ["0->1"], ["a"]), _vertex("2", ["a"], ["1->0"])], ["a"],
         r"\|1,0> must be produced by the attachment vertex"),
+    "interior_not_a_list": (
+        [_vertex("1", ["0->1", "a", "b"], ["1->0", "a", "b"])], "ab",
+        "state labels must be a list of strings, got 'ab'"),
 }
 
 
@@ -856,9 +862,13 @@ class TestInputChecks:
                 sw.evolve(U, sw.initial_state(grover_spec, 100, 1, 1, 0.0), m)
 
     def test_evolve_refuses_the_full_walk(self, grover_spec):
-        # the full walk steps one state at a time through apply; evolve powers a collapsed operator
+        # the full walk steps one state at a time through apply; evolve powers a collapsed
+        # operator, which apply refuses
         Uf = sw.build_full(grover_spec, 8)
         start = sw.initial_state(grover_spec, 8, 1, 1, 0.0)
         state = sw.lift_collapsed_state(grover_spec, start, 8)
         with pytest.raises(sw.SpecError, match="step a full walk with apply"):
             sw.evolve(Uf, state, 1)
+        Uc = sw.build_collapsed(grover_spec, sw.hub_coefficients(8), 0.0)
+        with pytest.raises(sw.SpecError, match="power a collapsed operator with evolve"):
+            sw.apply(Uc, start)

@@ -190,40 +190,35 @@ class TestSearchTargetMemo:
             sw.paired_mix_angle(spec, N, 1, -1.0, 0.01)
         assert Counting.writes == ["classes", "auto", "right"]  # the secular right side
 
-    def test_exact_group_lambda0_is_found_by_its_key(self, monkeypatch):
+    def test_exact_group_lambda0_is_found_by_its_key(self):
+        # a group's exact lambda0 is at distance 0 from its key, a nearby one within
+        # LOOKUP_TOL: both resolve to the kept record and store nothing new
         spec = sw.load_spec("bolo")
         target = search._search_target(spec, -1.0 + 0j)
         sw.plan_search(spec, 100)
         sw.secular_function(spec, 0.0)
         before = dict(spec._derived)
-
-        def nearest_search(*args):
-            raise AssertionError("nearest-eigenvalue search for a group's exact lambda0")
-        monkeypatch.setattr(spectral, "_nearest", nearest_search)
         assert sw.classify_right(spec, -1.0) is target
         assert search._search_target(spec, -1.0) is target
         assert search._search_target(spec, complex(-1.0, -0.0)) is target
         assert sw.plan_search(spec, 10 ** 6, lambda0=-1.0 + 0j).r0 is target.r0
         assert sw.locate_double_root(spec, -1.0, 0.01) != 0j
         assert spec._derived == before
-        monkeypatch.undo()
         assert search._search_target(spec, -1.0 + 1e-9j) is target
         with pytest.raises(sw.SpecError):
             search._search_target(spec, complex(math.nan, 0.0))
         assert spec._derived == before
 
     @pytest.mark.parametrize("name", ["grover", "bolo", 1, 2, 3])
-    def test_every_entry_point_finds_every_group_by_its_key(self, name, monkeypatch):
-        # on the bundled specs and three seeded ones, no lambda0 entry point runs a
-        # nearest-eigenvalue search for a group's exact lambda0
+    def test_every_entry_point_finds_every_group_by_its_key(self, name):
+        # on the bundled specs and three seeded ones, every lambda0 entry point resolves
+        # a group's exact lambda0, and one 1e-9 away, to that group
         spec = sw.load_spec(name) if isinstance(name, str) else random_spec(
             np.random.default_rng(name))
         classes = sw.right_classifications(spec)
-
-        def nearest_search(*args):
-            raise AssertionError("nearest-eigenvalue search for a group's exact lambda0")
-        monkeypatch.setattr(spectral, "_nearest", nearest_search)
         for cl in classes:
+            assert sw.classify_right(spec, cl.lambda0) is cl
+            assert sw.classify_right(spec, cl.lambda0 + 1e-9) is cl
             fit = sw.pairing_fit(spec, cl.phi, cl.lambda0)
             assert fit.lambda0 == cl.lambda0
             if cl.c is None:
@@ -338,7 +333,7 @@ class TestRunSearch:
         U = sw.build_collapsed(grover_spec, sw.hub_coefficients(N), plan.phi)
         st = plan.initial
         for m in range(1, 42):
-            st = sw.apply(U, st)
+            st = U.matrix @ st
             if m % 2 == 0:
                 # even steps mix the two rotations (actives at both +1 and -1)
                 continue

@@ -187,7 +187,6 @@ class TestToleranceSweep:
         for r in rows:
             assert abs(r.P_measured_naive - r.P_predicted_naive) <= 0.05
             assert abs(r.P_measured_comp - r.P_predicted_comp) <= 0.05
-            assert not r.extrapolated
         # inside the boundary the naive schedule stays above 1/2
         assert rows[2].P_measured_naive > 0.5
         # at the boundary t = 1/2 and the prediction is the 0.587 landmark
