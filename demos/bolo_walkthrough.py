@@ -36,8 +36,8 @@ def main() -> None:
     print(f"sum of c^2 over active eigenvalues = {total:.12f} (theory: 2)")
 
     print("\n=== 3. Best target and matched phase ===")
-    lam, c, d = sw.best_target(cls)
-    phi, branch = sw.matched_phi(lam)
+    best, d = sw.best_target(cls)
+    lam, c, phi, branch = best.lambda0, best.c, best.phi, best.branch
     print(f"largest coupling: lambda0 = {lam:+.3f}, c = {c:.6f} "
           f"(of d = {d} candidates)")
     print(f"reflector phase phi = {phi:.6f}, branch = {branch:+d} puts a left "

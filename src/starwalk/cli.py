@@ -35,8 +35,6 @@ import numpy as np
 from . import graph, search as search_mod, spectral, tolerance as tol_mod
 from .graph import NumericsError, SpecError
 
-logger = logging.getLogger("starwalk")
-
 EXIT_OK = 0
 EXIT_PIPE = 1          # what Python's own recipe returns for a closed stdout
 EXIT_SPEC = 2
@@ -111,9 +109,11 @@ def _parse_n_range(text: str) -> tuple[int, int | None]:
         try:
             mantissa, power = (int(exp[1]), int(exp[2])) if exp else (int(part), 0)
         except ValueError:
-            raise SpecError(f"--n must be an integer N or a range A..B, got {text!r}") from None
+            raise SpecError(f"--n must be an integer N or a range A..B, "
+                            f"got {graph._echo(text)}") from None
         if power > 308:         # N is at most 1.8e308: refused before the integer is built
-            raise SpecError(f"--n exponent {power} is above 308, got {text!r}")
+            raise SpecError(f"--n exponent {graph._echo(power)} is above 308, "
+                            f"got {graph._echo(text)}")
         ends.append(mantissa * 10 ** power)
     return ends[0], ends[1] if len(ends) > 1 else None
 
@@ -266,8 +266,8 @@ def cmd_demo(args) -> int:
     for cl in cls:
         tag = f"c = {cl.c:.6f}" if cl.c is not None else "bound only (no hub contact)"
         print(f"  lambda0 = {cl.lambda0:+.6f}   {tag}   ({cl.n_bound} bound)")
-    lam, c, d = spectral.best_target(cls)
-    print(f"Best target: lambda0 = {lam:+.3f} with c = {c:.6f} "
+    best, d = spectral.best_target(cls)
+    print(f"Best target: lambda0 = {best.lambda0:+.3f} with c = {best.c:.6f} "
           f"(d = {d} active eigenvalues, sum c^2 = 2).")
     plan = search_mod.plan_search(spec, 10 ** 6, lambda0="auto")
     print(f"Plan: phi = {plan.phi:.3f}, branch = {plan.branch:+d}, "

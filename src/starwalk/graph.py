@@ -205,14 +205,14 @@ class SubgraphSpec:
         try:
             vertices = tuple(
                 Vertex(
-                    id=str(v["id"]),
+                    id=_name(v["id"]),
                     ports_in=_labels(v["ports_in"]),
                     ports_out=_labels(v["ports_out"]),
                     matrix=_matrix_from_json(v["matrix"]),
                 )
                 for v in data["vertices"]
             )
-            return cls(vertices=vertices, attachment=str(data["attachment"]),
+            return cls(vertices=vertices, attachment=_name(data["attachment"]),
                        interior=_labels(data["interior"]))
         except (KeyError, TypeError) as exc:
             raise SpecError(f"malformed subgraph description: {exc}") from exc
@@ -231,6 +231,13 @@ class SubgraphSpec:
             "attachment": self.attachment,
             "interior": list(self.interior),
         }
+
+
+def _name(value) -> str:
+    """A vertex id or the attachment; anything but a JSON string is refused."""
+    if isinstance(value, str):
+        return value
+    raise TypeError(f"vertex ids and the attachment must be strings, got {value!r}")
 
 
 def _labels(value) -> tuple[str, ...]:
@@ -314,18 +321,40 @@ def _hub_form(e, eps) -> tuple[complex, ...]:
     return -1.0 + 2.0 * e, 2.0 * e, 1.0 - 2.0 * eps, -1.0 + 2.0 * eps, T
 
 
+ECHO_MAX = 30           # longest integer or text an error message repeats in full
+
+
+def _echo(value) -> str:
+    """repr(value) for an error message; an integer or a string longer than ECHO_MAX
+    is named by its digit or character count, so the message stays one short line."""
+    if isinstance(value, str) and len(value) > ECHO_MAX:
+        return f"a text of {len(value)} characters"
+    if isinstance(value, (int, np.integer)) and abs(int(value)) >= 10 ** ECHO_MAX:
+        v = abs(int(value))
+        # counted without str(), which refuses integers of more than 4300 digits
+        digits = int((v.bit_length() - 1) * math.log10(2))
+        while v >= 10 ** digits:
+            digits += 1
+        return f"an integer of {digits} digits"
+    return repr(value)
+
+
 def check_star(N: int, M: int = 1) -> None:
     """The one star-size rule: integers 2 <= N, 1 <= M < N, N finite as a double."""
     if not (isinstance(N, (int, np.integer)) and 2 <= N <= sys.float_info.max):
-        raise SpecError(f"N must be an integer in [2, {sys.float_info.max:.6g}], got {N!r}")
+        raise SpecError(f"N must be an integer in [2, {sys.float_info.max:.6g}], "
+                        f"got {_echo(N)}")
     if not (isinstance(M, (int, np.integer)) and 1 <= M < N):
-        raise SpecError(f"need 1 <= M < N, got M={M!r}, N={N!r}")
+        raise SpecError(f"need 1 <= M < N, got M={_echo(M)}, N={_echo(N)}")
 
 
-def check_phases(phi: float) -> None:
-    """The one phase rule: the reflector phase phi is a finite real."""
+def check_phases(phi: float, branch: int = +1) -> None:
+    """The one phase and branch rule: the reflector phase phi is a finite real and the
+    left branch, the sign of branch*e^{i phi/2}, is +1 or -1."""
     if not math.isfinite(phi):
         raise SpecError(f"phase phi must be finite, got {phi!r}")
+    if branch not in (+1, -1):
+        raise SpecError(f"branch must be +1 or -1, got {branch!r}")
 
 
 def hub_coefficients(N: int, M: int = 1) -> HubModel:
@@ -468,7 +497,7 @@ class FullWalk:
     ``y[0:N] = t*sum(x_in) + (r-t)*x_in`` with ``x_in = x[N:2N]``; each
     unmarked edge j > M reflects, ``y[N+j-1] = e^{i phi} x[j-1]``; copy k of G
     applies ``port_block`` to ``[x[k-1], interior_k]`` and writes
-    ``[y[N+k-1], interior_k]``.  It steps one state at a time, through ``apply``.
+    ``[y[N+k-1], interior_k]``.  A plain record: ``apply`` steps it, one state at a time.
     """
     N: int
     M: int
@@ -476,23 +505,11 @@ class FullWalk:
     phi: float
     port_block: np.ndarray      # (1+n)x(1+n): [0->1, interior] -> [1->0, interior]
 
-    def step(self, x: np.ndarray) -> np.ndarray:
-        N, M, n = self.N, self.M, len(self.port_block) - 1
-        r, t = self.hub.r, self.hub.t
-        y = np.empty(x.shape, dtype=complex)
-        x_in = x[N:2 * N]
-        y[:N] = t * x_in.sum() + (r - t) * x_in
-        y[N + M:2 * N] = cmath.exp(1j * self.phi) * x[M:N]
-        slab = np.concatenate((x[:M, None], x[2 * N:].reshape(M, n)), axis=1)
-        out = (self.port_block @ slab[:, :, None])[:, :, 0]
-        y[N:N + M] = out[:, 0]
-        y[2 * N:] = out[:, 1:].reshape(M * n)
-        return y
-
 
 def build_full(spec: SubgraphSpec, N: int, M: int = 1, phi: float = 0.0) -> FullWalk:
     """Literal N-edge walk operator with M disjoint copies of G (oracle)."""
     hub = hub_coefficients(N, M=M)
+    check_phases(phi)
     # rows [1->0, interior], columns [0->1, interior] of the collapsed base
     interior = list(range(4, spec.dim_collapsed))
     block = spec.vertex_columns[np.ix_([3] + interior, [2] + interior)]
@@ -545,7 +562,17 @@ def apply(W: FullWalk, x: np.ndarray) -> np.ndarray:
     if not isinstance(W, FullWalk):
         raise SpecError(f"apply steps a FullWalk, got {type(W).__name__}; "
                         f"power a collapsed operator with evolve")
-    return W.step(_state(x, 2 * W.N + W.M * (len(W.port_block) - 1), "full"))
+    N, M, n = W.N, W.M, len(W.port_block) - 1
+    x = _state(x, 2 * N + M * n, "full")
+    y = np.empty(x.shape, dtype=complex)
+    x_in = x[N:2 * N]
+    y[:N] = W.hub.t * x_in.sum() + (W.hub.r - W.hub.t) * x_in
+    y[N + M:2 * N] = cmath.exp(1j * W.phi) * x[M:N]
+    slab = np.concatenate((x[:M, None], x[2 * N:].reshape(M, n)), axis=1)
+    out = (W.port_block @ slab[:, :, None])[:, :, 0]
+    y[N:N + M] = out[:, 0]
+    y[2 * N:] = out[:, 1:].reshape(M * n)
+    return y
 
 
 def evolve(U: UnitaryOperator, x: np.ndarray, m: int) -> np.ndarray:

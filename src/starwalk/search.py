@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SpecError, SubgraphSpec, build_collapsed, check_star, evolve, hub_coefficients
+from .graph import (SpecError, SubgraphSpec, build_collapsed, check_phases, check_star, evolve,
+                    hub_coefficients)
 from .spectral import RightClassification, best_target, classify_right, right_classifications
 
 SHOTS_MAX = 2 ** 63 - 1         # the multinomial sampler counts in int64
@@ -61,6 +62,7 @@ def initial_state(spec: SubgraphSpec, N: int, M: int, branch: int, phi: float) -
     O(sqrt(M/N)).  The array is read-only, so a real walk's start stays real.
     """
     check_star(N, M)
+    check_phases(phi, branch)
     alpha = branch * cmath.exp(0.5j * phi) / math.sqrt(2.0)
     beta = 1.0 / math.sqrt(2.0)
     wL = math.sqrt((N - M) / N)
@@ -77,8 +79,8 @@ def _search_target(spec: SubgraphSpec, lambda0) -> RightClassification:
     if isinstance(lambda0, str) and lambda0 == "auto":
         target = spec._derived.get("auto")
         if target is None:
-            lam, _, _ = best_target(right_classifications(spec))
-            target = spec._derived["auto"] = classify_right(spec, lam)
+            target, _ = best_target(right_classifications(spec))
+            spec._derived["auto"] = target
         return target
     target = classify_right(spec, lambda0)
     if target.c is None:

@@ -223,29 +223,29 @@ def _classify_group(vecs: np.ndarray,
         branch=branch, r0=r0, predicted_success=float(abs(r0[2]) ** 2 + abs(r0[3]) ** 2))
 
 
-def _classes(spec: SubgraphSpec) -> dict[complex, RightClassification]:
-    """Every group's classification by its lambda0, from one decomposition of the right
-    block, kept on the spec as ``"classes"`` in its ``_derived``; a failed
+def _classes(spec: SubgraphSpec) -> tuple[RightClassification, ...]:
+    """Every group's classification, by angle of lambda0, from one decomposition of the
+    right block, kept on the spec as ``"classes"`` in its ``_derived``; a failed
     classification (SpecError, NumericsError) is not kept."""
     cached = spec._derived.get("classes")
     if cached is None:
         vals, vecs = eigendecompose(right_block(spec))
-        classes = (_classify_group(vecs, g) for g in group_eigenvalues(vals))
-        cached = spec._derived["classes"] = {cl.lambda0: cl for cl in classes}
+        cached = tuple(_classify_group(vecs, g) for g in group_eigenvalues(vals))
+        spec._derived["classes"] = cached
     return cached
 
 
 def right_classifications(spec: SubgraphSpec) -> list[RightClassification]:
     """Classification of every eigenvalue group of the right block, kept on the spec:
     it does not depend on N or M."""
-    return list(_classes(spec).values())
+    return list(_classes(spec))
 
 
 def classify_right(spec: SubgraphSpec, lambda0: complex) -> RightClassification:
     """The classification of the right-block eigenspace nearest to ``lambda0``, within
     ``LOOKUP_TOL`` (a group's exact eigenvalue is at distance 0).  Every entry point
     that takes a lambda0 resolves it here."""
-    classes = list(_classes(spec).values())
+    classes = _classes(spec)
     return classes[_nearest([cl.lambda0 for cl in classes], lambda0)]
 
 
@@ -257,10 +257,9 @@ def left_active(phi: float, branch: int) -> np.ndarray:
     """Eigenvector (|out> + branch*e^{i phi/2}|in>)/sqrt(2) of the left block.
 
     Returned over the two-state (out, in) basis; its eigenvalue is
-    branch*e^{i phi/2}.
+    branch*e^{i phi/2}.  phi and branch follow ``check_phases``.
     """
-    if branch not in (+1, -1):
-        raise ValueError("branch must be +1 or -1")
+    check_phases(phi, branch)
     return np.array([1.0 / math.sqrt(2.0), branch * cmath.exp(0.5j * phi) / math.sqrt(2.0)])
 
 
@@ -648,8 +647,9 @@ def paired_vectors(spec: SubgraphSpec, phi: float, lambda0: complex, eps: float)
 # Best search eigenvalue
 # ---------------------------------------------------------------------------
 
-def best_target(classifications: list[RightClassification]) -> tuple[complex, float, int]:
-    """Pick the active eigenvalue with the largest coupling constant.
+def best_target(classifications: list[RightClassification]) -> tuple[RightClassification, int]:
+    """Pick the active family with the largest coupling constant: ``(family, d)``, the
+    family's own record and d, the number of active families.
 
     Verifies the sum rule sum_j c_j^2 = 2 to 1e-9 over all active eigenvalues (a
     violation indicates mis-classification upstream) and the guaranteed bound
@@ -668,7 +668,7 @@ def best_target(classifications: list[RightClassification]) -> tuple[complex, fl
     if best.c < math.sqrt(2.0 / d) - 1e-12:
         raise NumericsError(f"max c = {best.c} below guaranteed sqrt(2/d) = "
                             f"{math.sqrt(2.0 / d)}")
-    return best.lambda0, best.c, d
+    return best, d
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +678,7 @@ def best_target(classifications: list[RightClassification]) -> tuple[complex, fl
 def spectral_report(spec: SubgraphSpec, phi: float | None = None) -> dict:
     """Full spectral report: groups, classifications, c table, pairing, monodromy."""
     classifications = right_classifications(spec)
-    lam_best, c_best, d = best_target(classifications)
-    best = classify_right(spec, lam_best)
+    best, d = best_target(classifications)
     phi_used = best.phi if phi is None else phi
     fits = [pairing_fit(spec, cl.phi if phi is None else phi, cl.lambda0)
             for cl in classifications if cl.c is not None]
@@ -703,7 +702,7 @@ def spectral_report(spec: SubgraphSpec, phi: float | None = None) -> dict:
         "pairing_fits": [dict(asdict(f), lambda0=_c2j(f.lambda0)) for f in fits],
         "monodromy": {"phi": phi_used, "rho": mono.rho, "permutation": list(mono.permutation),
                       "cycle_lengths": list(mono.cycle_lengths)},
-        "best": {"lambda0": _c2j(lam_best), "c": c_best, "d": d,
+        "best": {"lambda0": _c2j(best.lambda0), "c": best.c, "d": d,
                  "phi": phi_used, "branch": best.branch},
     }
 

@@ -58,8 +58,11 @@ def detuned_phase(lambda0: complex, delta: float) -> float:
 
 
 def tuning_t(delta: float, c: float, N: int, M: int = 1) -> float:
-    """Dimensionless tuning parameter t = delta^2 / (4 c^2 eps), eps = M/N."""
+    """Dimensionless tuning parameter t = delta^2 / (4 c^2 eps), eps = M/N, for a coupling
+    constant c that is finite and positive."""
     check_star(N, M)
+    if not (math.isfinite(c) and c > 0):
+        raise SpecError(f"coupling constant c must be finite and positive, got {c!r}")
     eps = M / N
     return float(delta * delta / (4.0 * c * c * eps))
 

@@ -49,8 +49,8 @@ def test_c01_bolo_reproduction(bolo_spec):
             assert abs(got.lambda0 - complex(re, im)) < 1e-9
             assert abs(got.c - c) < 1e-9
 
-        lam, c, _ = sw.best_target(cls)
-        assert abs(lam - (-1.0)) < 1e-9
+        best, _ = sw.best_target(cls)
+        assert abs(best.lambda0 - (-1.0)) < 1e-9
 
         plan = sw.plan_search(bolo_spec, 10 ** 6)
         assert plan.m == 1813
@@ -84,8 +84,8 @@ def test_c03_oracle_equivalence(grover_spec, bolo_spec):
                       "N in {4,8,16,32}, M in {1,2}, < 10 s"):
         t0 = time.perf_counter()
         for spec in (grover_spec, bolo_spec):
-            lam, _, _ = sw.best_target(sw.right_classifications(spec))
-            phi, branch = sw.matched_phi(lam)
+            best, _ = sw.best_target(sw.right_classifications(spec))
+            phi, branch = best.phi, best.branch
             for N in (4, 8, 16, 32):
                 for M in (1, 2):
                     Uc = sw.build_collapsed(spec, sw.hub_coefficients(N, M=M), phi)
@@ -140,8 +140,8 @@ def test_c06_monodromy(grover_spec, bolo_spec):
         rng = np.random.default_rng(6)
         for _ in range(50):
             spec = random_spec(rng)
-            lam, _, _ = sw.best_target(sw.right_classifications(spec))
-            phi, _ = sw.matched_phi(lam)
+            best, _ = sw.best_target(sw.right_classifications(spec))
+            phi = best.phi
             rep = sw.monodromy(spec, phi)
             assert set(rep.cycle_lengths) <= {1, 2}
             assert sorted(rep.cycle_lengths) == dense_monodromy(spec, phi)

@@ -347,6 +347,11 @@ class TestArgParsing:
         ["search", "bolo", "--n", "1e309"],
         ["search", "bolo", "--n", "1e999999999"],
         ["sweep", "bolo", "--n", "100..1e999999999"],
+        ["search", "bolo", "--n", "2e308"],
+        ["search", "bolo", "--n", "1" + "0" * 400],
+        ["search", "bolo", "--n", "1" * 5001],
+        ["search", "bolo", "--n", "9" * 4000 + "e308"],
+        ["search", "bolo", "--n", "1e" + "9" * 400],
         ["search", "bolo", "--n", "1000", "--shots", "-5"],
         ["search", "bolo", "--n", "1000", "--shots", "100000000000000000000"],
         ["search", "bolo", "--n", "1000000", "--m-copies", "0"],
@@ -373,7 +378,9 @@ class TestArgParsing:
         writes = argv[0] not in ("demo", "oracle-check")        # these take no --out
         out = ["--out", str(tmp_path / "x")] if writes else []
         assert run(argv + out) == EXIT_SPEC
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert all(len(line) < 200 for line in err.splitlines())     # --n is not echoed in full
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [

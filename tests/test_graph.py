@@ -21,7 +21,7 @@ from conftest import random_collapsed_state, random_spec
 def dense(walk: sw.FullWalk) -> np.ndarray:
     """A full walk's dense operator, built by stepping each basis vector (small N only)."""
     D = 2 * walk.N + walk.M * (len(walk.port_block) - 1)
-    return np.column_stack([walk.step(e) for e in np.eye(D, dtype=complex)])
+    return np.column_stack([sw.apply(walk, e) for e in np.eye(D, dtype=complex)])
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +213,15 @@ class TestBuildCollapsed:
             sw.UnitaryOperator(np.full((4, 4), math.nan), math.nan)
 
     def test_non_finite_reflector_phase_rejected(self, bolo_spec):
-        # a NaN phase would pass the unitarity check (NaN compares false)
-        with pytest.raises(sw.SpecError, match="phase phi must be finite"):
-            sw.build_collapsed(bolo_spec, sw.hub_coefficients(100), math.nan)
+        # a NaN phase would pass the unitarity check (NaN compares false); the full walk,
+        # the search start and the left vector take phi by the same rule
+        for bad in (math.nan, math.inf):
+            for call in (lambda: sw.build_collapsed(bolo_spec, sw.hub_coefficients(100), bad),
+                         lambda: sw.build_full(bolo_spec, 8, phi=bad),
+                         lambda: sw.initial_state(bolo_spec, 100, 1, +1, bad),
+                         lambda: sw.left_active(bad, +1)):
+                with pytest.raises(sw.SpecError, match="phase phi must be finite"):
+                    call()
 
     def test_vertex_columns_cached_with_hub_slots_empty(self):
         spec = sw.load_spec("bolo")             # not the shared fixture: a write is tried
@@ -349,7 +355,7 @@ class TestBuildFull:
         D = ref.shape[0]
         assert 2 * walk.N + walk.M * (len(walk.port_block) - 1) == D
         x = rng.normal(size=D) + 1j * rng.normal(size=D)
-        assert np.max(np.abs(walk.step(x) - ref @ x)) < 1e-13
+        assert np.max(np.abs(sw.apply(walk, x) - ref @ x)) < 1e-13
         assert np.max(np.abs(dense(walk) - ref)) < 1e-15
 
     def test_positions_are_arithmetic(self, bolo_spec):
@@ -797,13 +803,24 @@ BAD_WIRING = {
     "interior_not_a_list": (
         [_vertex("1", ["0->1", "a", "b"], ["1->0", "a", "b"])], "ab",
         "state labels must be a list of strings, got 'ab'"),
+    "interior_never_produced": (
+        [_vertex("1", ["0->1", "a"], ["1->0", "b"])], ["a"],
+        r"produced labels \['1->0', 'b'\] != expected \['1->0', 'a'\]"),
+    "vertex_id_not_a_string": (
+        [_vertex(True, ["0->1"], ["1->0"])], [],
+        "vertex ids and the attachment must be strings, got True", "True"),
+    "attachment_not_a_string": (
+        [_vertex("1", ["0->1"], ["1->0"])], [],
+        "vertex ids and the attachment must be strings, got 1", 1),
 }
 
 
 def bad_wiring(name: str) -> tuple[dict, str]:
-    """(description, message pattern) of one BAD_WIRING case, attached at vertex "1"."""
-    vertices, interior, message = BAD_WIRING[name]
-    return {"vertices": vertices, "attachment": "1", "interior": interior}, message
+    """(description, message pattern) of one BAD_WIRING case, attached at vertex "1" unless
+    the case names its attachment after the message."""
+    vertices, interior, message, *attachment = BAD_WIRING[name]
+    return {"vertices": vertices, "attachment": (attachment or ["1"])[0],
+            "interior": interior}, message
 
 
 class TestInputChecks:

@@ -114,11 +114,12 @@ class TestSearchTargetMemo:
             plans += [sw.plan_search(spec, N), sw.plan_search(spec, N, M=3, lambda0=-1.0 + 0j),
                       sw.plan_search(spec, N, lambda0=-1.0 + 1e-9j)]     # the same group
         classes = spec._derived["classes"]
+        by_key = {cl.lambda0: cl for cl in classes}
         assert set(spec._derived) == {"classes", "auto"}
-        assert list(classes.values()) == sw.right_classifications(spec) and len(classes) == 4
-        assert spec._derived["auto"] is classes[-1.0]
-        assert all(plan.r0 is classes[-1.0].r0 for plan in plans)
-        assert sw.plan_search(spec, 100, lambda0=1.0 + 0j).r0 is classes[1.0].r0
+        assert list(classes) == sw.right_classifications(spec) and len(classes) == 4
+        assert spec._derived["auto"] is by_key[-1.0]
+        assert all(plan.r0 is by_key[-1.0].r0 for plan in plans)
+        assert sw.plan_search(spec, 100, lambda0=1.0 + 0j).r0 is by_key[1.0].r0
         assert set(spec._derived) == {"classes", "auto"} and len(classes) == 4
 
     def test_auto_and_explicit_best_give_identical_plans(self):

@@ -364,14 +364,15 @@ class TestSumRule:
 
 class TestBestTarget:
     def test_bolo(self, bolo_spec):
-        lam, c, d = sw.best_target(sw.right_classifications(bolo_spec))
-        assert abs(lam - (-1.0)) < 1e-9
-        assert abs(c - math.sqrt(3.0 / 4.0)) < 1e-9
+        best, d = sw.best_target(sw.right_classifications(bolo_spec))
+        assert best is sw.classify_right(bolo_spec, -1.0)   # the family's own record
+        assert abs(best.lambda0 - (-1.0)) < 1e-9
+        assert abs(best.c - math.sqrt(3.0 / 4.0)) < 1e-9
         assert d == 4
 
     def test_grover(self, grover_spec):
-        lam, c, d = sw.best_target(sw.right_classifications(grover_spec))
-        assert abs(c - 1.0) < 1e-12
+        best, d = sw.best_target(sw.right_classifications(grover_spec))
+        assert abs(best.c - 1.0) < 1e-12
         assert d == 2
 
     def test_inconsistent_sum_raises(self, bolo_spec):
@@ -409,9 +410,12 @@ class TestLeftSide:
         assert np.linalg.norm(L @ v - lam * v) < 1e-12
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
-    def test_left_active_rejects_bad_branch(self):
-        with pytest.raises(ValueError):
-            sw.left_active(0.0, 0)
+    def test_left_active_rejects_bad_branch(self, bolo_spec):
+        # the left vector and the search start take the branch by one rule
+        for call in (lambda: sw.left_active(0.0, 0),
+                     lambda: sw.initial_state(bolo_spec, 100, 1, 5, 0.0)):
+            with pytest.raises(sw.SpecError, match="branch must be"):
+                call()
 
     @pytest.mark.parametrize("lam", [1.0 + 0j, -1.0 + 0j, 1j,
                                      cmath.exp(0.3j), cmath.exp(-2.5j)])
@@ -580,8 +584,8 @@ class TestSecularFunction:
         # roots meeting at a snapped shared center 1e-15 apart: the direct solve
         # agrees with a continuation down from eps = 1e-20
         spec = random_spec(np.random.default_rng(seed), arms=3)
-        lam, _, _ = sw.best_target(sw.right_classifications(spec))
-        sec = sw.secular_function(spec, sw.matched_phi(lam)[0])
+        best, _ = sw.best_target(sw.right_classifications(spec))
+        sec = sw.secular_function(spec, best.phi)
         path = np.geomspace(1e-20, 1e-30, 41)
         tracked = track(sec, path, np.sqrt(path), [sec.roots([path[0]])[0]])[-1]
         theta = sec.roots([path[-1]])[0]
@@ -634,8 +638,8 @@ class TestSecularFunction:
         # bitwise the roots of one call per eps
         spec = (sw.load_spec(spec_name) if isinstance(spec_name, str)
                 else random_spec(np.random.default_rng(spec_name), arms=arms))
-        lam = sw.best_target(sw.right_classifications(spec))[0]
-        for phi in (sw.matched_phi(lam)[0], 0.3):
+        best, _ = sw.best_target(sw.right_classifications(spec))
+        for phi in (best.phi, 0.3):
             sec = sw.secular_function(spec, phi)
             alone = [sec.roots([e])[0] for e in DEFAULT_EPS_GRID]
             assert np.array_equal(sec.roots(DEFAULT_EPS_GRID), alone)
@@ -750,7 +754,8 @@ class TestMonodromy:
         monkeypatch.setattr(spectral.SecularFunction, "roots", no_roots)
         spec = (sw.load_spec(spec_name) if isinstance(spec_name, str)
                 else random_spec(np.random.default_rng(spec_name), arms=3))
-        lam, c, _ = sw.best_target(sw.right_classifications(spec))
+        best, _ = sw.best_target(sw.right_classifications(spec))
+        lam, c = best.lambda0, best.c
         for ratio in (0.0, 0.3, 0.7, 1.5, 3.0):
             delta = 2.0 * c * math.sqrt(ratio * 1e-4)
             assert abs(sw.locate_double_root(spec, lam, delta)) / 1e-4 == pytest.approx(ratio, rel=0.05)
@@ -800,8 +805,8 @@ class TestMonodromy:
         rng = np.random.default_rng(11)
         for _ in range(6):
             spec = random_spec(rng)
-            lam, _, _ = sw.best_target(sw.right_classifications(spec))
-            phi, _ = sw.matched_phi(lam)
+            best, _ = sw.best_target(sw.right_classifications(spec))
+            phi = best.phi
             rep = sw.monodromy(spec, phi)
             assert set(rep.cycle_lengths) <= {1, 2}
 

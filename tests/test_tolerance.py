@@ -56,6 +56,11 @@ class TestTuningParameter:
         with pytest.raises(ValueError):
             sw.predicted_success_compensated(-0.1)
 
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_coupling_not_finite_positive(self, c):
+        with pytest.raises(sw.SpecError, match="coupling constant c must be finite and positive"):
+            sw.tuning_t(0.1, c, 100)
+
     def test_infinite_t_is_the_limit(self):
         # a huge detuning overflows t to inf; both predictions go to 0
         assert sw.tuning_t(1e300, 1.0, 10 ** 6) == math.inf
