@@ -91,6 +91,18 @@ def _emit(args, header, rows, payload) -> None:
     print(f"{args.command}: wrote {wrote}")
 
 
+def _typed(convert):
+    """An argparse type: convert(text), refused as argparse's own type check is, but
+    with the value repeated through graph._echo."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {graph._echo(text)}") from None
+    return parse
+
+
 def _parse_lambda(text: str):
     if text == "auto":
         return "auto"
@@ -98,7 +110,8 @@ def _parse_lambda(text: str):
         re_s, im_s = text.split(",")
         return complex(float(re_s), float(im_s))
     except ValueError:
-        raise argparse.ArgumentTypeError(f'must be "auto" or "re,im", got {text!r}') from None
+        raise argparse.ArgumentTypeError(
+            f'must be "auto" or "re,im", got {graph._echo(text)}') from None
 
 
 def _parse_n_range(text: str) -> tuple[int, int | None]:
@@ -179,7 +192,8 @@ def cmd_sweep(args) -> int:
     for N in (lo, hi or lo):
         graph.check_star(N, args.m_copies)
     if not 1 <= args.points <= SWEEP_MAX_POINTS:
-        raise SpecError(f"--points must be in 1..{SWEEP_MAX_POINTS}, got {args.points}")
+        raise SpecError(f"--points must be in 1..{SWEEP_MAX_POINTS}, "
+                        f"got {graph._echo(args.points)}")
     if hi is None:
         ns = [lo]
     else:
@@ -215,7 +229,7 @@ def cmd_tolerance(args) -> int:
                 raise ValueError
         except ValueError:
             raise SpecError(f"--delta-grid must be \"auto\" or a comma list of finite "
-                            f"numbers, got {args.delta_grid!r}") from None
+                            f"numbers, got {graph._echo(args.delta_grid)}") from None
     profiles = tol_mod.tolerance_sweep(spec, N, M, lam, deltas)
     rows = [[p.N, p.M, p.delta, p.t, p.epsilon0.real, p.epsilon0.imag,
              p.m_naive, p.m_compensated, p.P_measured_naive, p.P_measured_comp,
@@ -234,8 +248,8 @@ def cmd_oracle_check(args) -> int:
     nstates = 2 * N + M * spec.n_interior
     if nstates > ORACLE_MAX_STATES or args.steps < 0:
         raise SpecError(f"oracle-check takes --steps >= 0 and at most {ORACLE_MAX_STATES} "
-                        f"full-graph states (2N + M*n); got --steps {args.steps}, "
-                        f"{nstates} states")
+                        f"full-graph states (2N + M*n); got --steps {graph._echo(args.steps)} "
+                        f"and 2N + M*n = {graph._echo(nstates)}")
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise SpecError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     plan = search_mod.plan_search(spec, N, M=M)
@@ -309,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         if n:
             p.add_argument("--n", required=True,
                            help="hub degree N (digits or <digits>e<digits>), or A..B for sweeps")
-            p.add_argument("--m-copies", type=int, default=1, metavar="INT",
+            p.add_argument("--m-copies", type=_typed(int), default=1, metavar="INT",
                            help="number of marked copies M (default 1)")
         if fmt:
             p.add_argument("--out", default=None, help="output path stem")
@@ -317,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="spectral report for a subgraph")
     common(p, n=False, fmt="json")
-    p.add_argument("--phi", type=float, default=None,
+    p.add_argument("--phi", type=_typed(float), default=None,
                    help="reflector phase (default: matched per eigenvalue)")
     p.set_defaults(func=cmd_analyze)
 
@@ -325,16 +339,17 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--lambda", dest="lam", type=_parse_lambda, default="auto",
                    metavar='auto|"re,im"')
-    p.add_argument("--shots", type=int, default=0,
+    p.add_argument("--shots", type=_typed(int), default=0,
                    help="measurement samples to draw (0 = none)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_typed(int), default=0)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("sweep", help="scan N and log success rows")
     common(p)
     p.add_argument("--lambda", dest="lam", type=_parse_lambda, default="auto",
                    metavar='auto|"re,im"')
-    p.add_argument("--points", type=int, default=10, help=f"grid points, 1..{SWEEP_MAX_POINTS}")
+    p.add_argument("--points", type=_typed(int), default=10,
+                   help=f"grid points, 1..{SWEEP_MAX_POINTS}")
     p.add_argument("--log", action="store_true", help="log-spaced N grid")
     p.set_defaults(func=cmd_sweep)
 
@@ -351,12 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
                        description=f"Full vs collapsed regression check on at most "
                        f"{ORACLE_MAX_STATES:,} full-graph states (2N + M*n, 16 B each per array).")
     common(p, fmt=None)
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--tol", type=float, default=ORACLE_TOL)
+    p.add_argument("--steps", type=_typed(int), default=200)
+    p.add_argument("--tol", type=_typed(float), default=ORACLE_TOL)
     p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("demo", help="narrated end-to-end run on 'bolo'")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_typed(int), default=0)
     p.set_defaults(func=cmd_demo)
 
     return parser

@@ -175,7 +175,8 @@ class SubgraphSpec:
 
     @cached_property
     def vertex_columns(self) -> np.ndarray:
-        """The collapsed one-step matrix with the hub slots at zero (read-only).
+        """The collapsed one-step matrix with the hub slots at zero (read-only):
+        float64 when every vertex matrix is real, complex otherwise.
 
         Vertex columns (``interior`` and |0,1>) never share a column with the
         hub's (|out>, |in>, |1,0>), so an assembly copies this matrix and writes
@@ -187,17 +188,10 @@ class SubgraphSpec:
             rows = [index[lab] for lab in v.ports_out]
             cols = [index[lab] for lab in v.ports_in]
             base[np.ix_(rows, cols)] += v.matrix
+        if not base.imag.any():
+            base = base.real.copy()
         base.flags.writeable = False
         return base
-
-    @cached_property
-    def _real_columns(self) -> np.ndarray | None:
-        """``vertex_columns`` as float64 when every entry is real, else None (read-only)."""
-        if self.vertex_columns.imag.any():
-            return None
-        real = self.vertex_columns.real.copy()
-        real.flags.writeable = False
-        return real
 
     # -- (de)serialization --------------------------------------------------
     @classmethod
@@ -285,7 +279,7 @@ def load_spec(name_or_path: str) -> SubgraphSpec:
             raise SpecError(f"cannot read spec file {base!r}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # a JSONDecodeError, or an integer past 4300 digits
         raise SpecError(f"spec file {base!r} is not valid JSON: {exc}") from exc
     return SubgraphSpec.from_dict(data)
 
@@ -419,14 +413,15 @@ def collapsed_coefficients(eps):
 
 
 def _assemble(columns: np.ndarray, reflect, R_L, R_R, T) -> np.ndarray:
-    """A copy of a spec's vertex columns with the five hub entries written.
+    """A copy of a spec's vertex columns with the five hub entries written, in
+    numpy's result dtype of the columns and the entries: float64 when all are real.
 
     ``reflect`` = e^{i phi} is the unmarked-edge reflection |out> -> |in>;
-    (R_L, R_R, T) are the collapsed hub's.  ``columns`` is ``vertex_columns``
-    or, for a real walk, its float64 copy.
+    (R_L, R_R, T) are the collapsed hub's.
     """
     out, in_, marked_out, marked_in = range(4)      # positions of RESERVED_LABELS
-    U = columns.copy()
+    # the entries' sum has their common type: one scalar is cheaper to promote than four
+    U = columns.astype(np.result_type(columns, reflect + R_L + R_R + T))
     U[in_, out] = reflect
     U[out, in_] = R_L
     U[marked_out, in_] = T
@@ -468,17 +463,16 @@ def build_collapsed(spec: SubgraphSpec, hub: HubModel, phi: float) -> UnitaryOpe
 
     Its unitarity residual is exact from the block structure: the spec's
     vertex part (kept per spec) plus the hub part in closed form, with no
-    O(d^3) product.  A real walk (real vertex columns, e^{i phi} and hub
-    coefficients, such as grover and bolo at phi = 0) has a float64 matrix.
+    O(d^3) product.  e^{i phi} is passed as a float when its imaginary part is
+    0.0, so a real walk (float64 ``vertex_columns``, phi = 0 and float hub
+    coefficients, such as grover and bolo at lambda0 = +-1) has a float64 matrix.
     """
     check_phases(phi)
     reflect = cmath.exp(1j * phi)
+    if reflect.imag == 0.0:
+        reflect = reflect.real
     coeffs = (hub.R_L, hub.R_R, hub.T)
-    real = spec._real_columns
-    if real is not None and reflect.imag == 0.0 and all(isinstance(h, float) for h in coeffs):
-        U = _assemble(real, reflect.real, *coeffs)
-    else:
-        U = _assemble(spec.vertex_columns, reflect, *coeffs)
+    U = _assemble(spec.vertex_columns, reflect, *coeffs)
     residual = math.sqrt(spec._vertex_residual_sq + _hub_residual_sq(*coeffs, reflect))
     return UnitaryOperator(U, residual)
 

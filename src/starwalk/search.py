@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (SpecError, SubgraphSpec, build_collapsed, check_phases, check_star, evolve,
-                    hub_coefficients)
+from .graph import (SpecError, SubgraphSpec, _echo, build_collapsed, check_phases, check_star,
+                    evolve, hub_coefficients)
 from .spectral import RightClassification, best_target, classify_right, right_classifications
 
 SHOTS_MAX = 2 ** 63 - 1         # the multinomial sampler counts in int64
@@ -128,7 +128,7 @@ def sample_measurement(result: SearchResult, seed: int, shots: int) -> dict[str,
     """Multinomial measurement of (marked, unmarked, null); seed-deterministic."""
     if not (1 <= shots <= SHOTS_MAX and seed >= 0):
         raise SpecError(f"need 1 <= shots <= 2**63 - 1 and seed >= 0, "
-                        f"got shots={shots}, seed={seed}")
+                        f"got shots={_echo(shots)}, seed={_echo(seed)}")
     probs = [max(p, 0.0) for p in (result.p_marked, result.p_unmarked, result.p_null)]
     total = probs[0] + probs[1] + probs[2]
     if not total > 0.0:         # all zero or NaN: nothing to normalise

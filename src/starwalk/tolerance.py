@@ -49,12 +49,17 @@ class ToleranceProfile:
 
 
 def detuned_phase(lambda0: complex, delta: float) -> float:
-    """Reflector phase that puts the left eigenvalue at lambda0*e^{i delta}."""
+    """Reflector phase that puts the left eigenvalue at lambda0*e^{i delta}; a detuning
+    whose phase phi0 + 2*delta is not finite raises SpecError."""
+    phi0, _ = matched_phi(lambda0)
+    phi = phi0 + 2.0 * delta
+    if not math.isfinite(phi):
+        raise SpecError(f"detuning {delta!r} has no finite detuned phase: "
+                        f"phi0 + 2*delta is {phi!r}")
     if abs(delta) >= SMALL_ANGLE_GUARD:
         logger.warning("detuning |delta|=%.3g is outside the small-angle regime "
                        "(predictions are extrapolated)", abs(delta))
-    phi0, _ = matched_phi(lambda0)
-    return phi0 + 2.0 * delta
+    return phi
 
 
 def tuning_t(delta: float, c: float, N: int, M: int = 1) -> float:

@@ -83,6 +83,16 @@ class TestAnalyze:
         assert run(["analyze", str(bad), "--out", str(tmp_path / "x")]) == EXIT_SPEC
         assert "is not valid JSON" in capsys.readouterr().err
 
+    def test_integer_past_the_conversion_limit_exits_2(self, tmp_path, capsys):
+        # json.loads refuses an integer literal of more than 4300 digits with a plain ValueError
+        text = json.dumps(starwalk.load_spec("bolo").to_dict())
+        bad = tmp_path / "bad.json"
+        bad.write_text(text.replace("0.6666666666666666", "1" * 5000, 1))
+        assert run(["analyze", str(bad), "--out", str(tmp_path / "x")]) == EXIT_SPEC
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("spec error: spec file") and "is not valid JSON" in line
+        assert list(tmp_path.iterdir()) == [bad]
+
 
 class TestSearch:
     def test_bolo_million(self, tmp_path, capsys):
@@ -281,6 +291,18 @@ class TestTolerance:
         (line,) = proc.stderr.splitlines()
         assert "small-angle" in line and len(line) < 200
 
+    @pytest.mark.parametrize("delta", ["1e308", "-1e308"])
+    def test_detuning_without_a_finite_phase_is_named(self, delta, tmp_path):
+        # the grid check passes it, but the detuned phase phi0 + 2*delta overflows
+        proc = subprocess.run(
+            [sys.executable, "-m", "starwalk.cli", "tolerance", "grover", "--n", "1000",
+             "--delta-grid", delta, "--out", str(tmp_path / "tol")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+        assert proc.returncode == EXIT_SPEC
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith(f"spec error: detuning {float(delta)!r} has no finite")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestOracleCheck:
     def test_bolo_passes(self, capsys):
@@ -382,6 +404,30 @@ class TestArgParsing:
         assert "Traceback" not in err
         assert all(len(line) < 200 for line in err.splitlines())     # --n is not echoed in full
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "bolo", "--n", "1000", "--m-copies", "9" * 5000],
+        ["search", "bolo", "--n", "1000", "--m-copies", "9" * 4000],
+        ["search", "bolo", "--n", "1000", "--shots", "9" * 5000],
+        ["search", "bolo", "--n", "1000", "--shots", "9" * 4000],
+        ["search", "bolo", "--n", "1000", "--shots", "10", "--seed", "9" * 5000],
+        ["search", "bolo", "--n", "1000", "--shots", "10", "--seed", "-" + "9" * 4000],
+        ["demo", "--seed", "x" * 5000],
+        ["oracle-check", "bolo", "--n", "8", "--steps", "9" * 5000],
+        ["oracle-check", "bolo", "--n", "8", "--steps", "-" + "9" * 4000],
+        ["oracle-check", "bolo", "--n", "1e300"],          # 2N + M*n has 301 digits
+        ["sweep", "bolo", "--n", "100..1000", "--points", "9" * 5000],
+        ["sweep", "bolo", "--n", "100..1000", "--points", "9" * 4000],
+        ["analyze", "bolo", "--phi", "x" * 5000],
+        ["oracle-check", "bolo", "--n", "8", "--tol", "x" * 5000],
+        ["search", "bolo", "--n", "1000", "--lambda", "x" * 5000],
+        ["tolerance", "grover", "--n", "1000", "--delta-grid", "x" * 5000],
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]} {argv[-1][:2]}-{len(argv[-1])}")
+    def test_long_option_value_is_not_echoed(self, argv, tmp_path, capsys):
+        writes = argv[0] not in ("demo", "oracle-check")
+        assert run(argv + (["--out", str(tmp_path / "x")] if writes else [])) == EXIT_SPEC
+        (line,) = capsys.readouterr().err.splitlines()
+        assert len(line) < 200 and "Traceback" not in line
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "bolo", "--m-copies", "2"],

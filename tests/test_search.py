@@ -444,17 +444,20 @@ class TestStepTemplate:
         with pytest.raises(sw.SpecError, match="1 <= M < N"):
             sw.run_search(dataclasses.replace(plan, M=100), grover_spec)
 
-    def test_start_and_real_columns_are_read_only(self, bolo_spec):
+    def test_start_and_vertex_columns_are_read_only(self, bolo_spec):
         plan = sw.plan_search(bolo_spec, 1000)
         sw.run_search(plan, bolo_spec)
-        columns = bolo_spec._real_columns
+        columns = bolo_spec.vertex_columns
         assert columns.dtype == np.float64
-        assert np.array_equal(columns, bolo_spec.vertex_columns)
+        index = {lab: i for i, lab in enumerate(graph.RESERVED_LABELS + bolo_spec.interior)}
+        for v in bolo_spec.vertices:        # float64 entries equal to the complex ones
+            block = np.ix_([index[lab] for lab in v.ports_out], [index[lab] for lab in v.ports_in])
+            assert v.matrix.dtype == complex and np.array_equal(columns[block], v.matrix)
         for array in (columns, plan.initial):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
-        # a complex-entry spec has no float64 copy
-        assert random_spec(np.random.default_rng(1), arms=1)._real_columns is None
+        # a complex-entry spec has complex columns
+        assert random_spec(np.random.default_rng(1), arms=1).vertex_columns.dtype == complex
 
 
 class TestNonUnitarityGuard:
