@@ -22,6 +22,7 @@ the last bits); set STARWALK_LOG to debug, info, warning, error or critical
 from __future__ import annotations
 
 import argparse
+import ast
 import gc
 import json
 import logging
@@ -87,20 +88,8 @@ def _emit(args, header, rows, payload) -> None:
             wrote = out if out.endswith(".json") else out + ".json"
             _write_json(wrote, payload)
     except OSError as exc:
-        raise SpecError(f"cannot write --out {out!r}: {exc.strerror or exc}") from None
+        raise SpecError(f"cannot write --out {graph._echo(out)}: {exc.strerror}") from None
     print(f"{args.command}: wrote {wrote}")
-
-
-def _typed(convert):
-    """An argparse type: convert(text), refused as argparse's own type check is, but
-    with the value repeated through graph._echo."""
-    def parse(text: str):
-        try:
-            return convert(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid {convert.__name__} value: {graph._echo(text)}") from None
-    return parse
 
 
 def _parse_lambda(text: str):
@@ -111,7 +100,7 @@ def _parse_lambda(text: str):
         return complex(float(re_s), float(im_s))
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f'must be "auto" or "re,im", got {graph._echo(text)}') from None
+            f'must be "auto" or "re,im", got {text!r}') from None
 
 
 def _parse_n_range(text: str) -> tuple[int, int | None]:
@@ -298,6 +287,13 @@ def cmd_demo(args) -> int:
 # Parser / entry point
 # ---------------------------------------------------------------------------
 
+# A value in an argparse message: a str repr (only the escapes repr writes, ending
+# where a word does), or else one bare word, as in "unrecognized arguments".
+_ESCAPE = r"\\(?:[\\'tnr]|x[0-9a-f]{2}|u[0-9a-f]{4}|U[0-9a-f]{8})"
+_REPEATED = re.compile(rf"""(?P<repr>'(?:[^'\\]|{_ESCAPE})*'|"(?:[^"\\]|{_ESCAPE})*")"""
+                       r"(?![^\s,)])|\S+")
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -307,8 +303,12 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
-        """A usage error: one line on stderr and exit 2, without the usage dump."""
-        self.exit(EXIT_SPEC, f"{self.prog}: error: {message}\n")
+        """A usage error: one line on stderr and exit 2, without the usage dump; a value
+        it repeats longer than graph.ECHO_MAX is named by its length (graph._echo)."""
+        def shorten(m):
+            value = ast.literal_eval(m[0]) if m["repr"] else m[0]
+            return graph._echo(value) if len(value) > graph.ECHO_MAX else m[0]
+        self.exit(EXIT_SPEC, f"{self.prog}: error: {_REPEATED.sub(shorten, message)}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         if n:
             p.add_argument("--n", required=True,
                            help="hub degree N (digits or <digits>e<digits>), or A..B for sweeps")
-            p.add_argument("--m-copies", type=_typed(int), default=1, metavar="INT",
+            p.add_argument("--m-copies", type=int, default=1, metavar="INT",
                            help="number of marked copies M (default 1)")
         if fmt:
             p.add_argument("--out", default=None, help="output path stem")
@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="spectral report for a subgraph")
     common(p, n=False, fmt="json")
-    p.add_argument("--phi", type=_typed(float), default=None,
+    p.add_argument("--phi", type=float, default=None,
                    help="reflector phase (default: matched per eigenvalue)")
     p.set_defaults(func=cmd_analyze)
 
@@ -339,16 +339,16 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--lambda", dest="lam", type=_parse_lambda, default="auto",
                    metavar='auto|"re,im"')
-    p.add_argument("--shots", type=_typed(int), default=0,
+    p.add_argument("--shots", type=int, default=0,
                    help="measurement samples to draw (0 = none)")
-    p.add_argument("--seed", type=_typed(int), default=0)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("sweep", help="scan N and log success rows")
     common(p)
     p.add_argument("--lambda", dest="lam", type=_parse_lambda, default="auto",
                    metavar='auto|"re,im"')
-    p.add_argument("--points", type=_typed(int), default=10,
+    p.add_argument("--points", type=int, default=10,
                    help=f"grid points, 1..{SWEEP_MAX_POINTS}")
     p.add_argument("--log", action="store_true", help="log-spaced N grid")
     p.set_defaults(func=cmd_sweep)
@@ -366,12 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
                        description=f"Full vs collapsed regression check on at most "
                        f"{ORACLE_MAX_STATES:,} full-graph states (2N + M*n, 16 B each per array).")
     common(p, fmt=None)
-    p.add_argument("--steps", type=_typed(int), default=200)
-    p.add_argument("--tol", type=_typed(float), default=ORACLE_TOL)
+    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--tol", type=float, default=ORACLE_TOL)
     p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("demo", help="narrated end-to-end run on 'bolo'")
-    p.add_argument("--seed", type=_typed(int), default=0)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_demo)
 
     return parser

@@ -270,17 +270,18 @@ def load_spec(name_or_path: str) -> SubgraphSpec:
     base = str(name_or_path)
     short = base[:-5] if base.endswith(".json") else base
     if short in ("grover", "bolo") and "/" not in base:
-        text = resources.files("starwalk.specs").joinpath(short + ".json").read_text()
+        raw = resources.files("starwalk.specs").joinpath(short + ".json").read_bytes()
     else:
         try:
-            with open(base) as fh:
-                text = fh.read()
+            with open(base, "rb") as fh:
+                raw = fh.read()
         except OSError as exc:
-            raise SpecError(f"cannot read spec file {base!r}: {exc}") from exc
+            raise SpecError(f"cannot read spec file {_echo(base)}: {exc.strerror}") from exc
     try:
-        data = json.loads(text)
-    except ValueError as exc:       # a JSONDecodeError, or an integer past 4300 digits
-        raise SpecError(f"spec file {base!r} is not valid JSON: {exc}") from exc
+        data = json.loads(raw)
+    # bad bytes, bad JSON or an integer past 4300 digits, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
+        raise SpecError(f"spec file {_echo(base)} is not valid JSON: {exc}") from exc
     return SubgraphSpec.from_dict(data)
 
 

@@ -133,14 +133,15 @@ def group_eigenvalues(vals: np.ndarray) -> list[tuple[complex, tuple[int, ...]]]
         mean = np.mean(vals[members])
         rep = complex(mean / abs(mean)) if abs(mean) > 0 else complex(vals[members[0]])
         groups.append((_snap(rep), tuple(sorted(members))))
-    for a in range(len(groups)):
-        for b in range(a + 1, len(groups)):
-            gap = abs(groups[a][0] - groups[b][0])
-            if gap < 2 * CLUSTER_TOL:
-                raise NumericsError(
-                    f"ambiguous eigenvalue clustering: groups at {groups[a][0]:.9f} "
-                    f"and {groups[b][0]:.9f} are {gap:.2e} apart (< 2*CLUSTER_TOL)")
-    return sorted(groups, key=lambda g: round(float(np.angle(g[0])), 12))
+    groups.sort(key=lambda g: round(float(np.angle(g[0])), 12))
+    # a chord grows with its angle: the closest pair is a neighbour pair, seam included
+    neighbours = groups[1:] + groups[:1] if len(groups) > 1 else []
+    for (a, _), (b, _) in zip(groups, neighbours):
+        if abs(a - b) < 2 * CLUSTER_TOL:
+            raise NumericsError(
+                f"ambiguous eigenvalue clustering: groups at {a:.9f} "
+                f"and {b:.9f} are {abs(a - b):.2e} apart (< 2*CLUSTER_TOL)")
+    return groups
 
 
 # ---------------------------------------------------------------------------

@@ -83,11 +83,16 @@ class TestAnalyze:
         assert run(["analyze", str(bad), "--out", str(tmp_path / "x")]) == EXIT_SPEC
         assert "is not valid JSON" in capsys.readouterr().err
 
-    def test_integer_past_the_conversion_limit_exits_2(self, tmp_path, capsys):
-        # json.loads refuses an integer literal of more than 4300 digits with a plain ValueError
-        text = json.dumps(starwalk.load_spec("bolo").to_dict())
+    @pytest.mark.parametrize("content", [
+        # an integer literal past 4300 digits (a plain ValueError from json.loads)
+        json.dumps(starwalk.load_spec("bolo").to_dict()).replace(
+            "0.6666666666666666", "1" * 5000, 1).encode(),
+        b"[" * 100_000 + b"]" * 100_000,        # nesting past the recursion limit
+        b"\xff\xfe{",                           # not UTF-8, -16 or -32
+    ], ids=["huge_integer", "deep_nesting", "bad_encoding"])
+    def test_undecodable_spec_exits_2(self, content, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text(text.replace("0.6666666666666666", "1" * 5000, 1))
+        bad.write_bytes(content)
         assert run(["analyze", str(bad), "--out", str(tmp_path / "x")]) == EXIT_SPEC
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("spec error: spec file") and "is not valid JSON" in line
@@ -422,12 +427,36 @@ class TestArgParsing:
         ["oracle-check", "bolo", "--n", "8", "--tol", "x" * 5000],
         ["search", "bolo", "--n", "1000", "--lambda", "x" * 5000],
         ["tolerance", "grover", "--n", "1000", "--delta-grid", "x" * 5000],
+        pytest.param(["search", "bolo", "--n", "1000", "--format", "x" * 5000], id="choice"),
+        pytest.param(["search", "bolo", "--n", "1000", "--format", ("it's a b " * 600)[:5000]],
+                     id="choice with spaces and a quote"),
+        pytest.param(["x" * 5000, "bolo"], id="subcommand"),
+        pytest.param(["analyze", "bolo", "x" * 5000], id="unrecognized argument"),
+        pytest.param(["search", "bolo", "--n", "1000", "--s=" + "x" * 5000], id="ambiguous option"),
+        pytest.param(["analyze", "x" * 5000], id="spec path"),
     ], ids=lambda argv: f"{argv[0]} {argv[-2]} {argv[-1][:2]}-{len(argv[-1])}")
     def test_long_option_value_is_not_echoed(self, argv, tmp_path, capsys):
         writes = argv[0] not in ("demo", "oracle-check")
         assert run(argv + (["--out", str(tmp_path / "x")] if writes else [])) == EXIT_SPEC
         (line,) = capsys.readouterr().err.splitlines()
         assert len(line) < 200 and "Traceback" not in line
+
+    @pytest.mark.parametrize("argv, message", [
+        (["search", "bolo", "--n", "10", "--m-copies", "abc"],
+         "starwalk search: error: argument --m-copies: invalid int value: 'abc'"),
+        (["search", "bolo", "--n", "10", "--m-copies", "it's \"q\""],
+         "starwalk search: error: argument --m-copies: invalid int value: 'it\\'s \"q\"'"),
+        (["search", "bolo", "--n", "10", "--lambda", "1,2,3"],
+         "starwalk search: error: argument --lambda: must be \"auto\" or \"re,im\", got '1,2,3'"),
+        (["search", "bolo", "--n", "10", "--format", "it's"],
+         "starwalk search: error: argument --format: invalid choice: \"it's\" "
+         "(choose from 'json', 'csv')"),
+        (["analyze", "bolo", "x" * 30, "''" * 15],
+         f"starwalk: error: unrecognized arguments: {'x' * 30} {chr(39) * 30}"),
+    ], ids=["int", "int with quotes", "lambda", "choice", "unrecognized arguments"])
+    def test_short_value_is_repeated_verbatim(self, argv, message, capsys):
+        assert run(argv) == EXIT_SPEC
+        assert capsys.readouterr().err == message + "\n"
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "bolo", "--m-copies", "2"],
@@ -449,6 +478,13 @@ class TestArgParsing:
         err = capsys.readouterr().err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
         assert "cannot write --out" in err
+
+    def test_long_out_path_is_not_echoed(self, tmp_path, capsys):
+        out = str(tmp_path / ("x" * 5000))
+        assert run(["search", "grover", "--n", "100", "--out", out]) == EXIT_SPEC
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (f"spec error: cannot write --out a text of {len(out)} characters: "
+                        "File name too long")
 
     def test_precision_envelope_exits_3(self, tmp_path, capsys):
         assert run(["search", "bolo", "--n", str(10 ** 30),

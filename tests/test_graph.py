@@ -812,6 +812,9 @@ BAD_WIRING = {
     "attachment_not_a_string": (
         [_vertex("1", ["0->1"], ["1->0"])], [],
         "vertex ids and the attachment must be strings, got 1", 1),
+    "attachment_not_a_vertex": (
+        [_vertex("1", ["0->1"], ["1->0"])], [],
+        "attachment vertex '2' not defined", "2"),
 }
 
 

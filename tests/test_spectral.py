@@ -190,6 +190,34 @@ class TestGroupEigenvalues:
         with pytest.raises(sw.NumericsError, match="ambiguous"):
             sw.group_eigenvalues(vals)
 
+    def test_ambiguous_pair_across_the_seam_raises(self):
+        # two clusters 1.4*tol apart on either side of the angle cut at +-pi
+        vals = np.array([cmath.exp(1j * (math.pi - 0.7e-7)), 1.0 + 0j, 1j,
+                         cmath.exp(1j * (-math.pi + 0.7e-7))])
+        with pytest.raises(sw.NumericsError, match="ambiguous"):
+            sw.group_eigenvalues(vals)
+
+    def test_returned_groups_are_at_least_twice_the_tolerance_apart(self):
+        # pairs planted 1.2..2.8 tol apart at random angles (a quarter across the seam)
+        # among random eigenvalues: no call returns two representatives closer than 2 tol
+        rng = np.random.default_rng(7)
+        tol = spectral.CLUSTER_TOL
+        outcomes = set()
+        for trial in range(2000):
+            gap = rng.uniform(1.2, 2.8) * tol
+            start = math.pi - gap / 2 if trial % 4 == 0 else rng.uniform(-math.pi, math.pi)
+            angles = np.concatenate(([start, start + gap], rng.uniform(-math.pi, math.pi, 4)))
+            try:
+                groups = sw.group_eigenvalues(np.exp(1j * angles))
+            except sw.NumericsError:
+                outcomes.add("raised")
+                continue
+            reps = np.array([lam for lam, _ in groups])
+            chords = np.abs(reps[:, None] - reps[None, :]) + np.eye(len(reps)) * 4
+            assert chords.min() >= 2 * tol
+            outcomes.add("returned")
+        assert outcomes == {"raised", "returned"}
+
     def test_round_off_of_plus_minus_one_is_snapped(self, bolo_spec):
         # +-1 with round-off parts of either sign: lambda0 has exact +0.0 parts
         vals = np.array([complex(1.0, -3e-17), complex(1.0 - 1e-16, 2e-17),
